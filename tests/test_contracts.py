@@ -1,0 +1,95 @@
+"""Bit-identity contracts: caches and worker counts never change an output bit.
+
+The solver shades through a pair cache (material group) and a transfer cache
+(light group) when they fit its byte budget; a zero budget takes the uncached
+path. Worker threads only trade whole pixel chunks. Either way every output
+must come out bit-for-bit the same.
+"""
+
+import numpy as np
+import pytest
+
+import gradshade as gs
+
+MODES = ("orthographic", "pinhole")
+SIDE = 20
+ENV_SHAPE = (24, 48)  # 1152 texels: two light blocks, the second one partial
+
+
+def two_region_scene(side, mode):
+    nm = gs.sphere_normal_map(side)
+    cols = np.broadcast_to(np.arange(side)[None, :] >= side // 2, nm.mask.shape)
+    seg = gs.SegmentationMask(np.where(nm.mask, cols.astype(np.int32), -1), 2)
+    presets = gs.preset_materials()
+    cam = gs.Camera(mode, side, side, 50.0)
+    return gs.RenderScene(nm, cam, gs.default_blob_env(*ENV_SHAPE), (presets["glossy"], presets["matte"]), seg)
+
+
+def two_region_problem(mode):
+    """A solve that starts away from the target in every group."""
+    scene = two_region_scene(SIDE, mode)
+    target = gs.render(scene)
+    rng = np.random.default_rng(7)
+    n = scene.normal_map.normals + 0.15 * rng.standard_normal(scene.normal_map.normals.shape)
+    n /= np.linalg.norm(n, axis=2, keepdims=True)
+    n[~scene.normal_map.mask] = 0.0
+    presets = gs.preset_materials()
+    return gs.InverseProblem(
+        target=target,
+        normal_map=gs.NormalMap(n, scene.normal_map.mask),
+        env=gs.EnvironmentMap(scene.env.radiance * 0.7),
+        materials=(presets["matte"], presets["glossy"]),
+        camera=scene.camera,
+        segmentation=scene.segmentation,
+    )
+
+
+def config(**kw):
+    return gs.OptimizerConfig(max_cycles=2, inner_iters_per_group=4, **kw)
+
+
+def solve_bytes(res):
+    """Every float of a SolveResult as bytes, so that -0.0 and 0.0 differ."""
+    trace = np.array([(t.cycle, t.iteration, t.objective, t.grad_norm) for t in res.trace])
+    parts = [
+        [t.group for t in res.trace],
+        res.cycles,
+        np.float64(res.initial_objective).tobytes(),
+        np.float64(res.final_objective).tobytes(),
+        trace.tobytes(),
+        res.normal_map.normals.tobytes(),
+        res.env.radiance.tobytes(),
+    ]
+    return parts + [m.raw.tobytes() for m in res.materials]
+
+
+@pytest.fixture(scope="module", params=MODES)
+def solved(request):
+    problem = two_region_problem(request.param)
+    return problem, gs.solve(problem, config())
+
+
+def test_solve_is_bit_identical_without_caches(solved):
+    problem, cached = solved
+    assert cached.final_objective < cached.initial_objective
+    assert {t.group for t in cached.trace} == {"normal", "light", "material"}
+    uncached = gs.solve(problem, config(cache_budget_bytes=0))
+    assert solve_bytes(uncached) == solve_bytes(cached)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_solve_is_bit_identical_across_thread_counts(solved, threads):
+    problem, single = solved
+    assert solve_bytes(gs.solve(problem, config(threads=threads))) == solve_bytes(single)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_backward_is_bit_identical_across_thread_counts(mode):
+    scene = two_region_scene(40, mode)  # several pixel chunks per region
+    rng = np.random.default_rng(3)
+    upstream = rng.standard_normal(scene.normal_map.normals.shape)
+    runs = [gs.backward(scene, upstream, threads=t) for t in (1, 2, 3)]
+    for g in runs[1:]:
+        assert g.d_normals.tobytes() == runs[0].d_normals.tobytes()
+        assert g.d_env.tobytes() == runs[0].d_env.tobytes()
+        assert g.d_materials.tobytes() == runs[0].d_materials.tobytes()
