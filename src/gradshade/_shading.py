@@ -8,11 +8,26 @@ The image model per foreground pixel p and color channel k is
 
 over all texels i of an equirectangular light table, with the DSBRDF lobes of
 :mod:`gradshade.brdf` evaluated at base = clamp(h . n, EPS_BASE, 1) and the
-coefficient splines at theta_d. Work runs over the foreground-pixel stream in
-(pixel-chunk x light-block) tiles. The traversal order (region, then chunk,
-then block) and all reduction orders are fixed, so outputs are bit-identical
-for any worker count: threads only trade whole chunks and per-chunk partial
-sums are combined in chunk order afterwards.
+coefficient splines at theta_d.
+
+A ShadingProblem holds only the scene geometry; normals and materials are
+arguments of every call. Work runs over the foreground-pixel stream in
+(pixel-chunk x light-block) tiles. One producer, ``_tiles``, yields the pair
+geometry of every light block of a chunk that has a lit pair: cmax =
+max(0, n . omega), ell = log(base), the spline basis and coefficient curves at
+theta_d and, for normal gradients, base, the lit and clamp-gate indicators and
+the half vectors. It reads these from a PairCache or computes them from
+per-light columns (orthographic) or per-pair half vectors (pinhole), and it is
+the only code that branches on those cases. Its consumers are ``forward``
+(reduces f * cmax against the environment), ``build_transfer`` (stores
+f * cmax), ``build_pair_cache`` (stores ell, cmax and the pinhole basis) and
+``backward`` (the three adjoints). With a TransferCache, forward and the light
+adjoint are plain reductions over the stored f * cmax.
+
+The traversal order (region, then chunk, then block) and all reduction orders
+are fixed, so outputs are bit-identical for any worker count: threads only
+trade whole chunks and per-chunk partial sums are combined in chunk order
+afterwards.
 
 Pixel powers use expm1(b * log(base)) + 1, which is exact to a few ulp except
 for results tiny enough (< ~1e-12) to be negligible in the light sum, and is
@@ -21,10 +36,12 @@ uniformly fast where np.power is not.
 
 from __future__ import annotations
 
+import math
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +59,7 @@ GROUPS = ("normal", "light", "material")
 
 
 class _ScratchPool:
-    """Reusable per-worker buffer dictionaries, keyed by (name, shape)."""
+    """Reusable per-worker buffer stores: one flat array per name."""
 
     def __init__(self):
         self._q: queue.SimpleQueue = queue.SimpleQueue()
@@ -63,22 +80,20 @@ _POOL = _ScratchPool()
 
 
 def _buf(store: dict, name: str, shape: tuple) -> np.ndarray:
-    key = (name, shape)
-    arr = store.get(key)
-    if arr is None:
-        arr = store[key] = np.empty(shape)
-    return arr
+    """A contiguous prefix view of the store's array ``name``, grown only when too small."""
+    size = math.prod(shape)
+    flat = store.get(name)
+    if flat is None or flat.size < size:
+        flat = store[name] = np.empty(size)
+    return flat[:size].reshape(shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShadingProblem:
-    """Prepared per-scene arrays over the foreground stream (row-major)."""
+    """Scene geometry over the foreground stream (row-major)."""
 
-    normals: np.ndarray  # (F, 3)
     pixel_xy: np.ndarray  # (F, 2) int32, (px, py) for error reports
-    region_of: np.ndarray  # (F,) int32
-    chunks: list  # [(region, stream-index array)] in traversal order
-    materials: list  # DsbrdfMaterial per region
+    chunks: tuple  # ((region, stream-index array), ...) in traversal order
     dirs: np.ndarray  # (I, 3)
     weights: np.ndarray  # (I,)
     view: np.ndarray  # (3,) when ortho else (F, 3)
@@ -89,7 +104,7 @@ class ShadingProblem:
 
     @property
     def pixel_count(self) -> int:
-        return self.normals.shape[0]
+        return self.pixel_xy.shape[0]
 
     @property
     def light_count(self) -> int:
@@ -121,63 +136,49 @@ class TransferCache:
         return self.contrib.nbytes
 
 
-def prepare(normals_img, mask, view, materials, dirs, weights, region_ids=None) -> ShadingProblem:
-    """Flatten a scene to the foreground stream and precompute light geometry.
+def prepare(mask, view, region_count, dirs, weights, region_ids=None) -> ShadingProblem:
+    """Flatten a scene's geometry to the foreground stream and precompute light columns.
 
     ``view`` is a (3,) constant direction (orthographic) or an (H, W, 3)
     per-pixel grid. ``region_ids`` defaults to a single region 0.
     """
     ys, xs = np.nonzero(mask)
-    normals_fg = np.ascontiguousarray(normals_img[ys, xs], dtype=np.float64)
-    pixel_xy = np.stack([xs, ys], axis=1).astype(np.int32)
-    count = normals_fg.shape[0]
-
-    if region_ids is None:
-        region_of = np.zeros(count, dtype=np.int32)
-    else:
-        region_of = np.ascontiguousarray(region_ids[ys, xs], dtype=np.int32)
-
+    region_of = np.zeros(ys.size, dtype=np.int32) if region_ids is None else region_ids[ys, xs]
     chunks = []
-    for r in range(len(materials)):
+    for r in range(region_count):
         stream = np.nonzero(region_of == r)[0]
         for start in range(0, stream.size, PIXEL_CHUNK):
             chunks.append((r, stream[start : start + PIXEL_CHUNK]))
 
     dirs = np.ascontiguousarray(dirs, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
     view = np.asarray(view, dtype=np.float64)
     ortho = view.ndim == 1
-
-    problem = ShadingProblem(
-        normals=normals_fg,
-        pixel_xy=pixel_xy,
-        region_of=region_of,
-        chunks=chunks,
-        materials=list(materials),
-        dirs=dirs,
-        weights=weights,
-        view=view if ortho else np.ascontiguousarray(view[ys, xs], dtype=np.float64),
-        ortho=ortho,
-    )
+    half = valid = basis = None
     if ortho:
         s = dirs + view[None, :]
         norms = np.linalg.norm(s, axis=1)
         bad = norms < DEGENERATE_HALF
-        safe = np.where(bad, 1.0, norms)
-        half = s / safe[:, None]
-        problem.half_cols = half
-        problem.valid_cols = None if not bad.any() else (~bad).astype(np.float64)
-        theta = np.arccos(np.clip(np.einsum("id,id->i", dirs, half), 0.0, 1.0))
-        problem.basis_cols = spline.basis_matrix(theta)
-    return problem
+        half = s / np.where(bad, 1.0, norms)[:, None]
+        valid = None if not bad.any() else (~bad).astype(np.float64)
+        basis = spline.basis_matrix(np.arccos(np.clip(np.einsum("id,id->i", dirs, half), 0.0, 1.0)))
+    return ShadingProblem(
+        pixel_xy=np.stack([xs, ys], axis=1).astype(np.int32),
+        chunks=tuple(chunks),
+        dirs=dirs,
+        weights=np.ascontiguousarray(weights, dtype=np.float64),
+        view=view if ortho else np.ascontiguousarray(view[ys, xs], dtype=np.float64),
+        ortho=ortho,
+        half_cols=half,
+        valid_cols=valid,
+        basis_cols=basis,
+    )
 
 
-def _curves(problem: ShadingProblem) -> list:
-    """Per-region spline coefficient rows over the light axis, (3, 3, 2, I); ortho only."""
-    return [m.control_points @ problem.basis_cols.T for m in problem.materials]
+def _blocks(light_count: int):
+    return [(b0, min(light_count, b0 + LIGHT_BLOCK)) for b0 in range(0, light_count, LIGHT_BLOCK)]
 
 
-def _pair_geometry(store, nc, view_c, dirs_t, need_basis: bool):
+def _pair_geometry(store, nc, view_c, dirs_t):
     """Per-pair half-vector quantities for a pinhole tile.
 
     Returns (hdn, valid, half, basis); valid is None when every pair is fine.
@@ -199,9 +200,74 @@ def _pair_geometry(store, nc, view_c, dirs_t, need_basis: bool):
     wih = _buf(store, "pg_wih", (c, b))
     np.einsum("cbd,bd->cb", s, dirs_t, out=wih)
     np.clip(wih, 0.0, 1.0, out=wih)
-    theta = np.arccos(wih)
-    basis = spline.basis_matrix(theta) if need_basis else None
-    return hdn, valid, s, basis
+    return hdn, valid, s, spline.basis_matrix(np.arccos(wih))
+
+
+class _Tile(NamedTuple):
+    """Pair geometry of one (pixel chunk x light block) tile, each (C, B) unless noted."""
+
+    b0: int
+    b1: int
+    cmaxv: np.ndarray  # max(0, n . omega), zero where the half vector is undefined
+    ell: np.ndarray  # log(base), base = clamp(h . n, EPS_BASE, 1)
+    basis: np.ndarray  # spline basis at theta_d: (B, 6) orthographic, (C, B, 6) pinhole
+    curves: np.ndarray | None  # coefficient curves: (3, 3, 2, B) or (3, 3, 2, C, B)
+    base: np.ndarray | None  # the rest only for normal gradients
+    litv: np.ndarray | None  # 1(n . omega > 0) on valid pairs
+    gate: np.ndarray | None  # 1(EPS_BASE < h . n < 1), where base moves with n
+    half: np.ndarray | None  # unit half vectors: (B, 3) orthographic, (C, B, 3) pinhole
+
+
+def _tiles(problem, normals, ci, store, *, ctrl=None, pair=None, geometry=False):
+    """Yield a _Tile for every light block of chunk ``ci`` that has a lit pair.
+
+    ``ctrl`` is the chunk material's (3, 3, 2, 6) control points, or None when
+    no curves are needed; ``geometry`` adds the normal-gradient fields. With a
+    ``pair`` cache the normals are not read.
+    """
+    nc = normals[ci] if pair is None else None
+    for b0, b1 in _blocks(problem.light_count):
+        base = litv = gate = half = None
+        if pair is not None:
+            cmaxv = pair.cmaxv[ci, b0:b1]
+            if not cmaxv.any():
+                continue
+            ell = pair.ell[ci, b0:b1]
+            basis = problem.basis_cols[b0:b1] if problem.ortho else pair.basis[ci, b0:b1]
+        else:
+            shape = (ci.shape[0], b1 - b0)
+            ndl = _buf(store, "ndl", shape)
+            np.matmul(nc, problem.dirs[b0:b1].T, out=ndl)
+            if ndl.max() <= 0.0:
+                # Every term of the image and of each adjoint carries
+                # max(0, n . omega) or its indicator: a dark tile adds nothing.
+                continue
+            if problem.ortho:
+                hdn = _buf(store, "hdn", shape)
+                np.matmul(nc, problem.half_cols[b0:b1].T, out=hdn)
+                valid = None if problem.valid_cols is None else problem.valid_cols[b0:b1]
+                half, basis = problem.half_cols[b0:b1], problem.basis_cols[b0:b1]
+            else:
+                hdn, valid, half, basis = _pair_geometry(store, nc, problem.view[ci], problem.dirs[b0:b1])
+            cmaxv = _buf(store, "cmaxv", shape)
+            np.maximum(ndl, 0.0, out=cmaxv)
+            base = _buf(store, "base", shape)
+            np.clip(hdn, EPS_BASE, 1.0, out=base)
+            ell = _buf(store, "ell", shape)
+            np.log(base, out=ell)
+            if geometry:
+                litv = _buf(store, "litv", shape)
+                np.multiply(ndl > 0.0, 1.0, out=litv)
+                gate = _buf(store, "gate", shape)
+                np.multiply((hdn > EPS_BASE) & (hdn < 1.0), 1.0, out=gate)
+            if valid is not None:
+                cmaxv *= valid
+                if geometry:
+                    litv *= valid
+        curves = None
+        if ctrl is not None:
+            curves = ctrl @ basis.T if problem.ortho else np.einsum("kstj,cbj->kstcb", ctrl, basis)
+        yield _Tile(b0, b1, cmaxv, ell, basis, curves, base, litv, gate, half)
 
 
 def _raise_overflow(problem, ci, f, k):
@@ -212,106 +278,30 @@ def _raise_overflow(problem, ci, f, k):
     )
 
 
-def _lobe_sum(store, ell, curves_t, k, f, check, problem=None, ci=None):
-    """f <- sum_s expm1(a_ks * (expm1(b_ks * ell) + 1)) for one tile and channel."""
-    t = _buf(store, "lobe_t", ell.shape)
-    for s in range(3):
-        a_row, b_row = curves_t[k, s, 0], curves_t[k, s, 1]
-        target = f if s == 0 else t
-        np.multiply(ell, b_row, out=target)
-        np.expm1(target, out=target)
-        target += 1.0
-        target *= a_row
-        np.expm1(target, out=target)
-        if s > 0:
-            f += t
-    if check:
+def _shaded(store, problem, ci, tile):
+    """Yield (k, f_k * cmax) per channel of one tile; the array is reused across channels.
+
+    f_k = sum_s expm1(a_ks * (expm1(b_ks * ell) + 1)). The overflow check runs
+    before the cmax mask, because inf * 0 would hide it as NaN.
+    """
+    f = _buf(store, "f", tile.ell.shape)
+    t = _buf(store, "lobe_t", tile.ell.shape)
+    for k in range(3):
+        for s in range(3):
+            a_row, b_row = tile.curves[k, s, 0], tile.curves[k, s, 1]
+            target = f if s == 0 else t
+            np.multiply(tile.ell, b_row, out=target)
+            np.expm1(target, out=target)
+            target += 1.0
+            target *= a_row
+            np.expm1(target, out=target)
+            if s > 0:
+                f += t
         top = float(np.max(f))
         if not top <= OVERFLOW_LIMIT:  # catches NaN too
             _raise_overflow(problem, ci, f, k)
-
-
-def _forward_chunk(problem, env_lw, region, ci, transfer=None, pair=None):
-    """Shade one pixel chunk; returns its (C, 3) image block."""
-    c = ci.shape[0]
-    i_total = problem.light_count
-    out = np.zeros((c, 3))
-
-    if transfer is not None:
-        for b0 in range(0, i_total, LIGHT_BLOCK):
-            b1 = min(i_total, b0 + LIGHT_BLOCK)
-            block = transfer.contrib[ci, b0:b1, :]
-            for k in range(3):
-                out[:, k] += np.einsum("cb,b->c", block[:, :, k], env_lw[b0:b1, k])
-        return out
-
-    with _POOL.lease() as store:
-        nc = problem.normals[ci]
-        if pair is None:
-            ndl = _buf(store, "ndl", (c, i_total))
-            np.matmul(nc, problem.dirs.T, out=ndl)
-            if problem.ortho:
-                hdn_all = _buf(store, "hdn_all", (c, i_total))
-                np.matmul(nc, problem.half_cols.T, out=hdn_all)
-            curves = problem.materials[region].control_points
-            if problem.ortho:
-                curves = curves @ problem.basis_cols.T  # (3, 3, 2, I)
-
-        for b0 in range(0, i_total, LIGHT_BLOCK):
-            b1 = min(i_total, b0 + LIGHT_BLOCK)
-            b = b1 - b0
-            if pair is not None:
-                cmaxv = pair.cmaxv[ci, b0:b1]
-                if not cmaxv.any():
-                    continue
-                ell = pair.ell[ci, b0:b1]
-                if problem.ortho:
-                    curves_t = problem.materials[region].control_points @ problem.basis_cols[b0:b1].T
-                else:
-                    curves_t = np.einsum(
-                        "kstj,cbj->kstcb", problem.materials[region].control_points, pair.basis[ci, b0:b1]
-                    )
-            else:
-                ndl_t = ndl[:, b0:b1]
-                if ndl_t.max() <= 0.0:
-                    continue
-                cmaxv = _buf(store, "cmaxv", (c, b))
-                np.maximum(ndl_t, 0.0, out=cmaxv)
-                if problem.ortho:
-                    hdn = hdn_all[:, b0:b1]
-                    valid = None if problem.valid_cols is None else problem.valid_cols[b0:b1]
-                    curves_t = curves[:, :, :, b0:b1]
-                else:
-                    hdn, valid, _, basis_t = _pair_geometry(store, nc, problem.view[ci], problem.dirs[b0:b1], True)
-                    curves_t = np.einsum("kstj,cbj->kstcb", problem.materials[region].control_points, basis_t)
-                if valid is not None:
-                    cmaxv *= valid
-                base = _buf(store, "base", (c, b))
-                np.clip(hdn, EPS_BASE, 1.0, out=base)
-                ell = _buf(store, "ell", (c, b))
-                np.log(base, out=ell)
-
-            f = _buf(store, "f", (c, b))
-            for k in range(3):
-                _lobe_sum(store, ell, curves_t, k, f, check=True, problem=problem, ci=ci)
-                f *= cmaxv
-                out[:, k] += np.einsum("cb,b->c", f, env_lw[b0:b1, k])
-    return out
-
-
-def forward(problem, env_flat, *, threads=1, pair=None, transfer=None) -> np.ndarray:
-    """Foreground-stream image, shape (F, 3). ``env_flat`` is (I, 3) radiance."""
-    env_lw = env_flat * problem.weights[:, None]
-    out = np.zeros((problem.pixel_count, 3))
-    tasks = problem.chunks
-
-    def run(task):
-        region, ci = task
-        return ci, _forward_chunk(problem, env_lw, region, ci, transfer=transfer, pair=pair)
-
-    for ci, block in _run_tasks(run, tasks, threads):
-        out[ci] = block
-    return out
+        f *= tile.cmaxv
+        yield k, f
 
 
 def _run_tasks(fn, tasks, threads):
@@ -321,206 +311,103 @@ def _run_tasks(fn, tasks, threads):
         return list(ex.map(fn, tasks))
 
 
-def build_pair_cache(problem, *, threads=1, with_basis=None) -> PairCache:
-    """Materialize ell / cmaxv (and pinhole basis) for every pair.
+def forward(problem, normals, materials, env_flat, *, threads=1, pair=None, transfer=None) -> np.ndarray:
+    """Foreground-stream image, shape (F, 3). ``env_flat`` is (I, 3) radiance.
 
-    Values are produced by the same tile arithmetic the uncached path uses, so
-    shading through the cache is bit-identical to shading without it.
+    ``normals`` is (F, 3) over the foreground stream and ``materials`` holds
+    one DsbrdfMaterial per region.
     """
-    f_count, i_total = problem.pixel_count, problem.light_count
-    if with_basis is None:
-        with_basis = not problem.ortho
-    ell_all = np.empty((f_count, i_total))
-    cmax_all = np.empty((f_count, i_total))
-    basis_all = np.empty((f_count, i_total, 6)) if (with_basis and not problem.ortho) else None
+    env_lw = env_flat * problem.weights[:, None]
+
+    def run(task):
+        region, ci = task
+        out = np.zeros((ci.shape[0], 3))
+        if transfer is not None:
+            for b0, b1 in _blocks(problem.light_count):
+                block = transfer.contrib[ci, b0:b1, :]
+                for k in range(3):
+                    out[:, k] += np.einsum("cb,b->c", block[:, :, k], env_lw[b0:b1, k])
+            return ci, out
+        with _POOL.lease() as store:
+            for tile in _tiles(problem, normals, ci, store, ctrl=materials[region].control_points, pair=pair):
+                for k, f in _shaded(store, problem, ci, tile):
+                    out[:, k] += np.einsum("cb,b->c", f, env_lw[tile.b0 : tile.b1, k])
+        return ci, out
+
+    image = np.zeros((problem.pixel_count, 3))
+    for ci, block in _run_tasks(run, problem.chunks, threads):
+        image[ci] = block
+    return image
+
+
+def build_pair_cache(problem, normals, *, threads=1) -> PairCache:
+    """Materialize ell, cmax (and the pinhole basis) for every pair.
+
+    The values come from the producer the uncached path uses, so shading
+    through the cache is bit-identical to shading without it. Blocks without a
+    lit pair keep cmax = 0, which every reader skips.
+    """
+    shape = (problem.pixel_count, problem.light_count)
+    ell, cmaxv = np.zeros(shape), np.zeros(shape)
+    basis = None if problem.ortho else np.zeros(shape + (6,))
 
     def run(task):
         _, ci = task
         with _POOL.lease() as store:
-            c = ci.shape[0]
-            nc = problem.normals[ci]
-            ndl = _buf(store, "ndl", (c, i_total))
-            np.matmul(nc, problem.dirs.T, out=ndl)
-            if problem.ortho:
-                hdn_all = _buf(store, "hdn_all", (c, i_total))
-                np.matmul(nc, problem.half_cols.T, out=hdn_all)
-            for b0 in range(0, i_total, LIGHT_BLOCK):
-                b1 = min(i_total, b0 + LIGHT_BLOCK)
-                b = b1 - b0
-                cmaxv = _buf(store, "cmaxv", (c, b))
-                np.maximum(ndl[:, b0:b1], 0.0, out=cmaxv)
-                if problem.ortho:
-                    hdn = hdn_all[:, b0:b1]
-                    valid = None if problem.valid_cols is None else problem.valid_cols[b0:b1]
-                else:
-                    hdn, valid, _, basis_t = _pair_geometry(
-                        store, nc, problem.view[ci], problem.dirs[b0:b1], basis_all is not None
-                    )
-                    if basis_all is not None:
-                        basis_all[ci, b0:b1] = basis_t
-                if valid is not None:
-                    cmaxv *= valid
-                base = _buf(store, "base", (c, b))
-                np.clip(hdn, EPS_BASE, 1.0, out=base)
-                ell = _buf(store, "ell", (c, b))
-                np.log(base, out=ell)
-                ell_all[ci, b0:b1] = ell
-                cmax_all[ci, b0:b1] = cmaxv
-        return None
+            for tile in _tiles(problem, normals, ci, store):
+                ell[ci, tile.b0 : tile.b1] = tile.ell
+                cmaxv[ci, tile.b0 : tile.b1] = tile.cmaxv
+                if basis is not None:
+                    basis[ci, tile.b0 : tile.b1] = tile.basis
 
-    list(_run_tasks(run, problem.chunks, threads))
-    return PairCache(ell=ell_all, cmaxv=cmax_all, basis=basis_all)
+    _run_tasks(run, problem.chunks, threads)
+    return PairCache(ell=ell, cmaxv=cmaxv, basis=basis)
 
 
-def build_transfer(problem, *, threads=1, pair=None) -> TransferCache:
+def build_transfer(problem, normals, materials, *, threads=1) -> TransferCache:
     """Materialize f * cmax for every pair and channel."""
-    f_count, i_total = problem.pixel_count, problem.light_count
-    contrib = np.empty((f_count, i_total, 3))
+    contrib = np.zeros((problem.pixel_count, problem.light_count, 3))
 
     def run(task):
         region, ci = task
         with _POOL.lease() as store:
-            c = ci.shape[0]
-            nc = problem.normals[ci]
-            if pair is None:
-                ndl = _buf(store, "ndl", (c, i_total))
-                np.matmul(nc, problem.dirs.T, out=ndl)
-                if problem.ortho:
-                    hdn_all = _buf(store, "hdn_all", (c, i_total))
-                    np.matmul(nc, problem.half_cols.T, out=hdn_all)
-                    curves = problem.materials[region].control_points @ problem.basis_cols.T
-            for b0 in range(0, i_total, LIGHT_BLOCK):
-                b1 = min(i_total, b0 + LIGHT_BLOCK)
-                b = b1 - b0
-                if pair is not None:
-                    cmaxv = pair.cmaxv[ci, b0:b1]
-                    ell = pair.ell[ci, b0:b1]
-                    if problem.ortho:
-                        curves_t = problem.materials[region].control_points @ problem.basis_cols[b0:b1].T
-                    else:
-                        curves_t = np.einsum(
-                            "kstj,cbj->kstcb", problem.materials[region].control_points, pair.basis[ci, b0:b1]
-                        )
-                else:
-                    cmaxv = _buf(store, "cmaxv", (c, b))
-                    np.maximum(ndl[:, b0:b1], 0.0, out=cmaxv)
-                    if problem.ortho:
-                        hdn = hdn_all[:, b0:b1]
-                        valid = None if problem.valid_cols is None else problem.valid_cols[b0:b1]
-                        curves_t = curves[:, :, :, b0:b1]
-                    else:
-                        hdn, valid, _, basis_t = _pair_geometry(store, nc, problem.view[ci], problem.dirs[b0:b1], True)
-                        curves_t = np.einsum("kstj,cbj->kstcb", problem.materials[region].control_points, basis_t)
-                    if valid is not None:
-                        cmaxv *= valid
-                    base = _buf(store, "base", (c, b))
-                    np.clip(hdn, EPS_BASE, 1.0, out=base)
-                    ell = _buf(store, "ell", (c, b))
-                    np.log(base, out=ell)
-                f = _buf(store, "f", (c, b))
-                for k in range(3):
-                    _lobe_sum(store, ell, curves_t, k, f, check=True, problem=problem, ci=ci)
-                    f *= cmaxv
-                    contrib[ci, b0:b1, k] = f
-        return None
+            for tile in _tiles(problem, normals, ci, store, ctrl=materials[region].control_points):
+                for k, f in _shaded(store, problem, ci, tile):
+                    contrib[ci, tile.b0 : tile.b1, k] = f
 
-    list(_run_tasks(run, problem.chunks, threads))
+    _run_tasks(run, problem.chunks, threads)
     return TransferCache(contrib=contrib)
 
 
-def _backward_chunk(problem, env_lw, lwd, upstream, groups, region, ci, pair, transfer):
+def _backward_chunk(problem, normals, material, env_lw, lwd, u_c, groups, ci, pair):
     """Adjoints for one chunk.
 
     Returns (dn_block, denv_partial, dm_partial). dn_block is (C, 3); the
     partials cover the whole light table / material vector and are reduced in
     chunk order by the caller.
     """
-    c = ci.shape[0]
-    i_total = problem.light_count
-    u_c = upstream[ci]
     want_n = "normal" in groups
     want_l = "light" in groups
     want_m = "material" in groups
+    need_e = want_n or want_m
 
-    dn = np.zeros((c, 3)) if want_n else None
-    denv = np.zeros((i_total, 3)) if want_l else None
+    dn = np.zeros((ci.shape[0], 3)) if want_n else None
+    denv = np.zeros((problem.light_count, 3)) if want_l else None
     dm = np.zeros((3, 3, 2, 6)) if want_m else None
 
-    if transfer is not None:
-        # Light-only fast path: contributions are frozen.
-        for b0 in range(0, i_total, LIGHT_BLOCK):
-            b1 = min(i_total, b0 + LIGHT_BLOCK)
-            block = transfer.contrib[ci, b0:b1, :]
-            for k in range(3):
-                denv[b0:b1, k] += np.einsum("cb,c->b", block[:, :, k], u_c[:, k]) * problem.weights[b0:b1]
-        return None, denv, None
-
     with _POOL.lease() as store:
-        nc = problem.normals[ci]
-        if pair is None:
-            ndl = _buf(store, "ndl", (c, i_total))
-            np.matmul(nc, problem.dirs.T, out=ndl)
-            if problem.ortho:
-                hdn_all = _buf(store, "hdn_all", (c, i_total))
-                np.matmul(nc, problem.half_cols.T, out=hdn_all)
-        ctrl = problem.materials[region].control_points
-        curves = ctrl @ problem.basis_cols.T if (problem.ortho and pair is None) else None
-
-        for b0 in range(0, i_total, LIGHT_BLOCK):
-            b1 = min(i_total, b0 + LIGHT_BLOCK)
-            b = b1 - b0
-            half_t = problem.half_cols[b0:b1] if problem.ortho else None
-            if pair is not None:
-                cmaxv = pair.cmaxv[ci, b0:b1]
-                if not cmaxv.any():
-                    continue
-                ell = pair.ell[ci, b0:b1]
-                base = gate = litv = None  # not needed for material-only passes
-                if problem.ortho:
-                    curves_t = ctrl @ problem.basis_cols[b0:b1].T
-                    basis_t = None
-                else:
-                    basis_t = pair.basis[ci, b0:b1]
-                    curves_t = np.einsum("kstj,cbj->kstcb", ctrl, basis_t)
-            else:
-                ndl_t = ndl[:, b0:b1]
-                if ndl_t.max() <= 0.0:
-                    # Every adjoint term carries a max(0, n . omega) or an
-                    # indicator of it; a fully dark tile contributes nothing.
-                    continue
-                cmaxv = _buf(store, "cmaxv", (c, b))
-                np.maximum(ndl_t, 0.0, out=cmaxv)
-                if problem.ortho:
-                    hdn = hdn_all[:, b0:b1]
-                    valid = None if problem.valid_cols is None else problem.valid_cols[b0:b1]
-                    curves_t = curves[:, :, :, b0:b1]
-                    basis_t = None
-                else:
-                    hdn, valid, half_t, basis_t = _pair_geometry(store, nc, problem.view[ci], problem.dirs[b0:b1], True)
-                    curves_t = np.einsum("kstj,cbj->kstcb", ctrl, basis_t)
-                if valid is not None:
-                    cmaxv *= valid
-                base = _buf(store, "base", (c, b))
-                np.clip(hdn, EPS_BASE, 1.0, out=base)
-                ell = _buf(store, "ell", (c, b))
-                np.log(base, out=ell)
-                if want_n:
-                    litv = _buf(store, "litv", (c, b))
-                    np.multiply(ndl_t > 0.0, 1.0, out=litv)
-                    if valid is not None:
-                        litv *= valid
-                    gate = _buf(store, "gate", (c, b))
-                    np.multiply((hdn > EPS_BASE) & (hdn < 1.0), 1.0, out=gate)
-
-            t = _buf(store, "bw_t", (c, b))
-            x = _buf(store, "bw_x", (c, b))
-            e = _buf(store, "bw_e", (c, b))
-            m = _buf(store, "bw_m", (c, b))
-            f = _buf(store, "bw_f", (c, b))
-            dacc = _buf(store, "bw_d", (c, b)) if want_n else None
+        tiles = _tiles(problem, normals, ci, store, ctrl=material.control_points, pair=pair, geometry=want_n)
+        for tile in tiles:
+            b0, b1, cmaxv, ell, curves_t = tile.b0, tile.b1, tile.cmaxv, tile.ell, tile.curves
+            shape = ell.shape
+            t = _buf(store, "bw_t", shape)
+            x = _buf(store, "bw_x", shape)
+            e = _buf(store, "bw_e", shape)
+            m = _buf(store, "bw_m", shape)
+            f = _buf(store, "bw_f", shape)
+            dacc = _buf(store, "bw_d", shape) if want_n else None
 
             for k in range(3):
-                need_e = want_n or want_m
                 for s in range(3):
                     a_row, b_row = curves_t[k, s, 0], curves_t[k, s, 1]
                     np.multiply(ell, b_row, out=t)
@@ -538,7 +425,7 @@ def _backward_chunk(problem, env_lw, lwd, upstream, groups, region, ci, pair, tr
                         np.multiply(e, t, out=m)
                         m *= a_row
                         m *= b_row
-                        m /= base
+                        m /= tile.base
                         if s == 0:
                             dacc[:] = m
                         else:
@@ -547,25 +434,22 @@ def _backward_chunk(problem, env_lw, lwd, upstream, groups, region, ci, pair, tr
                         np.multiply(e, t, out=m)
                         m *= cmaxv
                         m *= u_c[:, k : k + 1]
-                        _accumulate_material(
-                            dm, k, s, m, ell, a_row, env_lw[b0:b1, k],
-                            problem.basis_cols[b0:b1] if problem.ortho else basis_t,
-                        )
+                        _accumulate_material(dm, k, s, m, ell, a_row, env_lw[b0:b1, k], tile.basis)
                 if want_l:
                     np.multiply(f, cmaxv, out=m)
                     denv[b0:b1, k] += np.einsum("cb,c->b", m, u_c[:, k]) * problem.weights[b0:b1]
                 if want_n:
-                    np.multiply(f, litv, out=m)
+                    np.multiply(f, tile.litv, out=m)
                     g1 = np.einsum("cb,bd->cd", m, lwd[k][b0:b1])
                     g1 *= u_c[:, k : k + 1]
                     dn += g1
                     np.multiply(dacc, cmaxv, out=m)
-                    m *= gate
+                    m *= tile.gate
                     m *= env_lw[b0:b1, k]
                     if problem.ortho:
-                        g2 = np.einsum("cb,bd->cd", m, half_t)
+                        g2 = np.einsum("cb,bd->cd", m, tile.half)
                     else:
-                        g2 = np.einsum("cb,cbd->cd", m, half_t)
+                        g2 = np.einsum("cb,cbd->cd", m, tile.half)
                     g2 *= u_c[:, k : k + 1]
                     dn += g2
     return dn, denv, dm
@@ -593,7 +477,7 @@ def _accumulate_material(dm, k, s, m, ell, a_row, lw_k, basis_t):
         dm[k, s, 1] += np.einsum("cb,cbj->j", mw, basis_t)
 
 
-def backward(problem, env_flat, upstream, groups, *, threads=1, pair=None, transfer=None):
+def backward(problem, normals, materials, env_flat, upstream, groups, *, threads=1, pair=None, transfer=None):
     """Adjoints of the foreground image against a (F, 3) upstream weighting.
 
     Returns (d_normals (F,3) | None, d_env (I,3) | None, d_materials
@@ -612,13 +496,22 @@ def backward(problem, env_flat, upstream, groups, *, threads=1, pair=None, trans
 
     def run(task):
         region, ci = task
-        return ci, region, _backward_chunk(problem, env_lw, lwd, upstream, groups, region, ci, pair, transfer)
+        u_c = upstream[ci]
+        if transfer is None:
+            return ci, region, _backward_chunk(problem, normals, materials[region], env_lw, lwd, u_c, groups, ci, pair)
+        # Light-only fast path: contributions are frozen.
+        denv = np.zeros((problem.light_count, 3))
+        for b0, b1 in _blocks(problem.light_count):
+            block = transfer.contrib[ci, b0:b1, :]
+            for k in range(3):
+                denv[b0:b1, k] += np.einsum("cb,c->b", block[:, :, k], u_c[:, k]) * problem.weights[b0:b1]
+        return ci, region, (None, denv, None)
 
     results = _run_tasks(run, problem.chunks, threads)
 
     dn_all = np.zeros((problem.pixel_count, 3)) if "normal" in groups else None
     denv_all = np.zeros((problem.light_count, 3)) if "light" in groups else None
-    dm_all = [np.zeros((3, 3, 2, 6)) for _ in problem.materials] if "material" in groups else None
+    dm_all = [np.zeros((3, 3, 2, 6)) for _ in materials] if "material" in groups else None
     for ci, region, (dn, denv, dm) in results:
         if dn is not None:
             dn_all[ci] = dn

@@ -75,17 +75,17 @@ def backward(scene: RenderScene, upstream: np.ndarray, groups=ALL_GROUPS, *, thr
         raise ValueError(f"upstream must have shape {(h, w, 3)}, got {upstream.shape}")
     if not np.isfinite(upstream).all():
         raise ValueError("upstream contains non-finite values")
-    problem = prepare_problem(scene)
-    u_fg = upstream[scene.normal_map.mask]
+    mask = scene.normal_map.mask
     dn, denv, dmats = _shading.backward(
-        problem, scene.env.radiance.reshape(-1, 3), u_fg, frozenset(groups), threads=max(1, threads)
+        prepare_problem(scene), scene.normal_map.normals[mask], scene.materials, scene.env.radiance.reshape(-1, 3),
+        upstream[mask], frozenset(groups), threads=max(1, threads),
     )
 
     d_normals = None
     if dn is not None:
         _check_finite("normal", dn, "foreground-pixel")
         d_normals = np.zeros((h, w, 3))
-        d_normals[scene.normal_map.mask] = dn
+        d_normals[mask] = dn
     d_env = None
     if denv is not None:
         _check_finite("light", denv, "flat texel")
@@ -114,9 +114,9 @@ class FdReport:
     worst_coordinate: tuple | None
 
 
-def _excluded_pixel(problem, fg_index) -> bool:
+def _excluded_pixel(problem, normals, fg_index) -> bool:
     """True when some light puts this pixel within KINK_MARGIN of a kink/clamp."""
-    n = problem.normals[fg_index]
+    n = normals[fg_index]
     ndl = problem.dirs @ n
     if np.abs(ndl).min() < KINK_MARGIN:
         return True
@@ -158,14 +158,11 @@ def fd_check(scene: RenderScene, which_group: str, step: float | None = None, tr
     problem = prepare_problem(scene)
     env_flat = scene.env.radiance.reshape(-1, 3)
     u_fg = upstream[mask]
-    base_normals = problem.normals.copy()
-    base_materials = list(problem.materials)
+    base_normals = scene.normal_map.normals[mask]
+    base_materials = scene.materials
 
-    def probe(n_arr=None, env=None, mats=None):
-        problem.normals = base_normals if n_arr is None else n_arr
-        problem.materials = base_materials if mats is None else mats
-        img = _shading.forward(problem, env_flat if env is None else env)
-        return float(np.sum(u_fg * img))
+    def probe(n_arr=base_normals, env=env_flat, mats=base_materials):
+        return float(np.sum(u_fg * _shading.forward(problem, n_arr, mats, env)))
 
     if which_group == "light":
         grad = analytic.d_env
@@ -221,7 +218,7 @@ def fd_check(scene: RenderScene, which_group: str, step: float | None = None, tr
             p = None
             for _attempt in range(200):
                 cand = int(rng.integers(count))
-                if not _excluded_pixel(problem, cand):
+                if not _excluded_pixel(problem, base_normals, cand):
                     p = cand
                     break
             if p is None:
@@ -240,8 +237,6 @@ def fd_check(scene: RenderScene, which_group: str, step: float | None = None, tr
             rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
             rows.append(FdTrial((int(py), int(px), c), a, numeric, rel))
 
-    problem.normals = base_normals
-    problem.materials = base_materials
     worst = max(rows, key=lambda t: t.rel_error)
     return FdReport(
         group=which_group,

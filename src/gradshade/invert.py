@@ -136,6 +136,57 @@ class SceneState:
     env: EnvironmentMap
 
 
+@dataclass(frozen=True)
+class _Objective:
+    """E(n, L, m) and its gradients over the foreground stream of one inverse problem."""
+
+    shading: _shading.ShadingProblem
+    target: np.ndarray  # (F, 3) observed foreground radiance
+    n_prior: np.ndarray  # (F, 3) n'
+    env_prior: np.ndarray  # (I, 3) L'
+    a: float
+    b: float
+    threads: int
+
+    @classmethod
+    def of(cls, problem: InverseProblem, scene: RenderScene, threads: int) -> "_Objective":
+        mask = scene.normal_map.mask
+        return cls(
+            prepare_problem(scene),
+            problem.target.pixels[mask],
+            problem.normal_map.normals[mask],
+            problem.env.radiance.reshape(-1, 3),
+            problem.a,
+            problem.b,
+            threads,
+        )
+
+    def __call__(self, normals, materials, env, groups=frozenset(), *, pair=None, transfer=None):
+        """Value and (d_normals, d_env, d_materials) for ``groups`` at one state.
+
+        Material gradients are flat rows in the normalized coordinates the
+        solver moves in (chain rule through the affine range codec); groups
+        not asked for come back as None.
+        """
+        img = _shading.forward(self.shading, normals, materials, env, threads=self.threads, pair=pair, transfer=transfer)
+        r = img - self.target
+        n_diff = normals - self.n_prior
+        env_diff = env - self.env_prior
+        value = float(np.sum(r * r)) + self.a * float(np.sum(n_diff * n_diff)) + self.b * float(np.sum(env_diff * env_diff))
+        if not groups:
+            return value, None, None, None
+        dn, denv, dms = _shading.backward(
+            self.shading, normals, materials, env, 2.0 * r, groups, threads=self.threads, pair=pair, transfer=transfer
+        )
+        if dn is not None:
+            dn += 2.0 * self.a * n_diff
+        if denv is not None:
+            denv += 2.0 * self.b * env_diff
+        if dms is not None:
+            dms = [dm.reshape(-1) * ((m.hi - m.lo) / (2.0 * NORM_LIMIT)) for m, dm in zip(materials, dms)]
+        return value, dn, denv, dms
+
+
 def objective(problem: InverseProblem, state: SceneState, *, threads: int = 1):
     """Value and free-group gradients of the data + regularizer objective.
 
@@ -144,30 +195,17 @@ def objective(problem: InverseProblem, state: SceneState, *, threads: int = 1):
     """
     scene = RenderScene(state.normal_map, problem.camera, state.env, tuple(state.materials), problem.segmentation)
     mask = scene.normal_map.mask
-    shading = prepare_problem(scene)
-    env_flat = state.env.radiance.reshape(-1, 3)
-    img = _shading.forward(shading, env_flat, threads=threads)
-    target_fg = problem.target.pixels[mask]
-    r = img - target_fg
-    n_diff = state.normal_map.normals[mask] - problem.normal_map.normals[mask]
-    env_diff = env_flat - problem.env.radiance.reshape(-1, 3)
-    value = float(np.sum(r * r)) + problem.a * float(np.sum(n_diff * n_diff)) + problem.b * float(np.sum(env_diff * env_diff))
-
-    upstream = 2.0 * r
-    dn, denv, dmats = _shading.backward(shading, env_flat, upstream, problem.free_groups, threads=threads)
+    value, dn, denv, dms = _Objective.of(problem, scene, threads)(
+        state.normal_map.normals[mask], scene.materials, state.env.radiance.reshape(-1, 3), problem.free_groups
+    )
     d_normals = d_env = d_materials = None
     if dn is not None:
-        dn += 2.0 * problem.a * n_diff
         d_normals = np.zeros_like(state.normal_map.normals)
         d_normals[mask] = dn
     if denv is not None:
-        denv += 2.0 * problem.b * env_diff
         d_env = denv.reshape(state.env.radiance.shape)
-    if dmats is not None:
-        rows = []
-        for m, dm in zip(state.materials, dmats):
-            rows.append(dm.reshape(-1) * (m.hi - m.lo) / (2.0 * NORM_LIMIT))
-        d_materials = np.stack(rows)
+    if dms is not None:
+        d_materials = np.stack(dms)
     return value, SceneGradients(d_normals, d_env, d_materials)
 
 
@@ -333,35 +371,16 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
     when a full cycle improves the objective by less than rel_tol (relative)
     or after max_cycles. The trace carries one entry per accepted step.
     """
-    threads = max(1, config.threads)
     scene = problem.scene()
     mask = scene.normal_map.mask
-    shading = prepare_problem(scene)
+    obj = _Objective.of(problem, scene, max(1, config.threads))
+    shading = obj.shading
 
-    n_fg = shading.normals.copy()
-    n_prior = n_fg.copy()
-    env = scene.env.radiance.reshape(-1, 3).copy()
-    env_prior = env.copy()
+    n_fg = obj.n_prior.copy()
+    env = obj.env_prior.copy()
     mats = list(scene.materials)
-    target_fg = problem.target.pixels[mask]
-    a, b = problem.a, problem.b
 
-    def full_value(img, n_arr, env_arr):
-        r = img - target_fg
-        v = float(np.sum(r * r))
-        dn = n_arr - n_prior
-        v += a * float(np.sum(dn * dn))
-        de = env_arr - env_prior
-        v += b * float(np.sum(de * de))
-        return v
-
-    def eval_state():
-        shading.normals = n_fg
-        shading.materials = mats
-        img = _shading.forward(shading, env, threads=threads)
-        return full_value(img, n_fg, env)
-
-    initial = current = eval_state()
+    initial = current = obj(n_fg, mats, env)[0]
     trace: list = []
     order = [grp for grp in config.cycle_order if grp in problem.free_groups]
     cycles_run = 0
@@ -371,33 +390,19 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
         cycle_start = current
 
         for group in order:
-            shading.normals = n_fg
-            shading.materials = mats
-
             if group == "normal":
                 def fun(x):
-                    n_arr = np.ascontiguousarray(x.reshape(-1, 3))
-                    shading.normals = n_arr
-                    img = _shading.forward(shading, env, threads=threads)
-                    val = full_value(img, n_arr, env)
-                    dn, _, _ = _shading.backward(shading, env, 2.0 * (img - target_fg), {"normal"}, threads=threads)
-                    dn += 2.0 * a * (n_arr - n_prior)
+                    val, dn, _, _ = obj(np.ascontiguousarray(x.reshape(-1, 3)), mats, env, {"normal"})
                     return val, dn.ravel()
 
                 x0, project, transform = n_fg.ravel(), _project_normals, _tangent_gradient
             elif group == "light":
                 transfer = None
                 if shading.pixel_count * shading.light_count * 24 <= config.cache_budget_bytes:
-                    transfer = _shading.build_transfer(shading, threads=threads)
+                    transfer = _shading.build_transfer(shading, n_fg, mats, threads=obj.threads)
 
                 def fun(x, transfer=transfer):
-                    env_arr = np.ascontiguousarray(x.reshape(-1, 3))
-                    img = _shading.forward(shading, env_arr, threads=threads, transfer=transfer)
-                    val = full_value(img, n_fg, env_arr)
-                    _, denv, _ = _shading.backward(
-                        shading, env_arr, 2.0 * (img - target_fg), {"light"}, threads=threads, transfer=transfer
-                    )
-                    denv += 2.0 * b * (env_arr - env_prior)
+                    val, _, denv, _ = obj(n_fg, mats, np.ascontiguousarray(x.reshape(-1, 3)), {"light"}, transfer=transfer)
                     return val, denv.ravel()
 
                 x0, project, transform = env.ravel(), lambda x: np.maximum(x, 0.0), None
@@ -405,20 +410,13 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
                 pair = None
                 pair_bytes = shading.pixel_count * shading.light_count * 8 * (2 if shading.ortho else 8)
                 if pair_bytes <= config.cache_budget_bytes:
-                    pair = _shading.build_pair_cache(shading, threads=threads)
-                scales = [(m.hi - m.lo) / (2.0 * NORM_LIMIT) for m in mats]
+                    pair = _shading.build_pair_cache(shading, n_fg, threads=obj.threads)
 
-                def fun(x, pair=pair, scales=scales):
+                def fun(x, pair=pair):
                     xs = x.reshape(len(mats), -1)
                     mats_new = [denormalize_params(xs[i], mats[i].lo, mats[i].hi, mats[i].name) for i in range(len(mats))]
-                    shading.materials = mats_new
-                    img = _shading.forward(shading, env, threads=threads, pair=pair)
-                    val = full_value(img, n_fg, env)
-                    _, _, dms = _shading.backward(
-                        shading, env, 2.0 * (img - target_fg), {"material"}, threads=threads, pair=pair
-                    )
-                    g = np.concatenate([dm.reshape(-1) * s for dm, s in zip(dms, scales)])
-                    return val, g
+                    val, _, _, dms = obj(n_fg, mats_new, env, {"material"}, pair=pair)
+                    return val, np.concatenate(dms)
 
                 x0 = np.concatenate([normalize_params(m) for m in mats])
                 project = lambda x: np.clip(x, -NORM_LIMIT, NORM_LIMIT)

@@ -117,7 +117,7 @@ class RenderScene:
 
 
 def prepare_problem(scene: RenderScene, light_table: LightTable | None = None) -> _shading.ShadingProblem:
-    """Flatten a scene for the shading kernel (shared with the gradient module)."""
+    """Flatten a scene's geometry for the shading kernel (shared with the gradient module)."""
     if light_table is None:
         light_table = build_light_table(scene.env.height, scene.env.width)
     elif (light_table.height, light_table.width) != (scene.env.height, scene.env.width):
@@ -127,10 +127,9 @@ def prepare_problem(scene: RenderScene, light_table: LightTable | None = None) -
     else:
         view = view_direction_grid(scene.camera)
     return _shading.prepare(
-        scene.normal_map.normals,
         scene.normal_map.mask,
         view,
-        scene.materials,
+        scene.region_count,
         light_table.directions.reshape(-1, 3),
         light_table.weights.reshape(-1),
         None if scene.segmentation is None else scene.segmentation.region_ids,
@@ -143,10 +142,13 @@ def render_linear(scene: RenderScene, *, threads: int = 1) -> np.ndarray:
     Unlike :func:`render` this does not reject negative radiance, which
     materials with negative amplitudes can produce.
     """
-    problem = prepare_problem(scene)
-    fg = _shading.forward(problem, scene.env.radiance.reshape(-1, 3), threads=max(1, threads))
+    mask = scene.normal_map.mask
+    fg = _shading.forward(
+        prepare_problem(scene), scene.normal_map.normals[mask], scene.materials, scene.env.radiance.reshape(-1, 3),
+        threads=max(1, threads),
+    )
     out = np.zeros((scene.normal_map.height, scene.normal_map.width, 3))
-    out[scene.normal_map.mask] = fg
+    out[mask] = fg
     return out
 
 

@@ -220,3 +220,30 @@ def test_render_is_deterministic_across_thread_counts(sphere_scene):
     base = gs.render(sphere_scene, threads=1).pixels
     for t in (2, 3, 8):
         assert np.array_equal(gs.render(sphere_scene, threads=t).pixels, base)
+
+
+def test_scratch_pool_stops_growing_after_the_largest_tiles(monkeypatch):
+    """Scratch buffers are keyed by name: scenes with new chunk tails reuse them."""
+    from gradshade import _shading
+
+    pool = _shading._ScratchPool()
+    monkeypatch.setattr(_shading, "_POOL", pool)
+    env = gs.default_blob_env(32, 64)  # 2048 texels: two full light blocks
+    mat = gs.preset_materials()["glossy"]
+
+    def render_sphere(side, mode):
+        cam = gs.Camera(mode, side, side, 50.0)
+        gs.render(gs.RenderScene(gs.sphere_normal_map(side), cam, env, (mat,)))
+
+    def pool_bytes():
+        with pool.lease() as store:  # one worker thread leaves one store
+            return sum(a.nbytes for a in store.values())
+
+    for mode in ("orthographic", "pinhole"):
+        render_sphere(40, mode)  # full 256-pixel chunks and full light blocks
+    largest = pool_bytes()
+    assert largest > 0
+    for side in range(41, 47):  # every side leaves a different chunk tail
+        render_sphere(side, "orthographic")
+    render_sphere(33, "pinhole")
+    assert pool_bytes() == largest
