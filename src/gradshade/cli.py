@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .brdf import ShadingOverflowError
-from .core import Camera, EnvironmentMap, RadianceImage
+from .core import BACKGROUND_REGION, Camera, EnvironmentMap, RadianceImage, SegmentationMask
 from .fixtures import default_blob_env, preset_materials, sphere_normal_map
 from .grad import NonFiniteGradientError, fd_check
 from .invert import InverseProblem, LineSearchError, OptimizerConfig, edit_material, solve
@@ -57,13 +57,21 @@ def _parse_camera(spec: str, width: int, height: int) -> Camera:
     raise ValueError(f"bad camera spec {spec!r}; expected 'ortho' or 'pinhole:FOV'")
 
 
+def _read_segmentation(path, materials) -> SegmentationMask | None:
+    """One region per material; a region may have no pixels."""
+    if not path:
+        return None
+    segmentation = read_segmentation_png16(path)
+    if segmentation.region_count > len(materials):
+        raise ValueError(f"expected {segmentation.region_count} materials, got {len(materials)}")
+    return SegmentationMask(segmentation.region_ids, len(materials))
+
+
 def _load_scene(args) -> RenderScene:
     normal_map = read_normal_png16(args.normals)
     env = EnvironmentMap(read_pfm(args.env))
     materials = tuple(read_material(p) for p in args.material)
-    segmentation = read_segmentation_png16(args.segmentation) if args.segmentation else None
-    if segmentation is not None and segmentation.region_count != len(materials):
-        raise ValueError(f"expected {segmentation.region_count} materials, got {len(materials)}")
+    segmentation = _read_segmentation(args.segmentation, materials)
     camera = _parse_camera(args.camera, normal_map.width, normal_map.height)
     return RenderScene(normal_map, camera, env, materials, segmentation)
 
@@ -93,7 +101,7 @@ def _cmd_invert(args) -> int:
     normal_map = read_normal_png16(args.init_normals)
     env = EnvironmentMap(read_pfm(args.init_env))
     materials = tuple(read_material(p) for p in args.init_material)
-    segmentation = read_segmentation_png16(args.segmentation) if args.segmentation else None
+    segmentation = _read_segmentation(args.segmentation, materials)
     camera = _parse_camera(args.camera, normal_map.width, normal_map.height)
     free = tuple(tok.strip() for tok in args.free.split(",") if tok.strip())
     problem = InverseProblem(
@@ -180,8 +188,6 @@ def _cmd_fixtures(args) -> int:
     env = default_blob_env(args.env_height, 2 * args.env_height)
     write_normal_png16(out / "sphere_normals.png", normal_map)
     write_pfm(out / "env.pfm", env.radiance)
-    from .core import BACKGROUND_REGION, SegmentationMask
-
     ids = np.where(normal_map.mask, 0, BACKGROUND_REGION).astype(np.int32)
     write_segmentation_png16(out / "sphere_segmentation.png", SegmentationMask(ids, 1))
     for name, material in sorted(preset_materials().items()):

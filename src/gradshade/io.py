@@ -196,7 +196,12 @@ def _read_png(path, *, expect_bit_depth: int, expect_color_type: int) -> np.ndar
         if w == 0 or h == 0 or w > 1 << 20 or h > 1 << 20:
             raise MalformedFileError("unreasonable PNG dimensions")
         channels = {2: 3, 6: 4}[color_type]
-        raw = zlib.decompress(idat)
+        # Inflate no further than the scanlines IHDR declares, so that a small
+        # compressed stream cannot allocate an unbounded output.
+        inflater = zlib.decompressobj()
+        raw = inflater.decompress(idat, h * (w * channels * (bit_depth // 8) + 1))
+        if inflater.decompress(inflater.unconsumed_tail, 1) or not inflater.eof:
+            raise MalformedFileError("PNG image data does not inflate to the size IHDR declares")
         rows = _unfilter(raw, h, w, channels, bit_depth)
     except (struct.error, zlib.error, KeyError, OverflowError, MemoryError) as exc:
         raise MalformedFileError(f"bad PNG data: {exc}") from exc

@@ -1,5 +1,8 @@
 """Shared scene builders for the test suite."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -52,3 +55,21 @@ def sphere_scene():
     env = gs.default_blob_env(8, 16)
     cam = gs.Camera("orthographic", nm.width, nm.height)
     return gs.RenderScene(nm, cam, env, (gs.preset_materials()["glossy"],))
+
+
+def write_png16(path, height, width, idat):
+    """A 16-bit RGBA PNG with the given IHDR size and raw IDAT payload."""
+    def chunk(kind, payload):
+        crc = zlib.crc32(kind + payload) & 0xFFFFFFFF
+        return struct.pack(">I", len(payload)) + kind + payload + struct.pack(">I", crc)
+
+    ihdr = struct.pack(">IIBBBBB", width, height, 16, 6, 0, 0, 0)
+    path.write_bytes(b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat) + chunk(b"IEND", b""))
+
+
+def write_png_bomb(path, side=16, inflated=64 * 2**20):
+    """A side x side PNG whose IDAT inflates to ``inflated`` zero bytes."""
+    deflate = zlib.compressobj(9)
+    block = bytes(2**20)
+    idat = b"".join(deflate.compress(block) for _ in range(inflated // len(block))) + deflate.flush()
+    write_png16(path, side, side, idat)

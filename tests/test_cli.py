@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import write_png_bomb
 from gradshade.cli import main
 from gradshade.core import BACKGROUND_REGION, SegmentationMask
 from gradshade.io import (
@@ -82,6 +83,24 @@ def test_render_missing_material_for_two_regions(fixture_dir, tmp_path, capsys):
     argv[argv.index("--segmentation") + 1] = str(seg_path)
     assert main(argv) == 2
     assert "expected 2 materials, got 1" in capsys.readouterr().err
+
+
+def test_render_png_bomb_exits_2(fixture_dir, tmp_path, capsys):
+    bomb = tmp_path / "bomb.png"
+    write_png_bomb(bomb)
+    argv = ["render", *scene_args(fixture_dir), "--out", str(tmp_path / "x.pfm")]
+    argv[argv.index("--normals") + 1] = str(bomb)
+    assert main(argv) == 2
+    assert "inflate" in capsys.readouterr().err
+
+
+def test_render_empty_last_region_renders(fixture_dir, tmp_path):
+    # the fixture segmentation has region 0 only; region 1 gets no pixels
+    one, two = tmp_path / "one.pfm", tmp_path / "two.pfm"
+    assert main(["render", *scene_args(fixture_dir), "--out", str(one)]) == 0
+    argv = ["render", *scene_args(fixture_dir), "--material", str(fixture_dir / "material_glossy.json"), "--out", str(two)]
+    assert main(argv) == 0
+    assert one.read_bytes() == two.read_bytes()
 
 
 def test_render_missing_file_exits_2(fixture_dir, tmp_path, capsys):
@@ -231,3 +250,38 @@ def test_threads_flag_does_not_change_output(fixture_dir, tmp_path):
     assert main(["--threads", "1", "render", *scene_args(fixture_dir), "--out", str(a)]) == 0
     assert main(["--threads", "4", "render", *scene_args(fixture_dir), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def invert_argv(fixture_dir, tmp_path, segmentation, materials):
+    target = tmp_path / "target.pfm"
+    assert main(["render", *scene_args(fixture_dir), "--out", str(target)]) == 0
+    argv = [
+        "invert",
+        "--target", str(target),
+        "--init-normals", str(fixture_dir / "sphere_normals.png"),
+        "--init-env", str(fixture_dir / "env.pfm"),
+        "--segmentation", str(segmentation),
+        "--free", "material",
+        "--cycles", "1",
+        "--inner-iters", "2",
+        "--out-prefix", str(tmp_path / "sol_"),
+    ]
+    for name in materials:
+        argv += ["--init-material", str(fixture_dir / f"material_{name}.json")]
+    return argv
+
+
+def test_invert_empty_last_region_runs(fixture_dir, tmp_path):
+    seg = fixture_dir / "sphere_segmentation.png"  # region 0 only
+    assert main(invert_argv(fixture_dir, tmp_path, seg, ["matte", "glossy"])) == 0
+    assert (tmp_path / "sol_material_1.json").exists()
+
+
+def test_invert_region_id_past_material_count_exits_2(fixture_dir, tmp_path, capsys):
+    nm = read_normal_png16(fixture_dir / "sphere_normals.png")
+    ids = np.where(nm.mask, 0, BACKGROUND_REGION).astype(np.int32)
+    ids[:, 8:][nm.mask[:, 8:]] = 1
+    seg = tmp_path / "two.png"
+    write_segmentation_png16(seg, SegmentationMask(ids, 2))
+    assert main(invert_argv(fixture_dir, tmp_path, seg, ["matte"])) == 2
+    assert "expected 2 materials, got 1" in capsys.readouterr().err

@@ -6,6 +6,7 @@ an uncontrolled exception — the fuzz tests at the bottom enforce that.
 
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_material, random_normal_map
+from conftest import random_material, random_normal_map, write_png16, write_png_bomb
 import gradshade as gs
 from gradshade.brdf import PARAM_COUNT
 from gradshade.core import NormalMap, SegmentationMask
@@ -195,6 +196,31 @@ def test_png_wrong_bit_depth_rejected(tmp_path, rng):
     write_preview_png(tmp_path / "8bit.png", gs.LdrImage(np.zeros((3, 3, 3))))
     with pytest.raises(MalformedFileError):
         read_normal_png16(tmp_path / "8bit.png")
+
+
+def test_png_inflation_is_capped_at_the_declared_size(tmp_path):
+    p = tmp_path / "bomb.png"
+    write_png_bomb(p)  # 16x16 header, 64 MiB of image data
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedFileError):
+            read_normal_png16(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_png_short_image_data_rejected(tmp_path):
+    rows = zlib.compress(bytes(4 * (4 * 8 + 1)))
+    write_png16(tmp_path / "full.png", 4, 4, rows)
+    assert read_normal_png16(tmp_path / "full.png").height == 4
+    write_png16(tmp_path / "cut.png", 4, 4, rows[:-6])  # stream ends before its checksum
+    with pytest.raises(MalformedFileError):
+        read_normal_png16(tmp_path / "cut.png")
+    write_png16(tmp_path / "small.png", 5, 4, rows)  # complete stream, one row short
+    with pytest.raises(MalformedFileError):
+        read_normal_png16(tmp_path / "small.png")
 
 
 # ---------------------------------------------------------------------------
