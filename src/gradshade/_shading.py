@@ -480,8 +480,9 @@ def _accumulate_material(dm, k, s, m, ell, a_row, lw_k, basis_t):
 def backward(problem, normals, materials, env_flat, upstream, groups, *, threads=1, pair=None, transfer=None):
     """Adjoints of the foreground image against a (F, 3) upstream weighting.
 
-    Returns (d_normals (F,3) | None, d_env (I,3) | None, d_materials
-    [(3,3,2,6)] | None) for the requested parameter groups.
+    ``normals`` and ``materials`` are as in :func:`forward`. Returns
+    (d_normals (F,3) | None, d_env (I,3) | None, d_materials [(3,3,2,6)] |
+    None) for the requested parameter groups.
     """
     groups = frozenset(groups)
     unknown = groups.difference(GROUPS)

@@ -164,19 +164,8 @@ def test_normal_degenerate_foreground_rejected(tmp_path):
 
 def _write_raw_rgba16(path, h, w, rows_payload):
     """Minimal valid RGBA16 PNG with filter 0 rows supplied by the caller."""
-    def chunk(kind, payload):
-        return (
-            struct.pack(">I", len(payload))
-            + kind
-            + payload
-            + struct.pack(">I", zlib.crc32(kind + payload) & 0xFFFFFFFF)
-        )
-
-    ihdr = struct.pack(">IIBBBBB", w, h, 16, 6, 0, 0, 0)
     raw = b"".join(b"\x00" + rows_payload[i * w * 8 : (i + 1) * w * 8] for i in range(h))
-    body = chunk(b"IHDR", ihdr) + chunk(b"IDAT", zlib.compress(raw)) + chunk(b"IEND", b"")
-    with open(path, "wb") as f:
-        f.write(b"\x89PNG\r\n\x1a\n" + body)
+    write_png16(path, h, w, zlib.compress(raw))
 
 
 def test_png_crc_corruption_detected(tmp_path, rng):
