@@ -8,11 +8,32 @@ difference truncation error and get a looser gate.
 import numpy as np
 import pytest
 
-from conftest import random_material, random_scene
+from conftest import random_material, random_normal_map, random_scene
 import gradshade as gs
 from gradshade.brdf import PARAM_COUNT, material_from_raw
 from gradshade.grad import ALL_GROUPS, fd_check
 from gradshade.render import render_linear
+
+# Criterion-1 gates: the light group is exactly linear, the others carry
+# central-difference truncation error.
+FD_GATES = {"light": 1e-9, "normal": 1e-4, "material": 1e-4}
+
+
+def random_two_region_scene(rng, side, env_h, env_w, mode):
+    """A random scene split into left and right regions with their own materials."""
+    nm = random_normal_map(rng, side, side)
+    right = np.broadcast_to(np.arange(side)[None, :] >= side // 2, nm.mask.shape)
+    seg = gs.SegmentationMask(np.where(nm.mask, right.astype(np.int32), -1), 2)
+    env = gs.EnvironmentMap(rng.gamma(1.0, 1.0, (env_h, env_w, 3)))
+    mats = (random_material(rng), random_material(rng))
+    return gs.RenderScene(nm, gs.Camera(mode, side, side, 55.0), env, mats, seg)
+
+
+FD_SWEEP_SCENES = {
+    "pinhole-one-region": lambda rng: random_scene(rng, 8, 8, 8, 16, mode="pinhole", fov=55.0),
+    "ortho-two-region": lambda rng: random_two_region_scene(rng, 8, 8, 16, "orthographic"),
+    "pinhole-two-region": lambda rng: random_two_region_scene(rng, 8, 8, 16, "pinhole"),
+}
 
 
 def test_zero_upstream_gives_zero_gradients(sphere_scene):
@@ -99,6 +120,20 @@ def test_fd_check_pinhole_scene(rng):
         tol = 1e-9 if group == "light" else 1e-4
         rep = fd_check(scene, group, trials=12, seed=13)
         assert rep.max_rel_error < tol, (group, rep.worst_coordinate)
+
+
+@pytest.mark.parametrize("kind", sorted(FD_SWEEP_SCENES))
+def test_fd_sweep_matches_criterion_1_gates(kind):
+    """The criterion-1 loop on pinhole and two-region scenes, 12 seeded scenes each."""
+    worst = dict.fromkeys(FD_GATES, 0.0)
+    for i in range(12):
+        rng = np.random.default_rng(6100 + i)
+        scene = FD_SWEEP_SCENES[kind](rng)
+        for group in FD_GATES:
+            step = 1.0 if group == "light" else None  # linear in the env: no truncation error
+            rep = fd_check(scene, group, step=step, trials=3, seed=6200 + 7 * i)
+            worst[group] = max(worst[group], rep.max_rel_error)
+    assert all(worst[g] < FD_GATES[g] for g in FD_GATES), worst
 
 
 def test_fd_check_zero_material_is_finite(sphere_scene):
