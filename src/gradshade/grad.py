@@ -120,12 +120,10 @@ def _excluded_pixel(problem, normals, fg_index) -> bool:
     ndl = problem.dirs @ n
     if np.abs(ndl).min() < KINK_MARGIN:
         return True
-    if problem.ortho:
-        hdn = problem.half_cols @ n
-    else:
-        s = problem.dirs + problem.view[fg_index][None, :]
-        norms = np.linalg.norm(s, axis=1)
-        hdn = np.where(norms < _shading.DEGENERATE_HALF, 0.0, (s @ n) / np.where(norms == 0, 1.0, norms))
+    v = problem.view_rows([fg_index])[0]
+    length = np.sqrt(np.maximum(2.0 + 2.0 * (problem.dirs @ v), 0.0))  # |omega + v|
+    valid = length >= _shading.DEGENERATE_HALF
+    hdn = np.where(valid, (ndl + v @ n) / np.maximum(length, _shading.DEGENERATE_HALF), 0.0)
     lit = ndl > 0.0
     near_clamp = (np.abs(hdn - EPS_BASE) < KINK_MARGIN) | (np.abs(hdn - 1.0) < KINK_MARGIN)
     return bool((lit & near_clamp).any())

@@ -69,6 +69,14 @@ def loss_combined(weights: LossWeights, l_normal: float, l_material: float, l_im
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Settings of :func:`solve`.
+
+    ``cache_budget_bytes`` gates the one cache the solver builds: the transfer
+    cache, f * cmax per (pixel, light, channel), that the light group shades
+    through. A problem whose cache would exceed it, or a budget of 0, shades
+    the light group uncached, with bit-identical results.
+    """
+
     memory_pairs: int = 8
     inner_iters_per_group: int = 20
     max_cycles: int = 50
@@ -161,14 +169,14 @@ class _Objective:
             threads,
         )
 
-    def __call__(self, normals, materials, env, groups=frozenset(), *, pair=None, transfer=None):
+    def __call__(self, normals, materials, env, groups=frozenset(), *, transfer=None):
         """Value and (d_normals, d_env, d_materials) for ``groups`` at one state.
 
         Material gradients are flat rows in the normalized coordinates the
         solver moves in (chain rule through the affine range codec); groups
         not asked for come back as None.
         """
-        img = _shading.forward(self.shading, normals, materials, env, threads=self.threads, pair=pair, transfer=transfer)
+        img = _shading.forward(self.shading, normals, materials, env, threads=self.threads, transfer=transfer)
         r = img - self.target
         n_diff = normals - self.n_prior
         env_diff = env - self.env_prior
@@ -176,7 +184,7 @@ class _Objective:
         if not groups:
             return value, None, None, None
         dn, denv, dms = _shading.backward(
-            self.shading, normals, materials, env, 2.0 * r, groups, threads=self.threads, pair=pair, transfer=transfer
+            self.shading, normals, materials, env, 2.0 * r, groups, threads=self.threads, transfer=transfer
         )
         if dn is not None:
             dn += 2.0 * self.a * n_diff
@@ -407,15 +415,10 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
 
                 x0, project, transform = env.ravel(), lambda x: np.maximum(x, 0.0), None
             else:
-                pair = None
-                pair_bytes = shading.pixel_count * shading.light_count * 8 * (2 if shading.ortho else 8)
-                if pair_bytes <= config.cache_budget_bytes:
-                    pair = _shading.build_pair_cache(shading, n_fg, threads=obj.threads)
-
-                def fun(x, pair=pair):
+                def fun(x):
                     xs = x.reshape(len(mats), -1)
                     mats_new = [denormalize_params(xs[i], mats[i].lo, mats[i].hi, mats[i].name) for i in range(len(mats))]
-                    val, _, _, dms = obj(n_fg, mats_new, env, {"material"}, pair=pair)
+                    val, _, _, dms = obj(n_fg, mats_new, env, {"material"})
                     return val, np.concatenate(dms)
 
                 x0 = np.concatenate([normalize_params(m) for m in mats])

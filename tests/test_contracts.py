@@ -1,9 +1,9 @@
 """Bit-identity contracts: caches and worker counts never change an output bit.
 
-The solver shades through a pair cache (material group) and a transfer cache
-(light group) when they fit its byte budget; a zero budget takes the uncached
-path. Worker threads only trade whole pixel chunks. Either way every output
-must come out bit-for-bit the same.
+The solver shades the light group through a transfer cache when it fits its
+byte budget; a zero budget takes the uncached path. Worker threads only trade
+whole pixel chunks. Either way every output must come out bit-for-bit the
+same.
 """
 
 import numpy as np

@@ -13,7 +13,7 @@ import oracles
 from conftest import random_material, random_scene
 import gradshade as gs
 from gradshade.brdf import PARAM_COUNT, flat_index, material_from_raw
-from gradshade.core import NormalMap
+from gradshade.core import NormalMap, view_direction_grid
 from gradshade.render import build_light_table, prepare_problem, render_linear
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -120,6 +120,54 @@ def test_matches_triple_loop_oracle(rng):
         assert np.abs(mine - ref).max() / scale < 1e-10
 
 
+def back_facing_normal_map(rng, height, width):
+    """Random normals facing away from +z, with the exact -z normal at the centre."""
+    n = rng.standard_normal((height, width, 3))
+    n[:, :, 2] = -np.abs(n[:, :, 2]) - 0.2
+    n[height // 2, width // 2] = (0.0, 0.0, -1.0)
+    n /= np.linalg.norm(n, axis=2, keepdims=True)
+    return NormalMap(n, np.ones((height, width), dtype=bool))
+
+
+# An env whose texel (row, col) points (almost) exactly against the view of
+# the orthographic camera and of the centre pixel of an odd-sized pinhole
+# image: (0, 0, -1) up to rounding, so |omega + v| < 1e-8 and the pair has no
+# half vector. A normal facing away from the camera sees that texel lit.
+OPPOSED = {"orthographic": ((3, 6), (1, 4)), "pinhole": ((33, 66), (16, 49))}
+
+
+@pytest.mark.parametrize("mode", sorted(OPPOSED))
+def test_back_facing_normals_and_opposed_texels(rng, mode):
+    env_shape, texel = OPPOSED[mode]
+    side = 3
+    centre = (side // 2, side // 2)
+    cam = gs.Camera(mode, side, side, 50.0)
+    omega = build_light_table(*env_shape).directions[texel]
+    assert np.linalg.norm(omega + view_direction_grid(cam)[centre]) < 1e-15
+
+    nm = back_facing_normal_map(rng, side, side)
+    env = gs.EnvironmentMap(rng.gamma(1.0, 1.0, env_shape + (3,)))
+    scene = gs.RenderScene(nm, cam, env, (random_material(rng, amp_range=(0.1, 1.0)),))
+    mine = render_linear(scene)
+    ref = oracles.render_scene(scene)
+    assert np.abs(mine - ref).max() / np.abs(ref).max() < 1e-10
+    g = gs.backward(scene, rng.standard_normal((side, side, 3)))
+    for arr in (g.d_normals, g.d_env, g.d_materials):
+        assert np.isfinite(arr).all() and arr.any()
+
+    # Lit only at the opposed texel, the centre pixel gets exactly nothing.
+    rad = np.zeros(env_shape + (3,))
+    rad[texel] = 1.0
+    dark = gs.RenderScene(nm, cam, gs.EnvironmentMap(rad), scene.materials)
+    assert (render_linear(dark)[centre] == 0.0).all()
+    upstream = np.zeros((side, side, 3))
+    upstream[centre] = 1.0
+    assert (gs.backward(dark, upstream, groups={"light"}).d_env[texel] == 0.0).all()
+    if mode == "orthographic":  # every pixel shares the view
+        assert not render_linear(dark).any()
+        assert not gs.backward(dark, np.ones((side, side, 3)), groups={"light"}).d_env[texel].any()
+
+
 def test_background_stays_black(sphere_scene):
     img = gs.render(sphere_scene).pixels
     assert np.array_equal(img[~sphere_scene.normal_map.mask], 0.0 * img[~sphere_scene.normal_map.mask])
@@ -194,16 +242,25 @@ def test_reflectance_map_zero_env_is_black_disk():
     assert np.array_equal(rm.pixels, np.zeros((12, 12, 3)))
 
 
-def test_overflow_error_carries_pixel_location():
+def hot_scene():
     raw = np.zeros(PARAM_COUNT)
     for j in range(6):
         raw[flat_index(0, 0, 0, j)] = 80.0  # e^80 explodes past the overflow guard
     hot = material_from_raw(raw)
     nm = gs.sphere_normal_map(8)
     env = gs.EnvironmentMap(np.ones((4, 8, 3)))
-    scene = gs.RenderScene(nm, gs.Camera("orthographic", 8, 8), env, (hot,))
+    return gs.RenderScene(nm, gs.Camera("orthographic", 8, 8), env, (hot,))
+
+
+def test_overflow_error_carries_pixel_location():
     with pytest.raises(gs.ShadingOverflowError, match=r"pixel \(\d+, \d+\)"):
-        gs.render(scene)
+        gs.render(hot_scene())
+
+
+@pytest.mark.parametrize("group", ["light", "normal", "material"])
+def test_backward_raises_where_render_overflows(group):
+    with pytest.raises(gs.ShadingOverflowError, match=r"pixel \(\d+, \d+\)"):
+        gs.backward(hot_scene(), np.ones((8, 8, 3)), groups={group})
 
 
 def test_scene_validation_catches_mismatches(sphere_scene):
