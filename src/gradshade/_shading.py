@@ -22,6 +22,10 @@ against the light directions plus a multiple of the view. Quantities of the
 view alone are (1, B) per light block for an orthographic camera, whose one
 view row every pixel shares, and (C, B) for a pinhole camera. They broadcast
 against the (C, B) pair arrays, so one code path serves both cameras.
+Near omega = -v the first identity loses relative precision, since its
+square carries an absolute error of a few ulp of 2. Only normals facing away
+from the camera see such a texel lit (n . omega > 0 needs n . v < 0), and
+pairs with |omega + v| < DEGENERATE_HALF are dropped.
 
 A ShadingProblem holds only the scene geometry; normals and materials are
 arguments of every call. Work runs over the foreground-pixel stream in
@@ -31,9 +35,9 @@ max(0, n . omega), ell = log(base), the spline basis and coefficient curves at
 theta_d and, for normal gradients, base and the lit and clamp-gate
 indicators. Its consumers are ``forward`` (reduces f * cmax against the
 environment), ``build_transfer`` (stores f * cmax) and ``backward`` (the
-three adjoints). There is no per-pair cache of the geometry: recomputing it
-costs little next to the lobes. With a TransferCache, the one cache, forward
-and the light adjoint are plain reductions over the stored f * cmax.
+three adjoints). Pair geometry is recomputed on every call: a per-pair cache
+of it saved no solve time. With a TransferCache, the one cache, forward and
+the light adjoint are plain reductions over the stored f * cmax.
 
 The traversal order (region, then chunk, then block) and all reduction orders
 are fixed, so outputs are bit-identical for any worker count: threads only
@@ -42,7 +46,9 @@ afterwards.
 
 Pixel powers use expm1(b * log(base)) + 1, which is exact to a few ulp except
 for results tiny enough (< ~1e-12) to be negligible in the light sum, and is
-uniformly fast where np.power is not.
+uniformly fast where np.power is not. Every consumer evaluates the lobes
+through ``_lobes``, so forward and backward raise ShadingOverflowError on the
+same scenes.
 """
 
 from __future__ import annotations
@@ -211,7 +217,9 @@ def _tiles(problem, normals, ci, store, *, ctrl=None, geometry=False):
         rlen = _buf(store, "rlen", vshape)
         np.maximum(length, DEGENERATE_HALF, out=rlen)
         np.reciprocal(rlen, out=rlen)
-        rlen *= valid  # no half vector: h . n = 0 and nothing moves with n
+        all_valid = bool(valid.all())
+        if not all_valid:
+            rlen *= valid  # no half vector: h . n = 0 and nothing moves with n
         length *= 0.5
         np.minimum(length, 1.0, out=length)
         basis = spline.basis_matrix(np.arccos(length, out=length))  # theta_d = acos(|omega + v| / 2)
@@ -220,7 +228,8 @@ def _tiles(problem, normals, ci, store, *, ctrl=None, geometry=False):
         hdn *= rlen
         cmaxv = _buf(store, "cmaxv", shape)
         np.maximum(ndl, 0.0, out=cmaxv)
-        cmaxv *= valid
+        if not all_valid:
+            cmaxv *= valid
         base = _buf(store, "base", shape)
         np.clip(hdn, EPS_BASE, 1.0, out=base)
         ell = _buf(store, "ell", shape)
@@ -239,16 +248,15 @@ def _tiles(problem, normals, ci, store, *, ctrl=None, geometry=False):
         yield _Tile(b0, b1, cmaxv, ell, basis, curves, base, litv, gate)
 
 
-def _lobes(store, problem, ci, tile, k, f):
+def _lobes(problem, ci, tile, k, f, t, x_next):
     """Evaluate the three lobes of channel k on a tile into f = sum_s x.
 
     Yields (a, b, t, x) per lobe, with t = base ** b = expm1(b * ell) + 1 and
-    x = expm1(a * t); the arrays are reused across lobes. After the last lobe
-    it raises ShadingOverflowError if f left the finite range. The check sees
-    f before any cmax mask, because inf * 0 would hide it as NaN.
+    x = expm1(a * t), in the buffers ``t`` and ``x_next`` (``f`` for the first
+    lobe); ``x_next`` may be ``t`` when the caller needs no t. After the last
+    lobe it raises ShadingOverflowError if f left the finite range. The check
+    sees f before any cmax mask, because inf * 0 would hide it as NaN.
     """
-    t = _buf(store, "lobe_t", tile.ell.shape)
-    x_next = _buf(store, "lobe_x", tile.ell.shape)
     for s in range(3):
         a_row, b_row = tile.curves[k, s, 0], tile.curves[k, s, 1]
         x = f if s == 0 else x_next
@@ -271,8 +279,9 @@ def _lobes(store, problem, ci, tile, k, f):
 def _shaded(store, problem, ci, tile):
     """Yield (k, f_k * cmax) per channel of one tile; the array is reused across channels."""
     f = _buf(store, "f", tile.ell.shape)
+    t = _buf(store, "lobe_t", tile.ell.shape)
     for k in range(3):
-        for _ in _lobes(store, problem, ci, tile, k, f):
+        for _ in _lobes(problem, ci, tile, k, f, t, t):
             pass
         f *= tile.cmaxv
         yield k, f
@@ -353,10 +362,12 @@ def _backward_chunk(problem, normals, material, env_lw, lwd, u_c, groups, ci):
             e = _buf(store, "bw_e", shape)
             m = _buf(store, "bw_m", shape)
             f = _buf(store, "bw_f", shape)
+            t_buf = _buf(store, "bw_t", shape)
+            x_buf = _buf(store, "bw_x", shape)
             dacc = _buf(store, "bw_d", shape) if want_n else None
 
             for k in range(3):
-                for s, (a_row, b_row, t, x) in enumerate(_lobes(store, problem, ci, tile, k, f)):
+                for s, (a_row, b_row, t, x) in enumerate(_lobes(problem, ci, tile, k, f, t_buf, x_buf)):
                     if need_e:
                         np.add(x, 1.0, out=e)  # e = exp(a * t)
                     if want_n:
@@ -400,13 +411,12 @@ def _accumulate_material(dm, k, s, m, ell, a_row, lw_k, basis):
     orthographic basis is (1, B, 6), shared by every pixel, so the pixels are
     summed first.
     """
-    m *= lw_k
     for c in range(2):
         if c == 1:
             m *= a_row
             m *= ell
-        w = m.sum(axis=0) if basis.shape[0] == 1 else m
-        dm[k, s, c] += w.reshape(-1) @ basis.reshape(-1, 6)
+        w = m.sum(axis=0, keepdims=True) if basis.shape[0] == 1 else m
+        dm[k, s, c] += (w * lw_k).reshape(-1) @ basis.reshape(-1, 6)
 
 
 def backward(problem, normals, materials, env_flat, upstream, groups, *, threads=1, transfer=None):
