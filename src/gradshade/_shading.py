@@ -182,17 +182,17 @@ class _Tile(NamedTuple):
     cmaxv: np.ndarray  # max(0, n . omega), zero where the half vector is undefined
     ell: np.ndarray  # log(base), base = clamp(h . n, EPS_BASE, 1)
     basis: np.ndarray  # (V, B, 6) spline basis at theta_d
-    curves: np.ndarray | None  # (3, 3, 2, V, B) coefficient curves
-    base: np.ndarray | None  # the rest only for normal gradients
-    litv: np.ndarray | None  # 1(n . omega > 0) on valid pairs
+    curves: np.ndarray  # (3, 3, 2, V, B) coefficient curves
+    base: np.ndarray
+    litv: np.ndarray | None  # only for normal gradients: 1(n . omega > 0) on valid pairs
     gate: np.ndarray | None  # 1(EPS_BASE < h . n < 1) / |omega + v|: base moves with n there
 
 
-def _tiles(problem, normals, ci, store, *, ctrl=None, geometry=False):
+def _tiles(problem, normals, ci, store, ctrl, *, geometry=False):
     """Yield a _Tile for every light block of chunk ``ci`` that has a lit pair.
 
-    ``ctrl`` is the chunk material's (3, 3, 2, 6) control points, or None when
-    no curves are needed; ``geometry`` adds the normal-gradient fields.
+    ``ctrl`` is the chunk material's (3, 3, 2, 6) control points; ``geometry``
+    adds the normal-gradient fields.
     """
     nc = normals[ci]
     view_c = problem.view_rows(ci)
@@ -240,12 +240,9 @@ def _tiles(problem, normals, ci, store, *, ctrl=None, geometry=False):
             np.multiply(ndl > 0.0, valid, out=litv)
             gate = _buf(store, "gate", shape)
             np.multiply((hdn > EPS_BASE) & (hdn < 1.0), rlen, out=gate)
-        curves = None
-        if ctrl is not None:
-            curves = _buf(store, "curves", (18, basis.shape[0] * basis.shape[1]))
-            np.matmul(ctrl.reshape(18, 6), basis.reshape(-1, 6).T, out=curves)
-            curves = curves.reshape((3, 3, 2) + vshape)
-        yield _Tile(b0, b1, cmaxv, ell, basis, curves, base, litv, gate)
+        curves = _buf(store, "curves", (18, basis.shape[0] * basis.shape[1]))
+        np.matmul(ctrl.reshape(18, 6), basis.reshape(-1, 6).T, out=curves)
+        yield _Tile(b0, b1, cmaxv, ell, basis, curves.reshape((3, 3, 2) + vshape), base, litv, gate)
 
 
 def _lobes(problem, ci, tile, k, f, t, x_next):
@@ -312,7 +309,7 @@ def forward(problem, normals, materials, env_flat, *, threads=1, transfer=None) 
                     out[:, k] += np.einsum("cb,b->c", block[:, :, k], env_lw[b0:b1, k])
             return ci, out
         with _POOL.lease() as store:
-            for tile in _tiles(problem, normals, ci, store, ctrl=materials[region].control_points):
+            for tile in _tiles(problem, normals, ci, store, materials[region].control_points):
                 for k, f in _shaded(store, problem, ci, tile):
                     out[:, k] += np.einsum("cb,b->c", f, env_lw[tile.b0 : tile.b1, k])
         return ci, out
@@ -330,7 +327,7 @@ def build_transfer(problem, normals, materials, *, threads=1) -> TransferCache:
     def run(task):
         region, ci = task
         with _POOL.lease() as store:
-            for tile in _tiles(problem, normals, ci, store, ctrl=materials[region].control_points):
+            for tile in _tiles(problem, normals, ci, store, materials[region].control_points):
                 for k, f in _shaded(store, problem, ci, tile):
                     contrib[ci, tile.b0 : tile.b1, k] = f
 
@@ -356,7 +353,7 @@ def _backward_chunk(problem, normals, material, env_lw, lwd, u_c, groups, ci):
     view_c = problem.view_rows(ci)
 
     with _POOL.lease() as store:
-        for tile in _tiles(problem, normals, ci, store, ctrl=material.control_points, geometry=want_n):
+        for tile in _tiles(problem, normals, ci, store, material.control_points, geometry=want_n):
             b0, b1, cmaxv, ell = tile.b0, tile.b1, tile.cmaxv, tile.ell
             shape = ell.shape
             e = _buf(store, "bw_e", shape)
