@@ -73,3 +73,19 @@ def write_png_bomb(path, side=16, inflated=64 * 2**20):
     block = bytes(2**20)
     idat = b"".join(deflate.compress(block) for _ in range(inflated // len(block))) + deflate.flush()
     write_png16(path, side, side, idat)
+
+
+def filtered_scanlines(rows, bpp, ftypes):
+    """PNG scanline bytes of (H, stride) uint8 ``rows``, row y filtered with type ftypes[y]."""
+    x = rows.astype(np.int64)
+    up = np.vstack([np.zeros_like(x[:1]), x[:-1]])
+    left = np.pad(x, ((0, 0), (bpp, 0)))[:, :-bpp]
+    upleft = np.pad(up, ((0, 0), (bpp, 0)))[:, :-bpp]
+    p = left + up - upleft
+    pa, pb, pc = np.abs(p - left), np.abs(p - up), np.abs(p - upleft)
+    paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))
+    predictors = (0, left, up, (left + up) // 2, paeth)
+    return b"".join(
+        bytes([t]) + ((x[y] - predictors[t][y] if t else x[y]) % 256).astype(np.uint8).tobytes()
+        for y, t in enumerate(ftypes)
+    )

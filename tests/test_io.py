@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_material, random_normal_map, write_png16, write_png_bomb
+from conftest import filtered_scanlines, random_material, random_normal_map, write_png16, write_png_bomb
 import gradshade as gs
 from gradshade.brdf import PARAM_COUNT
 from gradshade.core import NormalMap, SegmentationMask
 from gradshade.io import (
     MalformedFileError,
+    _read_png,
     read_material,
     read_normal_png16,
     read_pfm,
@@ -142,6 +143,30 @@ def test_normal_round_trip_quantization_error(tmp_path, rng):
     assert np.abs(back.normals[fg] - nm.normals[fg]).max() < 2.0 / 65535.0
     assert np.abs(np.linalg.norm(back.normals[fg], axis=1) - 1.0).max() < 1e-12
     assert not back.normals[~fg].any()
+
+
+def _normal_rgba16(rng, h, w):
+    """Seeded 16-bit RGBA samples of a normal map, as write_normal_png16 encodes them."""
+    p = rng.integers(0, 2**16, (h, w, 4)).astype(np.uint16)
+    p[:, :, 2] |= 0xC000  # z > 0.5: every foreground sample decodes to a usable normal
+    p[:, :, 3] = np.where(rng.random((h, w)) < 0.8, 65535, 0)
+    p[p[:, :, 3] == 0, :3] = 0
+    return p
+
+
+@pytest.mark.parametrize("ftypes", [[0], [1], [2], [3], [4], [4, 3, 2, 1, 0]], ids=str)
+def test_normal_png_unfilters_every_filter_type(tmp_path, ftypes):
+    """None, Sub, Up, Average and Paeth rows all decode to the encoded samples."""
+    h, w = 11, 13
+    rgba = _normal_rgba16(np.random.default_rng(5), h, w)
+    rows = np.frombuffer(rgba.astype(">u2").tobytes(), dtype=np.uint8).reshape(h, w * 8)
+    plain, filtered = tmp_path / "plain.png", tmp_path / "filtered.png"
+    write_png16(plain, h, w, zlib.compress(filtered_scanlines(rows, 8, [0] * h)))
+    write_png16(filtered, h, w, zlib.compress(filtered_scanlines(rows, 8, (ftypes * h)[:h])))
+    assert np.array_equal(_read_png(filtered, expect_bit_depth=16, expect_color_type=6), rgba)
+    expected, got = read_normal_png16(plain), read_normal_png16(filtered)
+    assert np.array_equal(got.mask, rgba[:, :, 3] > 0)
+    assert got.normals.tobytes() == expected.normals.tobytes()
 
 
 def test_normal_alpha_zero_is_background(tmp_path, rng):
