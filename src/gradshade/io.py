@@ -112,14 +112,6 @@ def _write_png(path, pixels: np.ndarray, bit_depth: int, color_type: int) -> Non
     Path(path).write_bytes(_PNG_MAGIC + body)
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    return b if pb <= pc else c
-
-
 def _unfilter(raw: bytes, h: int, w: int, channels: int, bit_depth: int) -> np.ndarray:
     bpp = channels * (bit_depth // 8)
     stride = w * bpp
@@ -138,19 +130,21 @@ def _unfilter(raw: bytes, h: int, w: int, channels: int, bit_depth: int) -> np.n
             out[y] = (np.cumsum(lanes, axis=0) % 256).reshape(-1)
         elif ftype == 2:  # Up
             out[y] = (line + prev) % 256
-        elif ftype == 3:  # Average
-            row = np.zeros(stride, dtype=np.int64)
-            for i in range(stride):
-                a = row[i - bpp] if i >= bpp else 0
-                row[i] = (line[i] + (a + prev[i]) // 2) % 256
-            out[y] = row
-        elif ftype == 4:  # Paeth
-            row = np.zeros(stride, dtype=np.int64)
-            for i in range(stride):
-                a = int(row[i - bpp]) if i >= bpp else 0
-                c = int(prev[i - bpp]) if i >= bpp else 0
-                row[i] = (line[i] + _paeth(a, int(prev[i]), c)) % 256
-            out[y] = row
+        elif ftype in (3, 4):
+            # Average and Paeth depend on the byte just decoded to the left:
+            # a sequential loop, run on Python ints, which beat numpy scalars.
+            cur, up = line.tolist(), prev.tolist()
+            row = bytearray(stride)
+            row[:bpp] = bytes((c + (b >> 1 if ftype == 3 else b)) & 255 for c, b in zip(cur[:bpp], up))
+            if ftype == 3:  # Average
+                for i in range(bpp, stride):
+                    row[i] = (cur[i] + ((row[i - bpp] + up[i]) >> 1)) & 255
+            else:  # Paeth
+                for i in range(bpp, stride):
+                    a, b, c = row[i - bpp], up[i], up[i - bpp]
+                    pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - c - c)
+                    row[i] = (cur[i] + (a if pa <= pb and pa <= pc else b if pb <= pc else c)) & 255
+            out[y] = np.frombuffer(row, dtype=np.uint8)
         else:
             raise MalformedFileError(f"unknown PNG filter type {ftype}")
     return out

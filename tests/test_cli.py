@@ -1,12 +1,15 @@
 """End-to-end command line tests driving main(argv) in-process."""
 
+import zlib
+
 import numpy as np
 import pytest
 
-from conftest import write_png_bomb
+from conftest import filtered_scanlines, write_png16, write_png_bomb
 from gradshade.cli import main
 from gradshade.core import BACKGROUND_REGION, SegmentationMask
 from gradshade.io import (
+    _read_png,
     read_material,
     read_normal_png16,
     read_pfm,
@@ -92,6 +95,21 @@ def test_render_png_bomb_exits_2(fixture_dir, tmp_path, capsys):
     argv[argv.index("--normals") + 1] = str(bomb)
     assert main(argv) == 2
     assert "inflate" in capsys.readouterr().err
+
+
+def test_render_paeth_filtered_normals(fixture_dir, tmp_path):
+    """A normal map with every row Paeth-filtered renders as the unfiltered one does."""
+    rgba = _read_png(fixture_dir / "sphere_normals.png", expect_bit_depth=16, expect_color_type=6)
+    h, w = rgba.shape[:2]
+    rows = np.frombuffer(rgba.astype(">u2").tobytes(), dtype=np.uint8).reshape(h, w * 8)
+    paeth = tmp_path / "paeth.png"
+    write_png16(paeth, h, w, zlib.compress(filtered_scanlines(rows, 8, [4] * h)))
+    plain, out = tmp_path / "plain.pfm", tmp_path / "paeth.pfm"
+    assert main(["render", *scene_args(fixture_dir), "--out", str(plain)]) == 0
+    argv = ["render", *scene_args(fixture_dir), "--out", str(out)]
+    argv[argv.index("--normals") + 1] = str(paeth)
+    assert main(argv) == 0
+    assert out.read_bytes() == plain.read_bytes()
 
 
 def test_render_empty_last_region_renders(fixture_dir, tmp_path):
