@@ -28,27 +28,32 @@ from the camera see such a texel lit (n . omega > 0 needs n . v < 0), and
 pairs with |omega + v| < DEGENERATE_HALF are dropped.
 
 A ShadingProblem holds only the scene geometry; normals and materials are
-arguments of every call. Work runs over the foreground-pixel stream in
-(pixel-chunk x light-block) tiles. One producer, ``_tiles``, yields the pair
-geometry of every light block of a chunk that has a lit pair: cmax =
-max(0, n . omega), ell = log(base), the spline basis and coefficient curves at
-theta_d and, for normal gradients, base and the lit and clamp-gate
-indicators. Its consumers are ``forward`` (reduces f * cmax against the
-environment), ``build_transfer`` (stores f * cmax) and ``backward`` (the
-three adjoints). Pair geometry is recomputed on every call: a per-pair cache
-of it saved no solve time. With a TransferCache, the one cache, forward and
-the light adjoint are plain reductions over the stored f * cmax.
+arguments of every call. Its chunks are the foreground pixels of one region
+in one PIXEL_TILE x PIXEL_TILE screen tile, whose normals lie close together.
+Every term of the image and of each adjoint carries max(0, n . omega) or its
+indicator, so a pair whose light is dark for its pixel adds exactly 0. One
+producer, ``_tiles``, first lists the lights that some pixel of the chunk
+sees lit (max_c n_c . omega > 0), then yields the pair geometry of the chunk
+against blocks of up to LIGHT_BLOCK listed lights: cmax = max(0, n . omega),
+ell = log(base), the spline basis and coefficient curves at theta_d and, for
+normal gradients, base and the lit and clamp-gate indicators. Its consumers
+are ``forward`` (reduces f * cmax against the environment),
+``build_transfer`` (stores f * cmax) and ``backward`` (the three adjoints).
+Pair geometry is recomputed on every call: a per-pair cache of it saved no
+solve time. A TransferCache, the one cache, stores f * cmax of the shaded
+pairs only, per chunk as (lights, (3, C, B)) blocks; forward and the light
+adjoint reduce those blocks exactly as they reduce freshly shaded ones.
 
-The traversal order (region, then chunk, then block) and all reduction orders
-are fixed, so outputs are bit-identical for any worker count: threads only
-trade whole chunks and per-chunk partial sums are combined in chunk order
-afterwards.
+The traversal order (region, then tile row-major, then light block), the
+light lists and all reduction orders are fixed, so outputs are bit-identical
+for any worker count and with or without the transfer cache: threads only
+trade whole chunks and per-chunk partial sums are combined in chunk order.
 
 Pixel powers use expm1(b * log(base)) + 1, which is exact to a few ulp except
 for results tiny enough (< ~1e-12) to be negligible in the light sum, and is
 uniformly fast where np.power is not. Every consumer evaluates the lobes
-through ``_lobes``, so forward and backward raise ShadingOverflowError on the
-same scenes.
+through ``_lobes``, so forward, backward and the transfer cache raise
+ShadingOverflowError on the same scenes.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ import numpy as np
 from . import spline
 from .brdf import EPS_BASE, OVERFLOW_LIMIT, ShadingOverflowError
 
-PIXEL_CHUNK = 256
+PIXEL_TILE = 8
 LIGHT_BLOCK = 1024
 
 # |omega_i + omega_p| below this leaves the half vector undefined; the pair
@@ -110,7 +115,7 @@ class ShadingProblem:
     """Scene geometry over the foreground stream (row-major)."""
 
     pixel_xy: np.ndarray  # (F, 2) int32, (px, py) for error reports
-    chunks: tuple  # ((region, stream-index array), ...) in traversal order
+    chunks: tuple  # ((region, stream-index array), ...), one per region and screen tile
     dirs: np.ndarray  # (I, 3)
     weights: np.ndarray  # (I,)
     view: np.ndarray  # (1, 3) when ortho else (F, 3)
@@ -131,28 +136,29 @@ class ShadingProblem:
 
 @dataclass
 class TransferCache:
-    """f * cmax per (pixel, light, channel); the image is linear in the light given this."""
+    """f * cmax of every shaded pair; the image is linear in the light given this."""
 
-    contrib: np.ndarray  # (F, I, 3)
+    blocks: tuple  # per chunk, per tile: (lights, (3, C, B) f * cmax), channel-major
 
     @property
     def nbytes(self) -> int:
-        return self.contrib.nbytes
+        return sum(block.nbytes for chunk in self.blocks for _, block in chunk)
 
 
-def prepare(mask, view, region_count, dirs, weights, region_ids=None) -> ShadingProblem:
+def prepare(mask, view, dirs, weights, region_ids=None) -> ShadingProblem:
     """Flatten a scene's geometry to the foreground stream.
 
     ``view`` is a (3,) constant direction (orthographic) or an (H, W, 3)
-    per-pixel grid. ``region_ids`` defaults to a single region 0.
+    per-pixel grid. ``region_ids`` defaults to a single region 0. Chunks run
+    by region, then screen tile (row-major), then stream order in the tile.
     """
     ys, xs = np.nonzero(mask)
-    region_of = np.zeros(ys.size, dtype=np.int32) if region_ids is None else region_ids[ys, xs]
-    chunks = []
-    for r in range(region_count):
-        stream = np.nonzero(region_of == r)[0]
-        for start in range(0, stream.size, PIXEL_CHUNK):
-            chunks.append((r, stream[start : start + PIXEL_CHUNK]))
+    region_of = np.zeros(ys.size, dtype=np.int64) if region_ids is None else region_ids[ys, xs].astype(np.int64)
+    tiles_x, tiles_y = -(-mask.shape[1] // PIXEL_TILE), -(-mask.shape[0] // PIXEL_TILE)
+    key = (region_of * tiles_y + ys // PIXEL_TILE) * tiles_x + xs // PIXEL_TILE
+    order = np.argsort(key, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if order.size else []
+    chunks = [(int(region_of[g[0]]), g) for g in groups]
 
     view = np.asarray(view, dtype=np.float64)
     ortho = view.ndim == 1
@@ -166,19 +172,15 @@ def prepare(mask, view, region_count, dirs, weights, region_ids=None) -> Shading
     )
 
 
-def _blocks(light_count: int):
-    return [(b0, min(light_count, b0 + LIGHT_BLOCK)) for b0 in range(0, light_count, LIGHT_BLOCK)]
-
-
 class _Tile(NamedTuple):
-    """Pair geometry of one (pixel chunk x light block) tile.
+    """Pair geometry of one chunk against one block of its listed lights.
 
-    Pair arrays are (C, B). View arrays are (V, B), with V = 1 for an
-    orthographic camera and V = C for a pinhole one.
+    ``lights`` holds B unique, ascending light-table indices. Pair arrays are
+    (C, B). View arrays are (V, B), with V = 1 for an orthographic camera and
+    V = C for a pinhole one.
     """
 
-    b0: int
-    b1: int
+    lights: np.ndarray
     cmaxv: np.ndarray  # max(0, n . omega), zero where the half vector is undefined
     ell: np.ndarray  # log(base), base = clamp(h . n, EPS_BASE, 1)
     basis: np.ndarray  # (V, B, 6) spline basis at theta_d
@@ -189,24 +191,27 @@ class _Tile(NamedTuple):
 
 
 def _tiles(problem, normals, ci, store, ctrl, *, geometry=False):
-    """Yield a _Tile for every light block of chunk ``ci`` that has a lit pair.
+    """Yield a _Tile per block of up to LIGHT_BLOCK lights that some pixel of chunk ``ci`` sees lit.
 
     ``ctrl`` is the chunk material's (3, 3, 2, 6) control points; ``geometry``
     adds the normal-gradient fields.
     """
     nc = normals[ci]
+    listed = []
+    for b0 in range(0, problem.light_count, LIGHT_BLOCK):
+        ndl = _buf(store, "ndl", (ci.shape[0], min(LIGHT_BLOCK, problem.light_count - b0)))
+        np.matmul(nc, problem.dirs[b0 : b0 + LIGHT_BLOCK].T, out=ndl)
+        listed.append(b0 + np.flatnonzero(ndl.max(axis=0) > 0.0))
+    listed = np.concatenate(listed)
     view_c = problem.view_rows(ci)
     vdn = np.einsum("cd,cd->c", nc, np.broadcast_to(view_c, nc.shape))[:, None]  # v . n
-    for b0, b1 in _blocks(problem.light_count):
-        dirs_t = problem.dirs[b0:b1].T
-        shape = (ci.shape[0], b1 - b0)
+    for start in range(0, listed.size, LIGHT_BLOCK):
+        lights = listed[start : start + LIGHT_BLOCK]
+        dirs_t = problem.dirs[lights].T
+        shape = (ci.shape[0], lights.size)
         ndl = _buf(store, "ndl", shape)
         np.matmul(nc, dirs_t, out=ndl)
-        if ndl.max() <= 0.0:
-            # Every term of the image and of each adjoint carries
-            # max(0, n . omega) or its indicator: a dark tile adds nothing.
-            continue
-        vshape = (view_c.shape[0], b1 - b0)
+        vshape = (view_c.shape[0], lights.size)
         length = _buf(store, "length", vshape)
         np.matmul(view_c, dirs_t, out=length)
         length *= 2.0
@@ -242,7 +247,7 @@ def _tiles(problem, normals, ci, store, ctrl, *, geometry=False):
             np.multiply((hdn > EPS_BASE) & (hdn < 1.0), rlen, out=gate)
         curves = _buf(store, "curves", (18, basis.shape[0] * basis.shape[1]))
         np.matmul(ctrl.reshape(18, 6), basis.reshape(-1, 6).T, out=curves)
-        yield _Tile(b0, b1, cmaxv, ell, basis, curves.reshape((3, 3, 2) + vshape), base, litv, gate)
+        yield _Tile(lights, cmaxv, ell, basis, curves.reshape((3, 3, 2) + vshape), base, litv, gate)
 
 
 def _lobes(problem, ci, tile, k, f, t, x_next):
@@ -253,6 +258,10 @@ def _lobes(problem, ci, tile, k, f, t, x_next):
     lobe); ``x_next`` may be ``t`` when the caller needs no t. After the last
     lobe it raises ShadingOverflowError if f left the finite range. The check
     sees f before any cmax mask, because inf * 0 would hide it as NaN.
+
+    So a render or gradient raises iff a pair it evaluates overflows. Every
+    lit pair is evaluated; a pair whose light no pixel of its chunk sees lit
+    is not, and cannot raise.
     """
     for s in range(3):
         a_row, b_row = tile.curves[k, s, 0], tile.curves[k, s, 1]
@@ -269,26 +278,39 @@ def _lobes(problem, ci, tile, k, f, t, x_next):
         c_idx, l_idx = np.unravel_index(int(np.nanargmax(np.where(np.isfinite(f), np.abs(f), np.inf))), f.shape)
         px, py = problem.pixel_xy[ci[c_idx]]
         raise ShadingOverflowError(
-            f"lobe sum for channel {k} overflowed at pixel ({int(px)}, {int(py)}), light texel {tile.b0 + int(l_idx)}"
+            f"lobe sum for channel {k} overflowed at pixel ({int(px)}, {int(py)}), light texel {int(tile.lights[l_idx])}"
         )
 
 
-def _shaded(store, problem, ci, tile):
-    """Yield (k, f_k * cmax) per channel of one tile; the array is reused across channels."""
-    f = _buf(store, "f", tile.ell.shape)
-    t = _buf(store, "lobe_t", tile.ell.shape)
-    for k in range(3):
-        for _ in _lobes(problem, ci, tile, k, f, t, t):
-            pass
-        f *= tile.cmaxv
-        yield k, f
+def _shaded(problem, normals, materials, transfer, j, store):
+    """Yield (lights, k, f_k * cmax) per tile and channel of chunk j, from ``transfer`` when given.
+
+    Either way the values are a contiguous (C, B) array, so reductions over them agree bit for bit.
+    """
+    if transfer is not None:
+        for lights, block in transfer.blocks[j]:
+            for k in range(3):
+                yield lights, k, block[k]
+        return
+    region, ci = problem.chunks[j]
+    for tile in _tiles(problem, normals, ci, store, materials[region].control_points):
+        f = _buf(store, "f", tile.ell.shape)
+        t = _buf(store, "lobe_t", tile.ell.shape)
+        for k in range(3):
+            for _ in _lobes(problem, ci, tile, k, f, t, t):
+                pass
+            f *= tile.cmaxv
+            yield tile.lights, k, f
 
 
-def _run_tasks(fn, tasks, threads):
+def _run_tasks(fn, problem, threads):
+    """fn(j) for every chunk j, yielded in chunk order as the results arrive."""
+    tasks = range(len(problem.chunks))
     if threads <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+        yield from map(fn, tasks)
+        return
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, tasks))
+        yield from ex.map(fn, tasks)
 
 
 def forward(problem, normals, materials, env_flat, *, threads=1, transfer=None) -> np.ndarray:
@@ -299,43 +321,36 @@ def forward(problem, normals, materials, env_flat, *, threads=1, transfer=None) 
     """
     env_lw = env_flat * problem.weights[:, None]
 
-    def run(task):
-        region, ci = task
+    def run(j):
+        ci = problem.chunks[j][1]
         out = np.zeros((ci.shape[0], 3))
-        if transfer is not None:
-            for b0, b1 in _blocks(problem.light_count):
-                block = transfer.contrib[ci, b0:b1, :]
-                for k in range(3):
-                    out[:, k] += np.einsum("cb,b->c", block[:, :, k], env_lw[b0:b1, k])
-            return ci, out
         with _POOL.lease() as store:
-            for tile in _tiles(problem, normals, ci, store, materials[region].control_points):
-                for k, f in _shaded(store, problem, ci, tile):
-                    out[:, k] += np.einsum("cb,b->c", f, env_lw[tile.b0 : tile.b1, k])
+            for lights, k, fc in _shaded(problem, normals, materials, transfer, j, store):
+                out[:, k] += np.einsum("cb,b->c", fc, env_lw[lights, k])
         return ci, out
 
     image = np.zeros((problem.pixel_count, 3))
-    for ci, block in _run_tasks(run, problem.chunks, threads):
+    for ci, block in _run_tasks(run, problem, threads):
         image[ci] = block
     return image
 
 
 def build_transfer(problem, normals, materials, *, threads=1) -> TransferCache:
-    """Materialize f * cmax for every pair and channel."""
-    contrib = np.zeros((problem.pixel_count, problem.light_count, 3))
+    """Materialize f * cmax for every shaded pair and channel."""
 
-    def run(task):
-        region, ci = task
+    def run(j):
+        blocks = []
         with _POOL.lease() as store:
-            for tile in _tiles(problem, normals, ci, store, materials[region].control_points):
-                for k, f in _shaded(store, problem, ci, tile):
-                    contrib[ci, tile.b0 : tile.b1, k] = f
+            for lights, k, fc in _shaded(problem, normals, materials, None, j, store):
+                if k == 0:
+                    blocks.append((lights, np.empty((3,) + fc.shape)))
+                blocks[-1][1][k] = fc
+        return tuple(blocks)
 
-    _run_tasks(run, problem.chunks, threads)
-    return TransferCache(contrib=contrib)
+    return TransferCache(blocks=tuple(_run_tasks(run, problem, threads)))
 
 
-def _backward_chunk(problem, normals, material, env_lw, lwd, u_c, groups, ci):
+def _backward_chunk(problem, normals, material, env_lw, u_c, groups, ci):
     """Adjoints for one chunk.
 
     Returns (dn_block, denv_partial, dm_partial). dn_block is (C, 3); the
@@ -354,7 +369,8 @@ def _backward_chunk(problem, normals, material, env_lw, lwd, u_c, groups, ci):
 
     with _POOL.lease() as store:
         for tile in _tiles(problem, normals, ci, store, material.control_points, geometry=want_n):
-            b0, b1, cmaxv, ell = tile.b0, tile.b1, tile.cmaxv, tile.ell
+            lights, cmaxv, ell = tile.lights, tile.cmaxv, tile.ell
+            dirs_l = problem.dirs[lights]
             shape = ell.shape
             e = _buf(store, "bw_e", shape)
             m = _buf(store, "bw_m", shape)
@@ -364,6 +380,7 @@ def _backward_chunk(problem, normals, material, env_lw, lwd, u_c, groups, ci):
             dacc = _buf(store, "bw_d", shape) if want_n else None
 
             for k in range(3):
+                lw_k = env_lw[lights, k]
                 for s, (a_row, b_row, t, x) in enumerate(_lobes(problem, ci, tile, k, f, t_buf, x_buf)):
                     if need_e:
                         np.add(x, 1.0, out=e)  # e = exp(a * t)
@@ -380,20 +397,20 @@ def _backward_chunk(problem, normals, material, env_lw, lwd, u_c, groups, ci):
                         np.multiply(e, t, out=m)
                         m *= cmaxv
                         m *= u_c[:, k : k + 1]
-                        _accumulate_material(dm, k, s, m, ell, a_row, env_lw[b0:b1, k], tile.basis)
+                        _accumulate_material(dm, k, s, m, ell, a_row, lw_k, tile.basis)
                 if want_l:
                     np.multiply(f, cmaxv, out=m)
-                    denv[b0:b1, k] += np.einsum("cb,c->b", m, u_c[:, k]) * problem.weights[b0:b1]
+                    denv[lights, k] += np.einsum("cb,c->b", m, u_c[:, k]) * problem.weights[lights]
                 if want_n:
                     np.multiply(f, tile.litv, out=m)
-                    g1 = m @ lwd[k][b0:b1]
+                    g1 = m @ (lw_k[:, None] * dirs_l)
                     g1 *= u_c[:, k : k + 1]
                     dn += g1
                     np.multiply(dacc, cmaxv, out=m)
                     m *= tile.gate
-                    m *= env_lw[b0:b1, k]
+                    m *= lw_k
                     # sum_b m h = sum_b (m / |omega + v|) (omega + v); gate holds the 1 / |omega + v|
-                    g2 = m @ problem.dirs[b0:b1]
+                    g2 = m @ dirs_l
                     g2 += m.sum(axis=1)[:, None] * view_c
                     g2 *= u_c[:, k : k + 1]
                     dn += g2
@@ -430,27 +447,22 @@ def backward(problem, normals, materials, env_flat, upstream, groups, *, threads
     if transfer is not None and groups != {"light"}:
         raise ValueError("a transfer cache freezes normals and material; only light gradients remain")
     env_lw = env_flat * problem.weights[:, None]
-    lwd = [env_lw[:, k : k + 1] * problem.dirs for k in range(3)] if "normal" in groups else None
 
-    def run(task):
-        region, ci = task
+    def run(j):
+        region, ci = problem.chunks[j]
         u_c = upstream[ci]
         if transfer is None:
-            return ci, region, _backward_chunk(problem, normals, materials[region], env_lw, lwd, u_c, groups, ci)
+            return ci, region, _backward_chunk(problem, normals, materials[region], env_lw, u_c, groups, ci)
         # Light-only fast path: contributions are frozen.
         denv = np.zeros((problem.light_count, 3))
-        for b0, b1 in _blocks(problem.light_count):
-            block = transfer.contrib[ci, b0:b1, :]
-            for k in range(3):
-                denv[b0:b1, k] += np.einsum("cb,c->b", block[:, :, k], u_c[:, k]) * problem.weights[b0:b1]
+        for lights, k, fc in _shaded(problem, normals, materials, transfer, j, None):
+            denv[lights, k] += np.einsum("cb,c->b", fc, u_c[:, k]) * problem.weights[lights]
         return ci, region, (None, denv, None)
-
-    results = _run_tasks(run, problem.chunks, threads)
 
     dn_all = np.zeros((problem.pixel_count, 3)) if "normal" in groups else None
     denv_all = np.zeros((problem.light_count, 3)) if "light" in groups else None
     dm_all = [np.zeros((3, 3, 2, 6)) for _ in materials] if "material" in groups else None
-    for ci, region, (dn, denv, dm) in results:
+    for ci, region, (dn, denv, dm) in _run_tasks(run, problem, threads):
         if dn is not None:
             dn_all[ci] = dn
         if denv is not None:

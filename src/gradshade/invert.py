@@ -72,9 +72,10 @@ class OptimizerConfig:
     """Settings of :func:`solve`.
 
     ``cache_budget_bytes`` gates the one cache the solver builds: the transfer
-    cache, f * cmax per (pixel, light, channel), that the light group shades
-    through. A problem whose cache would exceed it, or a budget of 0, shades
-    the light group uncached, with bit-identical results.
+    cache, f * cmax per shaded (pixel, light) pair and channel, that the light
+    group shades through. The gate takes its dense size, F * I * 24 bytes, an
+    upper bound known before the cache is built. A problem over the budget, or
+    a budget of 0, shades the light group uncached, with bit-identical results.
     """
 
     memory_pairs: int = 8

@@ -129,7 +129,6 @@ def prepare_problem(scene: RenderScene, light_table: LightTable | None = None) -
     return _shading.prepare(
         scene.normal_map.mask,
         view,
-        scene.region_count,
         light_table.directions.reshape(-1, 3),
         light_table.weights.reshape(-1),
         None if scene.segmentation is None else scene.segmentation.region_ids,

@@ -2,7 +2,7 @@
 
 The solver shades the light group through a transfer cache when it fits its
 byte budget; a zero budget takes the uncached path. Worker threads only trade
-whole pixel chunks. Either way every output must come out bit-for-bit the
+whole pixel chunks (screen tiles). Either way every output must come out bit-for-bit the
 same.
 """
 
@@ -13,16 +13,16 @@ import gradshade as gs
 
 MODES = ("orthographic", "pinhole")
 SIDE = 20
-ENV_SHAPE = (24, 48)  # 1152 texels: two light blocks, the second one partial
+ENV_SHAPE = (24, 48)
 
 
-def two_region_scene(side, mode):
+def two_region_scene(side, mode, env_shape=ENV_SHAPE):
     nm = gs.sphere_normal_map(side)
     cols = np.broadcast_to(np.arange(side)[None, :] >= side // 2, nm.mask.shape)
     seg = gs.SegmentationMask(np.where(nm.mask, cols.astype(np.int32), -1), 2)
     presets = gs.preset_materials()
     cam = gs.Camera(mode, side, side, 50.0)
-    return gs.RenderScene(nm, cam, gs.default_blob_env(*ENV_SHAPE), (presets["glossy"], presets["matte"]), seg)
+    return gs.RenderScene(nm, cam, gs.default_blob_env(*env_shape), (presets["glossy"], presets["matte"]), seg)
 
 
 def two_region_problem(mode):
@@ -85,7 +85,7 @@ def test_solve_is_bit_identical_across_thread_counts(solved, threads):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_backward_is_bit_identical_across_thread_counts(mode):
-    scene = two_region_scene(40, mode)  # several pixel chunks per region
+    scene = two_region_scene(40, mode)  # several screen tiles per region
     rng = np.random.default_rng(3)
     upstream = rng.standard_normal(scene.normal_map.normals.shape)
     runs = [gs.backward(scene, upstream, threads=t) for t in (1, 2, 3)]
@@ -93,3 +93,13 @@ def test_backward_is_bit_identical_across_thread_counts(mode):
         assert g.d_normals.tobytes() == runs[0].d_normals.tobytes()
         assert g.d_env.tobytes() == runs[0].d_env.tobytes()
         assert g.d_materials.tobytes() == runs[0].d_materials.tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_backward_is_bit_identical_across_thread_counts_with_several_light_blocks(mode):
+    scene = two_region_scene(16, mode, (48, 96))  # 4608 texels: a tile lists several light blocks
+    upstream = np.random.default_rng(3).standard_normal(scene.normal_map.normals.shape)
+    runs = [gs.backward(scene, upstream, threads=t) for t in (1, 2, 3)]
+    for g in runs[1:]:
+        for name in ("d_normals", "d_env", "d_materials"):
+            assert getattr(g, name).tobytes() == getattr(runs[0], name).tobytes()

@@ -12,6 +12,7 @@ import pytest
 import oracles
 from conftest import random_material, random_scene
 import gradshade as gs
+from gradshade import _shading
 from gradshade.brdf import PARAM_COUNT, flat_index, material_from_raw
 from gradshade.core import NormalMap, view_direction_grid
 from gradshade.render import build_light_table, prepare_problem, render_linear
@@ -263,6 +264,57 @@ def test_backward_raises_where_render_overflows(group):
         gs.backward(hot_scene(), np.ones((8, 8, 3)), groups={group})
 
 
+def test_overflow_confined_to_unlit_pairs_does_not_raise():
+    """Lobes raise only where they are evaluated, and every lit pair is evaluated."""
+    raw = np.zeros(PARAM_COUNT)
+    for j, a in ((0, 0.5), (1, 0.5), (2, 0.5), (4, 1000.0), (5, 1000.0)):
+        raw[flat_index(0, 0, 0, j)] = a  # points 4 and 5 act only past theta_d = pi/4
+    n = np.zeros((8, 8, 3))
+    n[:, :, 2] = 1.0
+    # Camera-facing normals under an orthographic view: every lit pair has
+    # theta_d < pi/4, and every pair past it is unlit for the whole tile.
+    nm = NormalMap(n, np.ones((8, 8), dtype=bool))
+    scene = gs.RenderScene(nm, gs.Camera("orthographic", 8, 8), gs.default_blob_env(4, 8), (material_from_raw(raw),))
+    img = gs.render(scene).pixels
+    assert np.isfinite(img).all() and img.max() > 1.0
+    assert np.abs(img - oracles.render_scene(scene)).max() < 1e-10
+    grads = gs.backward(scene, np.ones((8, 8, 3)))
+    assert np.isfinite(grads.d_normals).all() and np.isfinite(grads.d_materials).all()
+
+
+def _listed_pairs(scene):
+    """Pairs the tile engine shades, and the most light blocks one chunk needs."""
+    problem = prepare_problem(scene)
+    normals = scene.normal_map.normals[scene.normal_map.mask]
+    pairs, most_blocks = 0, 0
+    with _shading._POOL.lease() as store:
+        for region, ci in problem.chunks:
+            tiles = _shading._tiles(problem, normals, ci, store, scene.materials[region].control_points)
+            sizes = [tile.ell.size for tile in tiles]
+            pairs += sum(sizes)
+            most_blocks = max(most_blocks, len(sizes))
+    return problem, normals, pairs, most_blocks
+
+
+def _glossy_sphere(side, env_shape):
+    cam = gs.Camera("orthographic", side, side)
+    return gs.RenderScene(gs.sphere_normal_map(side), cam, gs.default_blob_env(*env_shape), (gs.preset_materials()["glossy"],))
+
+
+@pytest.mark.parametrize("side, env_shape, share", [(128, (64, 128), 0.55), (32, (16, 32), 0.67)])
+def test_screen_tiles_shade_only_their_lit_lights(side, env_shape, share):
+    """The criterion-10 and criterion-4 scenes shade a bounded share of all pixel-light pairs."""
+    problem, normals, pairs, _ = _listed_pairs(_glossy_sphere(side, env_shape))
+    assert 0 < pairs <= share * problem.pixel_count * problem.light_count
+    if side == 32:  # the transfer cache stores exactly the shaded pairs, 3 float64 each
+        assert _shading.build_transfer(problem, normals, _glossy_sphere(side, env_shape).materials).nbytes == 24 * pairs
+
+
+def test_a_tile_can_list_several_light_blocks():
+    """Premise of the multi-block thread test in tests/test_contracts.py."""
+    assert _listed_pairs(_glossy_sphere(16, (48, 96)))[3] > 1
+
+
 def test_scene_validation_catches_mismatches(sphere_scene):
     nm = sphere_scene.normal_map
     with pytest.raises(ValueError):
@@ -280,9 +332,7 @@ def test_render_is_deterministic_across_thread_counts(sphere_scene):
 
 
 def test_scratch_pool_stops_growing_after_the_largest_tiles(monkeypatch):
-    """Scratch buffers are keyed by name: scenes with new chunk tails reuse them."""
-    from gradshade import _shading
-
+    """Scratch buffers are keyed by name: scenes with new edge tiles reuse them."""
     pool = _shading._ScratchPool()
     monkeypatch.setattr(_shading, "_POOL", pool)
     env = gs.default_blob_env(32, 64)  # 2048 texels: two full light blocks
@@ -297,10 +347,10 @@ def test_scratch_pool_stops_growing_after_the_largest_tiles(monkeypatch):
             return sum(a.nbytes for a in store.values())
 
     for mode in ("orthographic", "pinhole"):
-        render_sphere(40, mode)  # full 256-pixel chunks and full light blocks
+        render_sphere(40, mode)  # full 64-pixel tiles and full light blocks
     largest = pool_bytes()
     assert largest > 0
-    for side in range(41, 47):  # every side leaves a different chunk tail
+    for side in range(41, 47):  # every side cuts its edge tiles differently
         render_sphere(side, "orthographic")
     render_sphere(33, "pinhole")
     assert pool_bytes() == largest
