@@ -304,7 +304,7 @@ def _shaded(problem, normals, materials, transfer, j, store):
 
 
 def _run_tasks(fn, problem, threads):
-    """fn(j) for every chunk j, yielded in chunk order as the results arrive."""
+    """fn(j) for every chunk j, yielded in chunk order; callers reduce without holding every result."""
     tasks = range(len(problem.chunks))
     if threads <= 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
@@ -343,8 +343,9 @@ def build_transfer(problem, normals, materials, *, threads=1) -> TransferCache:
         with _POOL.lease() as store:
             for lights, k, fc in _shaded(problem, normals, materials, None, j, store):
                 if k == 0:
-                    blocks.append((lights, np.empty((3,) + fc.shape)))
-                blocks[-1][1][k] = fc
+                    block = np.empty((3,) + fc.shape)
+                    blocks.append((lights, block))
+                block[k] = fc
         return tuple(blocks)
 
     return TransferCache(blocks=tuple(_run_tasks(run, problem, threads)))

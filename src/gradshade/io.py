@@ -135,6 +135,7 @@ def _unfilter(raw: bytes, h: int, w: int, channels: int, bit_depth: int) -> np.n
             # a sequential loop, run on Python ints, which beat numpy scalars.
             cur, up = line.tolist(), prev.tolist()
             row = bytearray(stride)
+            # the first pixel has no left neighbours (a = c = 0): both predict from b alone
             row[:bpp] = bytes((c + (b >> 1 if ftype == 3 else b)) & 255 for c, b in zip(cur[:bpp], up))
             if ftype == 3:  # Average
                 for i in range(bpp, stride):

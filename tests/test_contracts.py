@@ -2,8 +2,8 @@
 
 The solver shades the light group through a transfer cache when it fits its
 byte budget; a zero budget takes the uncached path. Worker threads only trade
-whole pixel chunks (screen tiles). Either way every output must come out bit-for-bit the
-same.
+whole pixel chunks (screen tiles). Either way every output must come out
+bit-for-bit the same.
 """
 
 import numpy as np

@@ -303,7 +303,7 @@ def _glossy_sphere(side, env_shape):
 
 @pytest.mark.parametrize("side, env_shape, share", [(128, (64, 128), 0.55), (32, (16, 32), 0.67)])
 def test_screen_tiles_shade_only_their_lit_lights(side, env_shape, share):
-    """The criterion-10 and criterion-4 scenes shade a bounded share of all pixel-light pairs."""
+    """The criterion-10 scene, and the 32² scene of the criterion-4 target, shade a bounded share of their pairs."""
     problem, normals, pairs, _ = _listed_pairs(_glossy_sphere(side, env_shape))
     assert 0 < pairs <= share * problem.pixel_count * problem.light_count
     if side == 32:  # the transfer cache stores exactly the shaded pairs, 3 float64 each
