@@ -49,16 +49,18 @@ light lists and all reduction orders are fixed, so outputs are bit-identical
 for any worker count and with or without the transfer cache: threads only
 trade whole chunks and per-chunk partial sums are combined in chunk order.
 
-Pixel powers use expm1(b * log(base)) + 1, which is exact to a few ulp except
-for results tiny enough (< ~1e-12) to be negligible in the light sum, and is
-uniformly fast where np.power is not. Every consumer evaluates the lobes
-through ``_lobes``, so forward, backward and the transfer cache raise
-ShadingOverflowError on the same scenes.
+Pixel powers t = base ** b are exp(b * log(base)): one pass of numpy's
+vectorized exp, a few ulp from the exact power with nothing to cancel, and
+uniformly fast where np.power is not. The lobe values exp(a * t) - 1 use
+expm1, which keeps small values exact to a few ulp where exp(...) - 1 would
+cancel. Every consumer evaluates the lobes through ``_lobes``, so forward,
+backward and the transfer cache raise ShadingOverflowError on the same scenes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -187,7 +189,7 @@ class _Tile(NamedTuple):
     curves: np.ndarray  # (3, 3, 2, V, B) coefficient curves
     base: np.ndarray
     litv: np.ndarray | None  # only for normal gradients: 1(n . omega > 0) on valid pairs
-    gate: np.ndarray | None  # 1(EPS_BASE < h . n < 1) / |omega + v|: base moves with n there
+    gate: np.ndarray | None  # cmax * 1(EPS_BASE < h . n < 1) / (|omega + v| * base): base moves with n there
 
 
 def _tiles(problem, normals, ci, store, ctrl, *, geometry=False):
@@ -245,6 +247,8 @@ def _tiles(problem, normals, ci, store, ctrl, *, geometry=False):
             np.multiply(ndl > 0.0, valid, out=litv)
             gate = _buf(store, "gate", shape)
             np.multiply((hdn > EPS_BASE) & (hdn < 1.0), rlen, out=gate)
+            gate *= cmaxv
+            gate /= base
         curves = _buf(store, "curves", (18, basis.shape[0] * basis.shape[1]))
         np.matmul(ctrl.reshape(18, 6), basis.reshape(-1, 6).T, out=curves)
         yield _Tile(lights, cmaxv, ell, basis, curves.reshape((3, 3, 2) + vshape), base, litv, gate)
@@ -253,7 +257,7 @@ def _tiles(problem, normals, ci, store, ctrl, *, geometry=False):
 def _lobes(problem, ci, tile, k, f, t, x_next):
     """Evaluate the three lobes of channel k on a tile into f = sum_s x.
 
-    Yields (a, b, t, x) per lobe, with t = base ** b = expm1(b * ell) + 1 and
+    Yields (a, b, t, x) per lobe, with t = base ** b = exp(b * ell) and
     x = expm1(a * t), in the buffers ``t`` and ``x_next`` (``f`` for the first
     lobe); ``x_next`` may be ``t`` when the caller needs no t. After the last
     lobe it raises ShadingOverflowError if f left the finite range. The check
@@ -267,8 +271,7 @@ def _lobes(problem, ci, tile, k, f, t, x_next):
         a_row, b_row = tile.curves[k, s, 0], tile.curves[k, s, 1]
         x = f if s == 0 else x_next
         np.multiply(tile.ell, b_row, out=t)
-        np.expm1(t, out=t)
-        t += 1.0
+        np.exp(t, out=t)
         np.multiply(t, a_row, out=x)
         np.expm1(x, out=x)
         if s > 0:
@@ -303,13 +306,22 @@ def _shaded(problem, normals, materials, transfer, j, store):
             yield tile.lights, k, f
 
 
+def _light_values(fc, u_k, weights):
+    """One channel's light adjoint from a contiguous (C, B) f * cmax; cached and fresh blocks share it, bit for bit."""
+    return np.einsum("cb,c->b", fc, u_k) * weights
+
+
 def _run_tasks(fn, problem, threads):
-    """fn(j) for every chunk j, yielded in chunk order; callers reduce without holding every result."""
+    """fn(j) for every chunk j, yielded in chunk order; callers reduce without holding every result.
+
+    At most min(threads, chunks, cpu count) workers run; outputs do not depend on it.
+    """
     tasks = range(len(problem.chunks))
-    if threads <= 1 or len(tasks) <= 1:
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         yield from map(fn, tasks)
         return
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    with ThreadPoolExecutor(max_workers=workers) as ex:
         yield from ex.map(fn, tasks)
 
 
@@ -354,84 +366,93 @@ def build_transfer(problem, normals, materials, *, threads=1) -> TransferCache:
 def _backward_chunk(problem, normals, material, env_lw, u_c, groups, ci):
     """Adjoints for one chunk.
 
-    Returns (dn_block, denv_partial, dm_partial). dn_block is (C, 3); the
-    partials cover the whole light table / material vector and are reduced in
-    chunk order by the caller.
+    Returns (dn_block, light_partials, dm_partial). dn_block is (C, 3);
+    light_partials holds one (lights, (B, 3) values) pair per tile, so it
+    covers only the chunk's listed lights, which are unique across its tiles;
+    dm_partial covers the material vector. The caller adds both partials in
+    chunk order.
+
+    Factors of a whole tile, channel or (V, B) row are applied once there, not
+    once per lobe: e * t is shared by the normal and material branches, a * b
+    is one row, ``tile.gate`` already holds cmax / base, cmax * u_k is one
+    array per channel and L_k w goes into the light directions.
     """
     want_n = "normal" in groups
     want_l = "light" in groups
     want_m = "material" in groups
-    need_e = want_n or want_m
 
     dn = np.zeros((ci.shape[0], 3)) if want_n else None
-    denv = np.zeros((problem.light_count, 3)) if want_l else None
+    dlight = [] if want_l else None
     dm = np.zeros((3, 3, 2, 6)) if want_m else None
     view_c = problem.view_rows(ci)
 
     with _POOL.lease() as store:
         for tile in _tiles(problem, normals, ci, store, material.control_points, geometry=want_n):
-            lights, cmaxv, ell = tile.lights, tile.cmaxv, tile.ell
-            dirs_l = problem.dirs[lights]
-            shape = ell.shape
-            e = _buf(store, "bw_e", shape)
-            m = _buf(store, "bw_m", shape)
+            lights, cmaxv = tile.lights, tile.cmaxv
+            shape = cmaxv.shape
             f = _buf(store, "bw_f", shape)
-            t_buf = _buf(store, "bw_t", shape)
-            x_buf = _buf(store, "bw_x", shape)
+            t = _buf(store, "bw_t", shape)
+            x = _buf(store, "bw_x", shape)
+            et = _buf(store, "bw_e", shape) if want_n or want_m else None
             dacc = _buf(store, "bw_d", shape) if want_n else None
+            cu = _buf(store, "bw_cu", shape) if want_m else None
+            if want_n:
+                dirs_l = problem.dirs[lights]
+            if want_l:
+                values = np.empty((lights.size, 3))
+                dlight.append((lights, values))
 
             for k in range(3):
                 lw_k = env_lw[lights, k]
-                for s, (a_row, b_row, t, x) in enumerate(_lobes(problem, ci, tile, k, f, t_buf, x_buf)):
-                    if need_e:
-                        np.add(x, 1.0, out=e)  # e = exp(a * t)
+                if want_m:
+                    np.multiply(cmaxv, u_c[:, k : k + 1], out=cu)
+                    if tile.basis.shape[0] > 1:  # see _accumulate_material
+                        cu *= lw_k
+                for s, (a_row, b_row, _, x_s) in enumerate(_lobes(problem, ci, tile, k, f, t, x)):
+                    if et is not None:
+                        np.add(x_s, 1.0, out=et)  # e = exp(a * t)
+                        et *= t  # t is free from here on
                     if want_n:
-                        np.multiply(e, t, out=m)
-                        m *= a_row
-                        m *= b_row
-                        m /= tile.base
-                        if s == 0:
-                            dacc[:] = m
-                        else:
-                            dacc += m
+                        np.multiply(et, a_row * b_row, out=dacc if s == 0 else t)
+                        if s > 0:
+                            dacc += t
                     if want_m:
-                        np.multiply(e, t, out=m)
-                        m *= cmaxv
-                        m *= u_c[:, k : k + 1]
-                        _accumulate_material(dm, k, s, m, ell, a_row, lw_k, tile.basis)
+                        _accumulate_material(dm[k, s], et, cu, t, tile.ell, a_row, lw_k, tile.basis)
                 if want_l:
-                    np.multiply(f, cmaxv, out=m)
-                    denv[lights, k] += np.einsum("cb,c->b", m, u_c[:, k]) * problem.weights[lights]
+                    np.multiply(f, cmaxv, out=t)
+                    values[:, k] = _light_values(t, u_c[:, k], problem.weights[lights])
                 if want_n:
-                    np.multiply(f, tile.litv, out=m)
-                    g1 = m @ (lw_k[:, None] * dirs_l)
-                    g1 *= u_c[:, k : k + 1]
-                    dn += g1
-                    np.multiply(dacc, cmaxv, out=m)
-                    m *= tile.gate
-                    m *= lw_k
-                    # sum_b m h = sum_b (m / |omega + v|) (omega + v); gate holds the 1 / |omega + v|
-                    g2 = m @ dirs_l
-                    g2 += m.sum(axis=1)[:, None] * view_c
-                    g2 *= u_c[:, k : k + 1]
-                    dn += g2
-    return dn, denv, dm
+                    lw_dirs = lw_k[:, None] * dirs_l
+                    np.multiply(f, tile.litv, out=t)
+                    g = t @ lw_dirs
+                    # sum_b m h = sum_b (m / |omega + v|) (omega + v); the gate holds the 1 / |omega + v|
+                    dacc *= tile.gate
+                    g += dacc @ lw_dirs
+                    g += (dacc @ lw_k)[:, None] * view_c
+                    g *= u_c[:, k : k + 1]
+                    dn += g
+    return dn, dlight, dm
 
 
-def _accumulate_material(dm, k, s, m, ell, a_row, lw_k, basis):
-    """Add one tile's contribution to d/d(control points) of channel k, lobe s.
+def _accumulate_material(dm_ks, et, cu, tmp, ell, a_row, lw_k, basis):
+    """Add one tile's contribution to d/d(control points) of one lobe of one channel.
 
-    ``m`` arrives as exp(a t) * t * cmax * u_k per pair and is consumed in
-    place; the second coefficient adds the a * ln(base) factor. An
-    orthographic basis is (1, B, 6), shared by every pixel, so the pixels are
-    summed first.
+    The pair weight is m = e * t * cu, with e = exp(a t) and cu = cmax * u_k,
+    times L_k w for a pinhole basis; the second coefficient adds the
+    a * ln(base) factor. An orthographic basis is (1, B, 6), shared by every
+    pixel, so the pixels are summed first, without forming m, and a and L_k w
+    scale the (B,) sums. A pinhole basis is (C, B, 6); m is formed in ``tmp``.
     """
-    for c in range(2):
-        if c == 1:
-            m *= a_row
-            m *= ell
-        w = m.sum(axis=0, keepdims=True) if basis.shape[0] == 1 else m
-        dm[k, s, c] += (w * lw_k).reshape(-1) @ basis.reshape(-1, 6)
+    if basis.shape[0] == 1:
+        dm_ks[0] += (np.einsum("cb,cb->b", et, cu) * lw_k) @ basis[0]
+        dm_ks[1] += (np.einsum("cb,cb,cb->b", et, cu, ell) * a_row[0] * lw_k) @ basis[0]
+        return
+    basis = basis.reshape(-1, 6)
+    m = np.multiply(et, cu, out=tmp)
+    dm_ks[0] += m.reshape(-1) @ basis
+    m *= a_row
+    m *= ell
+    dm_ks[1] += m.reshape(-1) @ basis
 
 
 def backward(problem, normals, materials, env_flat, upstream, groups, *, threads=1, transfer=None):
@@ -455,19 +476,22 @@ def backward(problem, normals, materials, env_flat, upstream, groups, *, threads
         if transfer is None:
             return ci, region, _backward_chunk(problem, normals, materials[region], env_lw, u_c, groups, ci)
         # Light-only fast path: contributions are frozen.
-        denv = np.zeros((problem.light_count, 3))
+        dlight = []
         for lights, k, fc in _shaded(problem, normals, materials, transfer, j, None):
-            denv[lights, k] += np.einsum("cb,c->b", fc, u_c[:, k]) * problem.weights[lights]
-        return ci, region, (None, denv, None)
+            if k == 0:
+                values = np.empty((lights.size, 3))
+                dlight.append((lights, values))
+            values[:, k] = _light_values(fc, u_c[:, k], problem.weights[lights])
+        return ci, region, (None, dlight, None)
 
     dn_all = np.zeros((problem.pixel_count, 3)) if "normal" in groups else None
     denv_all = np.zeros((problem.light_count, 3)) if "light" in groups else None
     dm_all = [np.zeros((3, 3, 2, 6)) for _ in materials] if "material" in groups else None
-    for ci, region, (dn, denv, dm) in _run_tasks(run, problem, threads):
+    for ci, region, (dn, dlight, dm) in _run_tasks(run, problem, threads):
         if dn is not None:
             dn_all[ci] = dn
-        if denv is not None:
-            denv_all += denv
+        for lights, values in dlight or ():
+            denv_all[lights] += values
         if dm is not None:
             dm_all[region] += dm
     return dn_all, denv_all, dm_all

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import gradshade as gs
+from gradshade import _shading
+from gradshade.render import prepare_problem
 
 MODES = ("orthographic", "pinhole")
 SIDE = 20
@@ -103,3 +105,32 @@ def test_backward_is_bit_identical_across_thread_counts_with_several_light_block
     for g in runs[1:]:
         for name in ("d_normals", "d_env", "d_materials"):
             assert getattr(g, name).tobytes() == getattr(runs[0], name).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [4, 64, None])
+def test_worker_count_is_clamped(monkeypatch, cpus):
+    """min(threads, chunks, cpu count) workers: a huge ``threads`` never asks for a huge pool."""
+    sizes = []
+
+    class RecordingExecutor:  # records the pool size and runs the chunks in this thread
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(_shading, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(_shading.os, "cpu_count", lambda: cpus)
+    scene = two_region_scene(SIDE, "orthographic")
+    chunks = len(prepare_problem(scene).chunks)
+    assert 4 < chunks < 64
+    base = gs.render(scene, threads=1).pixels
+    assert sizes == []
+    assert gs.render(scene, threads=10**6).pixels.tobytes() == base.tobytes()
+    assert sizes == ([] if cpus is None else [min(cpus, chunks)])  # an unknown cpu count runs serially

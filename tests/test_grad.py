@@ -5,14 +5,18 @@ is essentially exact; normal and material groups carry the usual central
 difference truncation error and get a looser gate.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_material, random_normal_map, random_scene
 import gradshade as gs
+from gradshade import _shading
 from gradshade.brdf import PARAM_COUNT, material_from_raw
+from gradshade.core import NormalMap
 from gradshade.grad import ALL_GROUPS, fd_check
-from gradshade.render import render_linear
+from gradshade.render import prepare_problem, render_linear
 
 # Criterion-1 gates: the light group is exactly linear, the others carry
 # central-difference truncation error.
@@ -189,3 +193,72 @@ def test_groups_subset_returns_only_requested(sphere_scene):
     assert g.d_env is not None and g.d_env.any()
     assert g.d_normals is None and g.d_materials is None
     assert frozenset(ALL_GROUPS) == {"light", "normal", "material"}
+
+
+def _engine_args(scene, rng):
+    """The foreground-stream arguments of _shading.forward/backward for a scene."""
+    mask = scene.normal_map.mask
+    upstream = rng.standard_normal((int(mask.sum()), 3))
+    return prepare_problem(scene), scene.normal_map.normals[mask], scene.env.radiance.reshape(-1, 3), upstream
+
+
+@pytest.mark.parametrize("mode", ["orthographic", "pinhole"])
+def test_light_adjoint_is_bit_identical_across_paths(rng, mode):
+    """Light-only, all-groups and transfer-cache light adjoints reduce the same f * cmax arrays the same way.
+
+    The solver's bit-identity with and without its transfer cache rests on this.
+    """
+    scene = random_two_region_scene(rng, 16, 24, 48, mode)  # 1152 texels: some tiles list two light blocks
+    problem, normals, env, upstream = _engine_args(scene, rng)
+    mats = scene.materials
+    light = _shading.backward(problem, normals, mats, env, upstream, {"light"})[1]
+    every = _shading.backward(problem, normals, mats, env, upstream, _shading.GROUPS)[1]
+    transfer = _shading.build_transfer(problem, normals, mats)
+    cached = _shading.backward(problem, normals, mats, env, upstream, {"light"}, transfer=transfer)[1]
+    assert light.any()
+    assert every.tobytes() == light.tobytes()
+    assert cached.tobytes() == light.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["orthographic", "pinhole"])
+def test_fd_check_with_one_pixel_chunks(rng, mode):
+    """Chunks of a single pixel, where a pinhole basis has one row like an orthographic one."""
+    n = random_normal_map(rng, 20, 20, coverage=1.0).normals.copy()
+    mask = np.zeros((20, 20), dtype=bool)
+    mask[[3, 3, 12, 19], [4, 13, 18, 2]] = True  # four pixels, each alone in its 8x8 screen tile
+    n[~mask] = 0.0
+    env = gs.EnvironmentMap(rng.gamma(1.0, 1.0, (6, 12, 3)))
+    scene = gs.RenderScene(NormalMap(n, mask), gs.Camera(mode, 20, 20, 55.0), env, (random_material(rng),))
+    assert {ci.size for _, ci in prepare_problem(scene).chunks} == {1}
+    for group, gate in FD_GATES.items():
+        step = 1.0 if group == "light" else None
+        rep = fd_check(scene, group, step=step, trials=12, seed=31)
+        assert rep.max_rel_error < gate, (group, rep.worst_coordinate)
+
+
+def test_backward_chunk_memory_does_not_grow_with_the_env(monkeypatch):
+    """A chunk's working allocations stay within a light block; its light partial holds only its listed lights.
+
+    Both env sizes make a tile list full LIGHT_BLOCK blocks, so the per-block
+    arrays have the same size and only the light table differs, 4x.
+    """
+    monkeypatch.setattr(_shading, "_POOL", _shading._ScratchPool())  # one store, sized by the warm-up call
+    working = []
+    for env_shape in ((64, 128), (128, 256)):
+        cam = gs.Camera("orthographic", 16, 16)
+        scene = gs.RenderScene(gs.sphere_normal_map(16), cam, gs.default_blob_env(*env_shape), (gs.preset_materials()["glossy"],))
+        problem, normals, env, upstream = _engine_args(scene, np.random.default_rng(9))
+        region, ci = problem.chunks[0]
+        args = (problem, normals, scene.materials[region], env * problem.weights[:, None], upstream[ci], _shading.GROUPS, ci)
+        _shading._backward_chunk(*args)
+        tracemalloc.start()
+        try:
+            _, partials, _ = _shading._backward_chunk(*args)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        working.append(peak - held)
+        listed = np.concatenate([lights for lights, _ in partials])
+        assert np.unique(listed).size == listed.size < problem.light_count
+        assert all(values.shape == (lights.size, 3) for lights, values in partials)
+    assert working[1] <= 1.05 * working[0], working
