@@ -14,7 +14,9 @@ non-increasing. Normal gradients are projected to each normal's tangent plane
 before entering the L-BFGS update.
 
 Materials are optimized in their normalized [-0.95, 0.95] coordinates so all
-three groups move on comparable scales.
+three groups move on comparable scales. Gradients are lazy: the objective runs
+the forward pass and returns a function for the backward pass, which L-BFGS
+calls only at accepted points.
 """
 
 from __future__ import annotations
@@ -171,29 +173,32 @@ class _Objective:
         )
 
     def __call__(self, normals, materials, env, groups=frozenset(), *, transfer=None):
-        """Value and (d_normals, d_env, d_materials) for ``groups`` at one state.
+        """Value at one state, and ``gradients()``, which runs the backward pass.
 
-        Material gradients are flat rows in the normalized coordinates the
-        solver moves in (chain rule through the affine range codec); groups
-        not asked for come back as None.
+        ``gradients()`` reuses this forward's residual and returns (d_normals,
+        d_env, d_materials) for ``groups``: material rows in the normalized
+        coordinates the solver moves in (chain rule through the affine range
+        codec), None for groups not asked for.
         """
         img = _shading.forward(self.shading, normals, materials, env, threads=self.threads, transfer=transfer)
         r = img - self.target
         n_diff = normals - self.n_prior
         env_diff = env - self.env_prior
         value = float(np.sum(r * r)) + self.a * float(np.sum(n_diff * n_diff)) + self.b * float(np.sum(env_diff * env_diff))
-        if not groups:
-            return value, None, None, None
-        dn, denv, dms = _shading.backward(
-            self.shading, normals, materials, env, 2.0 * r, groups, threads=self.threads, transfer=transfer
-        )
-        if dn is not None:
-            dn += 2.0 * self.a * n_diff
-        if denv is not None:
-            denv += 2.0 * self.b * env_diff
-        if dms is not None:
-            dms = [dm.reshape(-1) * ((m.hi - m.lo) / (2.0 * NORM_LIMIT)) for m, dm in zip(materials, dms)]
-        return value, dn, denv, dms
+
+        def gradients():
+            dn, denv, dms = _shading.backward(
+                self.shading, normals, materials, env, 2.0 * r, groups, threads=self.threads, transfer=transfer
+            )
+            if dn is not None:
+                dn += 2.0 * self.a * n_diff
+            if denv is not None:
+                denv += 2.0 * self.b * env_diff
+            if dms is not None:
+                dms = [dm.reshape(-1) * ((m.hi - m.lo) / (2.0 * NORM_LIMIT)) for m, dm in zip(materials, dms)]
+            return dn, denv, dms
+
+        return value, gradients
 
 
 def objective(problem: InverseProblem, state: SceneState, *, threads: int = 1):
@@ -204,9 +209,10 @@ def objective(problem: InverseProblem, state: SceneState, *, threads: int = 1):
     """
     scene = RenderScene(state.normal_map, problem.camera, state.env, tuple(state.materials), problem.segmentation)
     mask = scene.normal_map.mask
-    value, dn, denv, dms = _Objective.of(problem, scene, threads)(
+    value, gradients = _Objective.of(problem, scene, threads)(
         state.normal_map.normals[mask], scene.materials, state.env.radiance.reshape(-1, 3), problem.free_groups
     )
+    dn, denv, dms = gradients()
     d_normals = d_env = d_materials = None
     if dn is not None:
         d_normals = np.zeros_like(state.normal_map.normals)
@@ -231,6 +237,8 @@ class LbfgsResult:
     converged: bool
     stop_reason: str
     trace: list = field(default_factory=list)  # (value, grad_inf_norm) per accepted step
+    evaluations: int = 0  # value calls of ``fun``, x0 included
+    gradient_evaluations: int = 0  # gradients taken: x0 and each accepted point
 
 
 def _two_loop(g, pairs):
@@ -261,12 +269,15 @@ def lbfgs_minimize(
 ) -> LbfgsResult:
     """Two-loop-recursion L-BFGS with Armijo backtracking.
 
-    ``fun(x) -> (value, gradient)``. Optional ``project`` maps trial points
-    back to the feasible set before evaluation (the Armijo test then uses the
-    actual displacement), and ``grad_transform(x, g)`` filters gradients (e.g.
-    tangent-plane projection) before they enter stopping tests and curvature
-    pairs. Raises LineSearchError only when no acceptable step exists at the
-    first iterate; later failures return the best point found.
+    ``fun(x) -> (value, gradient)``, where the gradient is an array or a
+    zero-argument function returning one. A function is called only at x0 and
+    at accepted points, so a rejected trial costs only its value. Optional
+    ``project`` maps trial points back to the feasible set before evaluation
+    (the Armijo test then uses the actual displacement), and
+    ``grad_transform(x, g)`` filters gradients (e.g. tangent-plane projection)
+    before they enter stopping tests and curvature pairs. Raises
+    LineSearchError only when no acceptable step exists at the first iterate;
+    later failures return the best point found.
     """
     x = np.array(x0, dtype=np.float64)
     if project is not None:
@@ -275,12 +286,14 @@ def lbfgs_minimize(
         max_iters = config.inner_iters_per_group
 
     f, g = fun(x)
+    g = g() if callable(g) else g
     if grad_transform is not None:
         g = grad_transform(x, g)
     ginf = float(np.abs(g).max(initial=0.0))
     pairs: list = []
     trace: list = []
-    result = LbfgsResult(x=x, value=f, grad=g, iterations=0, converged=False, stop_reason="iteration_cap", trace=trace)
+    result = LbfgsResult(x=x, value=f, grad=g, iterations=0, converged=False, stop_reason="iteration_cap", trace=trace,
+                         evaluations=1, gradient_evaluations=1)
 
     for it in range(1, max_iters + 1):
         if ginf < config.grad_tol:
@@ -300,6 +313,7 @@ def lbfgs_minimize(
             if project is not None:
                 x_t = project(x_t)
             f_t, g_t = fun(x_t)
+            result.evaluations += 1
             step = x_t - x
             if f_t < f and f_t <= f + config.armijo_c * float(g @ step):
                 accepted = True
@@ -311,6 +325,8 @@ def lbfgs_minimize(
             result.stop_reason = "line_search"
             break
 
+        g_t = g_t() if callable(g_t) else g_t
+        result.gradient_evaluations += 1
         if grad_transform is not None:
             g_t = grad_transform(x_t, g_t)
         s = x_t - x
@@ -401,8 +417,8 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
         for group in order:
             if group == "normal":
                 def fun(x):
-                    val, dn, _, _ = obj(np.ascontiguousarray(x.reshape(-1, 3)), mats, env, {"normal"})
-                    return val, dn.ravel()
+                    val, grads = obj(np.ascontiguousarray(x.reshape(-1, 3)), mats, env, {"normal"})
+                    return val, lambda: grads()[0].ravel()
 
                 x0, project, transform = n_fg.ravel(), _project_normals, _tangent_gradient
             elif group == "light":
@@ -411,16 +427,16 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
                     transfer = _shading.build_transfer(shading, n_fg, mats, threads=obj.threads)
 
                 def fun(x, transfer=transfer):
-                    val, _, denv, _ = obj(n_fg, mats, np.ascontiguousarray(x.reshape(-1, 3)), {"light"}, transfer=transfer)
-                    return val, denv.ravel()
+                    val, grads = obj(n_fg, mats, np.ascontiguousarray(x.reshape(-1, 3)), {"light"}, transfer=transfer)
+                    return val, lambda: grads()[1].ravel()
 
                 x0, project, transform = env.ravel(), lambda x: np.maximum(x, 0.0), None
             else:
                 def fun(x):
                     xs = x.reshape(len(mats), -1)
                     mats_new = [denormalize_params(xs[i], mats[i].lo, mats[i].hi, mats[i].name) for i in range(len(mats))]
-                    val, _, _, dms = obj(n_fg, mats_new, env, {"material"})
-                    return val, np.concatenate(dms)
+                    val, grads = obj(n_fg, mats_new, env, {"material"})
+                    return val, lambda: np.concatenate(grads()[2])
 
                 x0 = np.concatenate([normalize_params(m) for m in mats])
                 project = lambda x: np.clip(x, -NORM_LIMIT, NORM_LIMIT)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_material
 import gradshade as gs
+from gradshade import _shading
 from gradshade.brdf import PARAM_COUNT, material_from_raw, normalize_params
 from gradshade.core import NormalMap
 from gradshade.invert import (
@@ -145,6 +146,39 @@ def test_lbfgs_projection_hook_keeps_feasible(rng):
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
 
 
+def test_lbfgs_takes_gradients_only_at_accepted_points(rng):
+    # the quartic bowl backtracks from a start in [-2, 2]^8, so some trials are
+    # rejected; each gradient function records the trial it belongs to
+    trials, graded = [], []
+
+    def value(x):
+        return float(np.sum(x**4) + np.sum(x**2))
+
+    def fg(x):
+        i = len(trials)
+        trials.append(x.copy())
+
+        def gradient():
+            graded.append(i)
+            return 4.0 * x**3 + 2.0 * x
+
+        return value(x), gradient
+
+    x0 = rng.uniform(-2, 2, 8)
+    accepted = []
+    res = lbfgs_minimize(fg, x0, TIGHT, max_iters=40, callback=lambda i, v, g, x: accepted.append(x.copy()))
+    assert res.iterations > 0
+    assert res.evaluations == len(trials) > res.iterations + 1  # it backtracked
+    assert res.gradient_evaluations == res.iterations + 1 == len(graded)
+    # x0 first, then each accepted iterate in order, so no rejected trial's gradient
+    assert graded[0] == 0
+    assert all(np.array_equal(trials[i], x) for i, x in zip(graded[1:], accepted, strict=True))
+    # an eager gradient takes the very same steps
+    eager = lbfgs_minimize(lambda x: (value(x), 4.0 * x**3 + 2.0 * x), x0, TIGHT, max_iters=40)
+    assert np.array_equal(eager.x, res.x) and eager.trace == res.trace
+    assert (eager.evaluations, eager.gradient_evaluations) == (res.evaluations, res.gradient_evaluations)
+
+
 # ---------------------------------------------------------------------------
 # objective
 
@@ -257,6 +291,33 @@ def test_solve_trace_is_monotone_across_groups(rng):
     assert res.final_objective < res.initial_objective
     groups_seen = {t.group for t in res.trace}
     assert groups_seen.issubset({"normal", "light", "material"})
+
+
+def test_solve_runs_one_backward_per_group_run_and_accepted_step(monkeypatch):
+    prob_gt = make_problem()
+    prob = InverseProblem(
+        target=prob_gt.target,
+        normal_map=prob_gt.normal_map,
+        env=gs.EnvironmentMap(prob_gt.env.radiance * 1.15),
+        materials=prob_gt.materials,
+        camera=prob_gt.camera,
+    )
+    counts = {"forward": 0, "backward": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(_shading, "forward", counting("forward", _shading.forward))
+    monkeypatch.setattr(_shading, "backward", counting("backward", _shading.backward))
+    res = solve(prob, OptimizerConfig(max_cycles=3, inner_iters_per_group=8))
+    assert len(res.trace) > 0
+    # x0 of every group run, then one per accepted step; rejected trials cost a forward only
+    assert counts["backward"] == res.cycles * 3 + len(res.trace)
+    assert counts["forward"] > counts["backward"] + 1
 
 
 def test_solve_respects_free_groups():
