@@ -182,10 +182,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     normal_map = sphere_normal_map(args.resolution)
     env = default_blob_env(args.env_height, 2 * args.env_height)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_normal_png16(out / "sphere_normals.png", normal_map)
     write_pfm(out / "env.pfm", env.radiance)
     ids = np.where(normal_map.mask, 0, BACKGROUND_REGION).astype(np.int32)

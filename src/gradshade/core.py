@@ -149,6 +149,8 @@ class EnvironmentMap:
         rad = np.ascontiguousarray(self.radiance, dtype=np.float64)
         if rad.ndim != 3 or rad.shape[2] != 3:
             raise ValueError(f"radiance must have shape (H, W, 3), got {rad.shape}")
+        if rad.size == 0:
+            raise ValueError(f"radiance must have at least one texel, got shape {rad.shape}")
         if not np.isfinite(rad).all():
             raise ValueError("radiance contains non-finite values")
         if rad.min(initial=0.0) < 0.0:

@@ -5,13 +5,12 @@ which makes these the inputs of choice for tests and demos.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import spline
 from .brdf import DsbrdfMaterial, flat_index, material_from_raw
 from .core import EnvironmentMap, NormalMap, normalize
+from .render import build_light_table
 
 
 def sphere_mask_normals(resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -53,15 +52,9 @@ def gaussian_blob_env(height: int, width: int, blobs) -> EnvironmentMap:
 
     ``blobs`` is a sequence of (direction, sigma, rgb): each adds
     rgb * exp(-angle(dir, texel)^2 / (2 sigma^2)) to every texel, with sigma
-    in radians.
+    in radians. Texel directions are those of ``render.build_light_table``.
     """
-    theta = (np.arange(height) + 0.5) / height * math.pi
-    phi = (np.arange(width) + 0.5) / width * (2.0 * math.pi)
-    sin_t = np.sin(theta)
-    dirs = np.empty((height, width, 3))
-    dirs[:, :, 0] = sin_t[:, None] * np.cos(phi)[None, :]
-    dirs[:, :, 1] = np.cos(theta)[:, None]
-    dirs[:, :, 2] = sin_t[:, None] * np.sin(phi)[None, :]
+    dirs = build_light_table(height, width).directions
     radiance = np.zeros((height, width, 3))
     for direction, sigma, rgb in blobs:
         if float(sigma) <= 0.0:

@@ -3,8 +3,11 @@
 The material model stores every coefficient as a curve over the half-angle
 theta_d, represented by 6 control points on the clamped knot vector
 [0 0 0 1/4 1/2 3/4 1 1 1] (knots in the normalized parameter t = theta /
-(pi/2)). Basis functions follow the Cox-de Boor recursion with the 0/0 := 0
-convention; at most three of the six are non-zero at any parameter.
+(pi/2)). The knots never change, so the basis has a closed form per span:
+on span j = min(floor(4t), 3), with r = 4t - j and q = 1 - r, only N_j,
+N_{j+1} and N_{j+2} are non-zero, namely q^2/2, 1/2 + r q and r^2/2 on the
+interior spans, q^2, r (2 - 1.5 r) and r^2/2 on span 0, and q^2/2,
+q (2 - 1.5 q) and r^2 on span 3.
 """
 
 from __future__ import annotations
@@ -34,31 +37,24 @@ def basis_matrix(theta) -> np.ndarray:
     Accepts scalars or arrays of angles in radians; angles are clamped to
     [0, pi/2]. Returns an array of shape ``np.shape(theta) + (6,)``.
     """
-    t = np.asarray(theta, dtype=np.float64) / THETA_MAX
-    shape = t.shape
-    t = np.clip(t.ravel(), 0.0, 1.0)
-
-    # Degree-0 indicator functions over the 8 knot spans; the parameter value
-    # 1.0 belongs to the last non-empty span [0.75, 1.0).
-    n = []
-    for i in range(8):
-        lo, hi = KNOTS[i], KNOTS[i + 1]
-        row = ((t >= lo) & (t < hi)).astype(np.float64) if hi > lo else np.zeros_like(t)
-        n.append(row)
-    n[5][t == 1.0] = 1.0
-
-    for d in (1, 2):
-        for i in range(8 - d):
-            acc = np.zeros_like(t)
-            left = KNOTS[i + d] - KNOTS[i]
-            if left > 0.0:
-                acc += (t - KNOTS[i]) / left * n[i]
-            right = KNOTS[i + d + 1] - KNOTS[i + 1]
-            if right > 0.0:
-                acc += (KNOTS[i + d + 1] - t) / right * n[i + 1]
-            n[i] = acc
-
-    return np.stack(n[:6], axis=-1).reshape(shape + (6,))
+    s = 4.0 * np.clip(np.asarray(theta, dtype=np.float64) / THETA_MAX, 0.0, 1.0)
+    # t = 1 closes the last span; NaN compares false, lands on span 0 and
+    # gives a NaN row.
+    span = (s >= 1.0).astype(np.intp) + (s >= 2.0) + (s >= 3.0)
+    r = s - span  # exact: s and span are within a factor of two
+    q = 1.0 - r
+    # The span forms from the Bernstein terms q^2, 2rq, r^2: the middle function
+    # takes half of q^2 except on span 0 and half of r^2 except on span 3.
+    q2, r2 = q * q, r * r
+    left = 0.5 * q2 * (span > 0)
+    right = 0.5 * r2 * (span < 3)
+    out = np.zeros(s.shape + (CONTROL_COUNT,))
+    flat = out.reshape(-1)
+    at = CONTROL_COUNT * np.arange(s.size).reshape(s.shape) + span
+    flat[at] = q2 - left
+    flat[at + 1] = 2.0 * r * q + left + right
+    flat[at + 2] = r2 - right
+    return out
 
 
 def basis(theta: float) -> np.ndarray:

@@ -46,6 +46,13 @@ def test_fixtures_are_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_fixtures_with_empty_env_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "fx"
+    assert main(["fixtures", "--out", str(out), "--resolution", "16", "--env-height", "0"]) == 2
+    assert not (out / "env.pfm").exists()
+    assert "gradshade:" in capsys.readouterr().err
+
+
 def test_render_writes_pfm_and_is_deterministic(fixture_dir, tmp_path):
     out1, out2 = tmp_path / "r1.pfm", tmp_path / "r2.pfm"
     argv = ["render", *scene_args(fixture_dir), "--out", str(out1)]

@@ -124,3 +124,6 @@ def test_environment_map_rejects_negative_and_nan():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         gs.EnvironmentMap(bad)
+    for empty in ((0, 4, 3), (4, 0, 3)):
+        with pytest.raises(ValueError):
+            gs.EnvironmentMap(np.zeros(empty))

@@ -35,8 +35,9 @@ def test_interior_knot_support():
     assert abs(w.sum() - 1.0) < 1e-15
     assert w[2] > 0 and w[3] > 0
     assert np.allclose(w[[0, 1, 4, 5]], 0.0, atol=1e-15)
-    # and they agree with the recursion oracle
-    assert np.allclose(w, oracles.basis_weights(0.5), atol=1e-15)
+    # and they agree with the recursion oracle, as do the other knots and ends
+    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+        assert np.allclose(basis(t * HALF_PI), oracles.basis_weights(t), atol=1e-15), t
 
 
 def test_basis_matches_recursion_oracle_on_grid():
@@ -47,16 +48,23 @@ def test_basis_matches_recursion_oracle_on_grid():
 
 
 def test_partition_of_unity_and_local_support():
-    ts = np.linspace(0.0, HALF_PI, 1000)
+    # a (V, B) block as the shading engine passes it, one row per pixel
+    ts = np.linspace(0.0, HALF_PI, 1000).reshape(40, 25)
     b = basis_matrix(ts)
-    assert np.abs(b.sum(axis=1) - 1.0).max() < 1e-12
+    assert b.shape == (40, 25, 6)
+    assert np.array_equal(b, np.stack([basis_matrix(row) for row in ts]))
+    assert np.abs(b.sum(axis=-1) - 1.0).max() < 1e-12
     assert (b >= 0.0).all()
-    assert (np.count_nonzero(b, axis=1) <= 3).all()
+    assert (np.count_nonzero(b, axis=-1) <= 3).all()
 
 
 def test_out_of_domain_angles_are_clamped():
     assert np.array_equal(basis(-0.3), basis(0.0))
     assert np.array_equal(basis(2.0), basis(HALF_PI))
+    rows = basis_matrix(np.array([-np.inf, np.inf, np.nan]))
+    assert np.array_equal(rows[:2], [basis(0.0), basis(HALF_PI)])
+    # NaN is not an angle to clamp: it stays visible instead of picking a span
+    assert not np.isfinite(rows[2]).all()
 
 
 def test_constant_control_points_evaluate_to_constant():
