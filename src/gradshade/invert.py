@@ -16,7 +16,9 @@ before entering the L-BFGS update.
 Materials are optimized in their normalized [-0.95, 0.95] coordinates so all
 three groups move on comparable scales. Gradients are lazy: the objective runs
 the forward pass and returns a function for the backward pass, which L-BFGS
-calls only at accepted points.
+calls only at accepted points. Each group's L-BFGS memory carries over from
+one cycle to the next, so only a group's first run starts from the cautious
+step min(1, 1/||d||) along the steepest descent direction.
 """
 
 from __future__ import annotations
@@ -225,7 +227,14 @@ def objective(problem: InverseProblem, state: SceneState, *, threads: int = 1):
 
 
 class LineSearchError(RuntimeError):
-    """Armijo backtracking exhausted at the very first iterate."""
+    """Armijo backtracking exhausted at the very first iterate.
+
+    ``evaluations`` counts the value calls of the failed run, x0 included.
+    """
+
+    def __init__(self, message: str, evaluations: int = 0):
+        super().__init__(message)
+        self.evaluations = evaluations
 
 
 @dataclass
@@ -266,6 +275,7 @@ def lbfgs_minimize(
     project=None,
     grad_transform=None,
     callback=None,
+    memory: list | None = None,
 ) -> LbfgsResult:
     """Two-loop-recursion L-BFGS with Armijo backtracking.
 
@@ -278,6 +288,12 @@ def lbfgs_minimize(
     before they enter stopping tests and curvature pairs. Raises
     LineSearchError only when no acceptable step exists at the first iterate;
     later failures return the best point found.
+
+    ``memory`` is a list of ``(s, y, rho)`` curvature pairs to start from; the
+    run extends it in place, keeps at most ``config.memory_pairs`` of them and
+    clears it when its direction is not a descent direction, so a later run
+    on the same problem can pass it on. With empty memory the first trial
+    step is min(1, 1/||d||) along d (as in L-BFGS-B), otherwise the full step.
     """
     x = np.array(x0, dtype=np.float64)
     if project is not None:
@@ -290,7 +306,8 @@ def lbfgs_minimize(
     if grad_transform is not None:
         g = grad_transform(x, g)
     ginf = float(np.abs(g).max(initial=0.0))
-    pairs: list = []
+    pairs = [] if memory is None else memory
+    del pairs[: -config.memory_pairs]
     trace: list = []
     result = LbfgsResult(x=x, value=f, grad=g, iterations=0, converged=False, stop_reason="iteration_cap", trace=trace,
                          evaluations=1, gradient_evaluations=1)
@@ -306,7 +323,7 @@ def lbfgs_minimize(
             pairs.clear()
             d = -g
 
-        alpha = 1.0
+        alpha = 1.0 if pairs else min(1.0, 1.0 / float(np.linalg.norm(d)))
         accepted = False
         for _ in range(config.max_backtracks + 1):
             x_t = x + alpha * d
@@ -321,7 +338,7 @@ def lbfgs_minimize(
             alpha *= config.backtrack_factor
         if not accepted:
             if it == 1:
-                raise LineSearchError("no acceptable step at the first iterate")
+                raise LineSearchError("no acceptable step at the first iterate", result.evaluations)
             result.stop_reason = "line_search"
             break
 
@@ -362,6 +379,22 @@ class TraceEntry:
 
 
 @dataclass(frozen=True)
+class RunRecord:
+    """Counts of one group run of :func:`solve`, as its L-BFGS run reports them.
+
+    A run whose line search failed at its first iterate has 0 iterations and
+    stop reason ``"line_search"``.
+    """
+
+    cycle: int
+    group: str
+    iterations: int
+    evaluations: int  # forward passes, x0 included
+    gradient_evaluations: int  # backward passes: x0 and each accepted step
+    stop_reason: str
+
+
+@dataclass(frozen=True)
 class SolveResult:
     normal_map: NormalMap
     materials: tuple
@@ -370,6 +403,7 @@ class SolveResult:
     final_objective: float
     trace: tuple
     cycles: int
+    runs: tuple  # one RunRecord per group run, in order
 
 
 def _project_normals(x):
@@ -392,9 +426,13 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
     """Alternating projected L-BFGS on the free groups of ``problem``.
 
     Per cycle each free group (in config.cycle_order) gets up to
-    config.inner_iters_per_group L-BFGS iterations with fresh memory. Stops
-    when a full cycle improves the objective by less than rel_tol (relative)
-    or after max_cycles. The trace carries one entry per accepted step.
+    config.inner_iters_per_group L-BFGS iterations. Each group keeps its
+    curvature pairs from one cycle to the next, so from the second cycle on
+    its run starts from the step scale its previous run learned; a run whose
+    line search fails at its first iterate clears them. Stops when a full
+    cycle improves the objective by less than rel_tol (relative) or after
+    max_cycles. The trace carries one entry per accepted step and ``runs`` one
+    record per group run.
     """
     scene = problem.scene()
     mask = scene.normal_map.mask
@@ -407,7 +445,9 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
 
     initial = current = obj(n_fg, mats, env)[0]
     trace: list = []
+    runs: list = []
     order = [grp for grp in config.cycle_order if grp in problem.free_groups]
+    memories = {group: [] for group in order}
     cycles_run = 0
 
     for cycle in range(config.max_cycles):
@@ -454,10 +494,16 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
                     project=project,
                     grad_transform=transform,
                     callback=record,
+                    memory=memories[group],
                 )
-            except LineSearchError:
-                continue  # no acceptable step; the group contributes nothing this cycle
+            except LineSearchError as err:
+                # no acceptable step; the group contributes nothing this cycle, and
+                # its next run starts cold rather than from the same curvature
+                memories[group].clear()
+                runs.append(RunRecord(cycle, group, 0, err.evaluations, 1, "line_search"))
+                continue
 
+            runs.append(RunRecord(cycle, group, res.iterations, res.evaluations, res.gradient_evaluations, res.stop_reason))
             if res.iterations == 0:
                 continue
             if group == "normal":
@@ -483,6 +529,7 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
         final_objective=current,
         trace=tuple(trace),
         cycles=cycles_run,
+        runs=tuple(runs),
     )
 
 

@@ -56,6 +56,7 @@ def solve_bytes(res):
     parts = [
         [t.group for t in res.trace],
         res.cycles,
+        res.runs,
         np.float64(res.initial_objective).tobytes(),
         np.float64(res.final_objective).tobytes(),
         trace.tobytes(),

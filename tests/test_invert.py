@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_material
 import gradshade as gs
-from gradshade import _shading
+from gradshade import _shading, invert
 from gradshade.brdf import PARAM_COUNT, material_from_raw, normalize_params
 from gradshade.core import NormalMap
 from gradshade.invert import (
@@ -91,13 +91,14 @@ def test_lbfgs_quadratic_dim10(rng):
     assert np.linalg.norm(res.x - c) < 1e-8
 
 
-def test_lbfgs_ill_conditioned_diagonal():
+def diagonal_bowl(x):
+    """x^T D x with D = diag(1..20), criterion 7's kappa=20 problem."""
     diag = np.arange(1.0, 21.0)
+    return float(x @ (diag * x)), 2.0 * diag * x
 
-    def fg(x):
-        return float(x @ (diag * x)), 2.0 * diag * x
 
-    res = lbfgs_minimize(fg, np.ones(20), TIGHT, max_iters=60)
+def test_lbfgs_ill_conditioned_diagonal():
+    res = lbfgs_minimize(diagonal_bowl, np.ones(20), TIGHT, max_iters=60)
     assert res.value < 1e-10
     assert res.iterations <= 60
 
@@ -129,8 +130,9 @@ def test_lbfgs_line_search_failure_at_first_iterate():
     def fg(x):
         return float(x @ x), -2.0 * x
 
-    with pytest.raises(LineSearchError):
+    with pytest.raises(LineSearchError) as err:
         lbfgs_minimize(fg, np.ones(3), OptimizerConfig(max_backtracks=5), max_iters=10)
+    assert err.value.evaluations == 1 + 6  # x0, then the first trial and 5 backtracks
 
 
 def test_lbfgs_projection_hook_keeps_feasible(rng):
@@ -147,8 +149,10 @@ def test_lbfgs_projection_hook_keeps_feasible(rng):
 
 
 def test_lbfgs_takes_gradients_only_at_accepted_points(rng):
-    # the quartic bowl backtracks from a start in [-2, 2]^8, so some trials are
-    # rejected; each gradient function records the trial it belongs to
+    # from a start in [-0.15, 0.15]^8 the gradient is shorter than 1, so the
+    # first trial is the full step -g, which overshoots the quartic bowl's
+    # minimum and is rejected; each gradient function records the trial it
+    # belongs to
     trials, graded = [], []
 
     def value(x):
@@ -164,7 +168,7 @@ def test_lbfgs_takes_gradients_only_at_accepted_points(rng):
 
         return value(x), gradient
 
-    x0 = rng.uniform(-2, 2, 8)
+    x0 = rng.uniform(-0.15, 0.15, 8)
     accepted = []
     res = lbfgs_minimize(fg, x0, TIGHT, max_iters=40, callback=lambda i, v, g, x: accepted.append(x.copy()))
     assert res.iterations > 0
@@ -177,6 +181,51 @@ def test_lbfgs_takes_gradients_only_at_accepted_points(rng):
     eager = lbfgs_minimize(lambda x: (value(x), 4.0 * x**3 + 2.0 * x), x0, TIGHT, max_iters=40)
     assert np.array_equal(eager.x, res.x) and eager.trace == res.trace
     assert (eager.evaluations, eager.gradient_evaluations) == (res.evaluations, res.gradient_evaluations)
+
+
+def test_lbfgs_first_step_from_empty_memory_has_at_most_unit_length():
+    # ||g0|| = 100 here, so the full step -g would land 100 away from x0
+    c = np.array([30.0, -40.0])
+    trials = []
+
+    def fg(x):
+        trials.append(x.copy())
+        return float(np.sum((x - c) ** 2)), 2.0 * (x - c)
+
+    res = lbfgs_minimize(fg, np.zeros(2), TIGHT, max_iters=20)
+    assert np.linalg.norm(trials[1] - trials[0]) <= 1.0 + 1e-12
+    assert np.allclose(trials[1], c / 50.0, rtol=1e-12)
+    assert np.linalg.norm(res.x - c) < 1e-8
+
+
+def test_lbfgs_memory_is_extended_in_place_and_capped():
+    fg = diagonal_bowl
+    memory = []
+    sizes = []
+    lbfgs_minimize(fg, np.ones(20), OptimizerConfig(memory_pairs=3), max_iters=10, memory=memory,
+                   callback=lambda i, v, g, x: sizes.append(len(memory)))
+    assert sizes == [1, 2, 3] + [3] * 7
+    for s, y, rho in memory:
+        assert rho == 1.0 / float(s @ y)
+    # memory longer than the cap is trimmed to its newest pairs before the first step
+    newest = memory[-2:]
+    sizes.clear()
+    lbfgs_minimize(fg, np.ones(20), OptimizerConfig(memory_pairs=2), max_iters=4, memory=memory,
+                   callback=lambda i, v, g, x: sizes.append(len(memory)))
+    assert max(sizes) == 2 and len(memory) == 2
+    assert all(not any(p is q for q in memory) for p in newest)  # both replaced by later pairs
+
+
+def test_lbfgs_warm_start_takes_fewer_evaluations_on_kappa_20_diagonal():
+    # a run continued with the memory of the run that got it there needs
+    # fewer value calls than one continued cold
+    memory = []
+    first = lbfgs_minimize(diagonal_bowl, np.ones(20), TIGHT, max_iters=10, memory=memory)
+    assert len(memory) == TIGHT.memory_pairs
+    warm = lbfgs_minimize(diagonal_bowl, first.x, TIGHT, max_iters=60, memory=memory)
+    cold = lbfgs_minimize(diagonal_bowl, first.x, TIGHT, max_iters=60)
+    assert warm.value < 1e-10 and cold.value < 1e-10
+    assert warm.evaluations < cold.evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +342,20 @@ def test_solve_trace_is_monotone_across_groups(rng):
     assert groups_seen.issubset({"normal", "light", "material"})
 
 
-def test_solve_runs_one_backward_per_group_run_and_accepted_step(monkeypatch):
+def make_brighter_env_problem():
+    """make_problem() started from the env x1.15, all three groups free."""
     prob_gt = make_problem()
-    prob = InverseProblem(
+    return InverseProblem(
         target=prob_gt.target,
         normal_map=prob_gt.normal_map,
         env=gs.EnvironmentMap(prob_gt.env.radiance * 1.15),
         materials=prob_gt.materials,
         camera=prob_gt.camera,
     )
+
+
+def test_solve_runs_one_backward_per_group_run_and_accepted_step(monkeypatch):
+    prob = make_brighter_env_problem()
     counts = {"forward": 0, "backward": 0}
 
     def counting(name, fn):
@@ -318,6 +372,41 @@ def test_solve_runs_one_backward_per_group_run_and_accepted_step(monkeypatch):
     # x0 of every group run, then one per accepted step; rejected trials cost a forward only
     assert counts["backward"] == res.cycles * 3 + len(res.trace)
     assert counts["forward"] > counts["backward"] + 1
+    # the run records account for every pass after the initial objective
+    order = ("normal", "light", "material")
+    assert [(r.cycle, r.group) for r in res.runs] == [(c, g) for c in range(res.cycles) for g in order]
+    assert counts["forward"] == 1 + sum(r.evaluations for r in res.runs)
+    assert counts["backward"] == sum(r.gradient_evaluations for r in res.runs)
+    assert sum(r.iterations for r in res.runs) == len(res.trace)
+    # warm-started runs: at most 9 forward passes each (x0 and 8 accepted steps)
+    assert res.cycles == 3
+    assert all(r.evaluations <= 9 for r in res.runs if r.cycle > 0)
+
+
+def test_solve_clears_the_memory_of_a_group_whose_line_search_fails(monkeypatch):
+    prob = make_brighter_env_problem()
+    real = invert.lbfgs_minimize
+    handed = []  # (memory list, its length) at the start of each group run
+
+    def light_fails_in_cycle_two(fun, x0, config, *, memory, **kwargs):
+        handed.append((memory, len(memory)))
+        res = real(fun, x0, config, memory=memory, **kwargs)
+        if len(handed) == 5:
+            raise LineSearchError("injected", res.evaluations)
+        return res
+
+    monkeypatch.setattr(invert, "lbfgs_minimize", light_fails_in_cycle_two)
+    res = solve(prob, OptimizerConfig(max_cycles=3, inner_iters_per_group=8))
+    assert res.cycles == 3 and len(handed) == 9
+    # one list per group, kept across cycles
+    assert all(handed[i][0] is handed[i % 3][0] for i in range(9))
+    assert len({id(m) for m, _ in handed}) == 3
+    sizes = [n for _, n in handed]
+    assert sizes[:3] == [0, 0, 0]
+    assert min(sizes[3:7]) > 0 and sizes[8] > 0
+    assert sizes[7] == 0  # light starts cold after its failed run
+    failed = res.runs[4]
+    assert (failed.cycle, failed.group, failed.iterations, failed.stop_reason) == (1, "light", 0, "line_search")
 
 
 def test_solve_respects_free_groups():
