@@ -36,7 +36,7 @@ producer, ``_tiles``, first lists the lights that some pixel of the chunk
 sees lit (max_c n_c . omega > 0), then yields the pair geometry of the chunk
 against blocks of up to LIGHT_BLOCK listed lights: cmax = max(0, n . omega),
 ell = log(base), the spline basis and coefficient curves at theta_d and, for
-normal gradients, base and the lit and clamp-gate indicators. Its consumers
+normal gradients, the lit indicator and the clamp gate. Its consumers
 are ``forward`` (reduces f * cmax against the environment),
 ``build_transfer`` (stores f * cmax) and ``backward`` (the three adjoints).
 Pair geometry is recomputed on every call: a per-pair cache of it saved no
@@ -187,7 +187,6 @@ class _Tile(NamedTuple):
     ell: np.ndarray  # log(base), base = clamp(h . n, EPS_BASE, 1)
     basis: np.ndarray  # (V, B, 6) spline basis at theta_d
     curves: np.ndarray  # (3, 3, 2, V, B) coefficient curves
-    base: np.ndarray
     litv: np.ndarray | None  # only for normal gradients: 1(n . omega > 0) on valid pairs
     gate: np.ndarray | None  # cmax * 1(EPS_BASE < h . n < 1) / (|omega + v| * base): base moves with n there
 
@@ -251,7 +250,7 @@ def _tiles(problem, normals, ci, store, ctrl, *, geometry=False):
             gate /= base
         curves = _buf(store, "curves", (18, basis.shape[0] * basis.shape[1]))
         np.matmul(ctrl.reshape(18, 6), basis.reshape(-1, 6).T, out=curves)
-        yield _Tile(lights, cmaxv, ell, basis, curves.reshape((3, 3, 2) + vshape), base, litv, gate)
+        yield _Tile(lights, cmaxv, ell, basis, curves.reshape((3, 3, 2) + vshape), litv, gate)
 
 
 def _lobes(problem, ci, tile, k, f, t, x_next):

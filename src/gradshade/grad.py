@@ -61,40 +61,45 @@ class SceneGradients:
 
 
 def _check_finite(name, arr, what):
-    if arr is None or np.isfinite(arr).all():
+    if np.isfinite(arr).all():
         return
     idx = np.unravel_index(int(np.argmin(np.isfinite(arr))), arr.shape)
     raise NonFiniteGradientError(f"non-finite {name} gradient at {what} index {idx}")
 
 
+def _scene_gradients(mask, env_shape, dn, denv, dms) -> SceneGradients:
+    """Scatter foreground-stream gradients (F, 3), (I, 3) and per-region rows into SceneGradients.
+
+    Raises NonFiniteGradientError on the first NaN or infinite entry.
+    """
+    d_normals = d_env = d_materials = None
+    if dn is not None:
+        _check_finite("normal", dn, "foreground-pixel")
+        d_normals = np.zeros(mask.shape + (3,))
+        d_normals[mask] = dn
+    if denv is not None:
+        _check_finite("light", denv, "flat texel")
+        d_env = denv.reshape(env_shape)
+    if dms is not None:
+        d_materials = np.stack([m.reshape(-1) for m in dms])
+        _check_finite("material", d_materials, "(region, parameter)")
+    return SceneGradients(d_normals, d_env, d_materials)
+
+
 def backward(scene: RenderScene, upstream: np.ndarray, groups=ALL_GROUPS, *, threads: int = 1) -> SceneGradients:
     """Gradients of loss = sum(upstream * render(scene)) for the given groups."""
     upstream = np.asarray(upstream, dtype=np.float64)
-    h, w = scene.normal_map.height, scene.normal_map.width
-    if upstream.shape != (h, w, 3):
-        raise ValueError(f"upstream must have shape {(h, w, 3)}, got {upstream.shape}")
+    shape = scene.normal_map.normals.shape
+    if upstream.shape != shape:
+        raise ValueError(f"upstream must have shape {shape}, got {upstream.shape}")
     if not np.isfinite(upstream).all():
         raise ValueError("upstream contains non-finite values")
     mask = scene.normal_map.mask
-    dn, denv, dmats = _shading.backward(
+    grads = _shading.backward(
         prepare_problem(scene), scene.normal_map.normals[mask], scene.materials, scene.env.radiance.reshape(-1, 3),
         upstream[mask], frozenset(groups), threads=max(1, threads),
     )
-
-    d_normals = None
-    if dn is not None:
-        _check_finite("normal", dn, "foreground-pixel")
-        d_normals = np.zeros((h, w, 3))
-        d_normals[mask] = dn
-    d_env = None
-    if denv is not None:
-        _check_finite("light", denv, "flat texel")
-        d_env = denv.reshape(scene.env.height, scene.env.width, 3)
-    d_materials = None
-    if dmats is not None:
-        d_materials = np.stack([m.reshape(-1) for m in dmats])
-        _check_finite("material", d_materials, "(region, parameter)")
-    return SceneGradients(d_normals, d_env, d_materials)
+    return _scene_gradients(mask, scene.env.radiance.shape, *grads)
 
 
 @dataclass(frozen=True)
@@ -154,86 +159,48 @@ def fd_check(scene: RenderScene, which_group: str, step: float | None = None, tr
 
     analytic = backward(scene, upstream, groups={which_group})
     problem = prepare_problem(scene)
-    env_flat = scene.env.radiance.reshape(-1, 3)
     u_fg = upstream[mask]
-    base_normals = scene.normal_map.normals[mask]
-    base_materials = scene.materials
+    normals, env, materials = scene.normal_map.normals, scene.env.radiance, scene.materials
+    fg_normals, env_flat = normals[mask], env.reshape(-1, 3)
+    # per group: the array a trial bumps (indexed like its analytic gradient) and
+    # the forward arguments of a bumped copy
+    values, grad, forward_args = {
+        "normal": (normals, analytic.d_normals, lambda n: (n[mask], materials, env_flat)),
+        "light": (env, analytic.d_env, lambda radiance: (fg_normals, materials, radiance.reshape(-1, 3))),
+        "material": (
+            np.stack([m.raw for m in materials]), analytic.d_materials,
+            lambda raw: (fg_normals, [m.with_raw(r) for m, r in zip(materials, raw)], env_flat),
+        ),
+    }[which_group]
 
-    def probe(n_arr=base_normals, env=env_flat, mats=base_materials):
-        return float(np.sum(u_fg * _shading.forward(problem, n_arr, mats, env)))
+    def pick():
+        if which_group != "normal":  # one draw per axis, in axis order
+            return tuple(int(rng.integers(n)) for n in values.shape)
+        for _attempt in range(200):
+            p = int(rng.integers(problem.pixel_count))
+            if not _excluded_pixel(problem, fg_normals, p):
+                px, py = problem.pixel_xy[p]
+                return int(py), int(px), int(rng.integers(3))
+        raise RuntimeError("could not sample a pixel clear of gradient kinks; scene too degenerate")
 
-    if which_group == "light":
-        grad = analytic.d_env
-        ginf = float(np.abs(grad).max(initial=0.0))
-        floor = 1e-6 * max(1.0, ginf)
-        rows = []
-        for _ in range(trials):
-            hh = int(rng.integers(scene.env.height))
-            ww = int(rng.integers(scene.env.width))
-            k = int(rng.integers(3))
-            x = env_flat[hh * scene.env.width + ww, k]
-            delta = step * max(1.0, abs(x))
-            bumped = env_flat.copy()
-            bumped[hh * scene.env.width + ww, k] = x + delta
-            hi_val = probe(env=bumped)
-            bumped[hh * scene.env.width + ww, k] = x - delta
-            lo_val = probe(env=bumped)
-            numeric = (hi_val - lo_val) / (2.0 * delta)
-            a = float(grad[hh, ww, k])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
-            rows.append(FdTrial((hh, ww, k), a, numeric, rel))
-    elif which_group == "material":
-        grad = analytic.d_materials
-        ginf = float(np.abs(grad).max(initial=0.0))
-        floor = 1e-6 * max(1.0, ginf)
-        rows = []
-        for _ in range(trials):
-            r = int(rng.integers(len(base_materials)))
-            j = int(rng.integers(grad.shape[1]))
-            mat = base_materials[r]
-            x = float(mat.raw[j])
-            delta = step * max(1.0, abs(x))
-            raw = mat.raw.copy()
-            raw[j] = x + delta
-            mats = list(base_materials)
-            mats[r] = mat.with_raw(raw)
-            hi_val = probe(mats=mats)
-            raw = mat.raw.copy()
-            raw[j] = x - delta
-            mats[r] = mat.with_raw(raw)
-            lo_val = probe(mats=mats)
-            numeric = (hi_val - lo_val) / (2.0 * delta)
-            a = float(grad[r, j])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
-            rows.append(FdTrial((r, j), a, numeric, rel))
-    else:
-        d_normals_fg = analytic.d_normals[mask]
-        ginf = float(np.abs(d_normals_fg).max(initial=0.0))
-        floor = 1e-6 * max(1.0, ginf)
-        count = problem.pixel_count
-        rows = []
-        for _ in range(trials):
-            p = None
-            for _attempt in range(200):
-                cand = int(rng.integers(count))
-                if not _excluded_pixel(problem, base_normals, cand):
-                    p = cand
-                    break
-            if p is None:
-                raise RuntimeError("could not sample a pixel clear of gradient kinks; scene too degenerate")
-            c = int(rng.integers(3))
-            x = float(base_normals[p, c])
-            delta = step * max(1.0, abs(x))
-            bumped = base_normals.copy()
-            bumped[p, c] = x + delta
-            hi_val = probe(n_arr=bumped)
-            bumped[p, c] = x - delta
-            lo_val = probe(n_arr=bumped)
-            numeric = (hi_val - lo_val) / (2.0 * delta)
-            a = float(d_normals_fg[p, c])
-            px, py = problem.pixel_xy[p]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
-            rows.append(FdTrial((int(py), int(px), c), a, numeric, rel))
+    def probe(bumped):
+        return float(np.sum(u_fg * _shading.forward(problem, *forward_args(bumped))))
+
+    floor = 1e-6 * max(1.0, float(np.abs(grad).max(initial=0.0)))
+    rows = []
+    for _ in range(trials):
+        coordinate = pick()
+        x = float(values[coordinate])
+        delta = step * max(1.0, abs(x))
+        bumped = values.copy()
+        bumped[coordinate] = x + delta
+        hi_val = probe(bumped)
+        bumped[coordinate] = x - delta
+        lo_val = probe(bumped)
+        numeric = (hi_val - lo_val) / (2.0 * delta)
+        a = float(grad[coordinate])
+        rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+        rows.append(FdTrial(coordinate, a, numeric, rel))
 
     worst = max(rows, key=lambda t: t.rel_error)
     return FdReport(

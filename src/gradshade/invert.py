@@ -31,7 +31,7 @@ import numpy as np
 from . import _shading
 from .brdf import NORM_LIMIT, DsbrdfMaterial, denormalize_params, normalize_params
 from .core import EnvironmentMap, NormalMap, RadianceImage, SegmentationMask, Camera
-from .grad import SceneGradients
+from .grad import _scene_gradients
 from .render import RenderScene, prepare_problem, render
 
 
@@ -207,23 +207,15 @@ def objective(problem: InverseProblem, state: SceneState, *, threads: int = 1):
     """Value and free-group gradients of the data + regularizer objective.
 
     Material gradients are reported in the normalized coordinates the solver
-    moves in (chain rule through the affine range codec).
+    moves in (chain rule through the affine range codec). A non-finite
+    gradient raises NonFiniteGradientError, as in :func:`grad.backward`.
     """
     scene = RenderScene(state.normal_map, problem.camera, state.env, tuple(state.materials), problem.segmentation)
     mask = scene.normal_map.mask
     value, gradients = _Objective.of(problem, scene, threads)(
         state.normal_map.normals[mask], scene.materials, state.env.radiance.reshape(-1, 3), problem.free_groups
     )
-    dn, denv, dms = gradients()
-    d_normals = d_env = d_materials = None
-    if dn is not None:
-        d_normals = np.zeros_like(state.normal_map.normals)
-        d_normals[mask] = dn
-    if denv is not None:
-        d_env = denv.reshape(state.env.radiance.shape)
-    if dms is not None:
-        d_materials = np.stack(dms)
-    return value, SceneGradients(d_normals, d_env, d_materials)
+    return value, _scene_gradients(mask, state.env.radiance.shape, *gradients())
 
 
 class LineSearchError(RuntimeError):
@@ -422,6 +414,30 @@ def _tangent_gradient(x, g):
     return out.ravel()
 
 
+def _group_layouts(materials):
+    """Per group: (gradient slot, pack, unpack, project, gradient transform) of the flat x L-BFGS moves.
+
+    ``pack`` maps the group's solver state to x and ``unpack`` maps x back;
+    ``slot`` is the group's place in the objective's (normals, env, materials)
+    gradients. Materials move in normalized coordinates under their own
+    bounds, which no run changes.
+    """
+    def rows(x):
+        return np.ascontiguousarray(x.reshape(-1, 3))
+
+    def unpack_materials(x):
+        return [denormalize_params(r, m.lo, m.hi, m.name) for m, r in zip(materials, x.reshape(len(materials), -1))]
+
+    return {
+        "normal": (0, np.ravel, rows, _project_normals, _tangent_gradient),
+        "light": (1, np.ravel, rows, lambda x: np.maximum(x, 0.0), None),
+        "material": (
+            2, lambda ms: np.concatenate([normalize_params(m) for m in ms]), unpack_materials,
+            lambda x: np.clip(x, -NORM_LIMIT, NORM_LIMIT), None,
+        ),
+    }
+
+
 def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) -> SolveResult:
     """Alternating projected L-BFGS on the free groups of ``problem``.
 
@@ -438,12 +454,10 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
     mask = scene.normal_map.mask
     obj = _Objective.of(problem, scene, max(1, config.threads))
     shading = obj.shading
+    layouts = _group_layouts(scene.materials)
+    state = {"normal": obj.n_prior.copy(), "light": obj.env_prior.copy(), "material": list(scene.materials)}
 
-    n_fg = obj.n_prior.copy()
-    env = obj.env_prior.copy()
-    mats = list(scene.materials)
-
-    initial = current = obj(n_fg, mats, env)[0]
+    initial = current = obj(state["normal"], state["material"], state["light"])[0]
     trace: list = []
     runs: list = []
     order = [grp for grp in config.cycle_order if grp in problem.free_groups]
@@ -455,32 +469,15 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
         cycle_start = current
 
         for group in order:
-            if group == "normal":
-                def fun(x):
-                    val, grads = obj(np.ascontiguousarray(x.reshape(-1, 3)), mats, env, {"normal"})
-                    return val, lambda: grads()[0].ravel()
+            slot, pack, unpack, project, transform = layouts[group]
+            transfer = None
+            if group == "light" and shading.pixel_count * shading.light_count * 24 <= config.cache_budget_bytes:
+                transfer = _shading.build_transfer(shading, state["normal"], state["material"], threads=obj.threads)
 
-                x0, project, transform = n_fg.ravel(), _project_normals, _tangent_gradient
-            elif group == "light":
-                transfer = None
-                if shading.pixel_count * shading.light_count * 24 <= config.cache_budget_bytes:
-                    transfer = _shading.build_transfer(shading, n_fg, mats, threads=obj.threads)
-
-                def fun(x, transfer=transfer):
-                    val, grads = obj(n_fg, mats, np.ascontiguousarray(x.reshape(-1, 3)), {"light"}, transfer=transfer)
-                    return val, lambda: grads()[1].ravel()
-
-                x0, project, transform = env.ravel(), lambda x: np.maximum(x, 0.0), None
-            else:
-                def fun(x):
-                    xs = x.reshape(len(mats), -1)
-                    mats_new = [denormalize_params(xs[i], mats[i].lo, mats[i].hi, mats[i].name) for i in range(len(mats))]
-                    val, grads = obj(n_fg, mats_new, env, {"material"})
-                    return val, lambda: np.concatenate(grads()[2])
-
-                x0 = np.concatenate([normalize_params(m) for m in mats])
-                project = lambda x: np.clip(x, -NORM_LIMIT, NORM_LIMIT)
-                transform = None
+            def fun(x, group=group, slot=slot, unpack=unpack, transfer=transfer):
+                trial = {**state, group: unpack(x)}
+                val, grads = obj(trial["normal"], trial["material"], trial["light"], {group}, transfer=transfer)
+                return val, lambda: np.ravel(grads()[slot])
 
             def record(it, val, gnorm, _x, cycle=cycle, group=group):
                 trace.append(TraceEntry(cycle, group, it, val, gnorm))
@@ -488,7 +485,7 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
             try:
                 res = lbfgs_minimize(
                     fun,
-                    x0,
+                    pack(state[group]),
                     config,
                     max_iters=config.inner_iters_per_group,
                     project=project,
@@ -506,24 +503,18 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
             runs.append(RunRecord(cycle, group, res.iterations, res.evaluations, res.gradient_evaluations, res.stop_reason))
             if res.iterations == 0:
                 continue
-            if group == "normal":
-                n_fg = np.ascontiguousarray(res.x.reshape(-1, 3))
-            elif group == "light":
-                env = np.ascontiguousarray(res.x.reshape(-1, 3))
-            else:
-                xs = res.x.reshape(len(mats), -1)
-                mats = [denormalize_params(xs[i], mats[i].lo, mats[i].hi, mats[i].name) for i in range(len(mats))]
+            state[group] = unpack(res.x)
             current = res.value
 
         if cycle_start - current <= config.rel_tol * max(1.0, abs(cycle_start)):
             break
 
     normals_img = np.zeros_like(scene.normal_map.normals)
-    normals_img[mask] = n_fg
-    result_env = EnvironmentMap(np.maximum(env, 0.0).reshape(scene.env.radiance.shape))
+    normals_img[mask] = state["normal"]
+    result_env = EnvironmentMap(np.maximum(state["light"], 0.0).reshape(scene.env.radiance.shape))
     return SolveResult(
         normal_map=NormalMap(normals_img, mask),
-        materials=tuple(mats),
+        materials=tuple(state["material"]),
         env=result_env,
         initial_objective=initial,
         final_objective=current,

@@ -275,7 +275,7 @@ def write_material(path, material: DsbrdfMaterial) -> None:
 def read_material(path) -> DsbrdfMaterial:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: deeply nested arrays
         raise MalformedFileError(f"bad material file: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedFileError("material file must hold a JSON object")
@@ -299,5 +299,5 @@ def read_material(path) -> DsbrdfMaterial:
         raise MalformedFileError("material name must be a string")
     try:
         return DsbrdfMaterial(np.asarray(params, dtype=np.float64), np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64), name)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
         raise MalformedFileError(f"invalid material payload: {exc}") from exc

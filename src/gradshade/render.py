@@ -116,12 +116,9 @@ class RenderScene:
         return len(self.materials)
 
 
-def prepare_problem(scene: RenderScene, light_table: LightTable | None = None) -> _shading.ShadingProblem:
+def prepare_problem(scene: RenderScene) -> _shading.ShadingProblem:
     """Flatten a scene's geometry for the shading kernel (shared with the gradient module)."""
-    if light_table is None:
-        light_table = build_light_table(scene.env.height, scene.env.width)
-    elif (light_table.height, light_table.width) != (scene.env.height, scene.env.width):
-        raise ValueError("light table resolution must match the environment map")
+    light_table = build_light_table(scene.env.height, scene.env.width)
     if scene.camera.mode == "orthographic":
         view = np.array([0.0, 0.0, 1.0])
     else:

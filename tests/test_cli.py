@@ -104,6 +104,19 @@ def test_render_png_bomb_exits_2(fixture_dir, tmp_path, capsys):
     assert "inflate" in capsys.readouterr().err
 
 
+HUGE_PARAM = '{"version": 1, "params": [1%s%s]}' % ("0" * 400, ", 0" * 107)  # 108 params, one past float range
+
+
+@pytest.mark.parametrize("text", ["[" * 200000, HUGE_PARAM], ids=["nested", "huge"])
+def test_render_hostile_material_file_exits_2(fixture_dir, tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = ["render", *scene_args(fixture_dir), "--out", str(tmp_path / "x.pfm")]
+    argv[argv.index("--material") + 1] = str(bad)
+    assert main(argv) == 2
+    assert "gradshade:" in capsys.readouterr().err
+
+
 def test_render_paeth_filtered_normals(fixture_dir, tmp_path):
     """A normal map with every row Paeth-filtered renders as the unfiltered one does."""
     rgba = _read_png(fixture_dir / "sphere_normals.png", expect_bit_depth=16, expect_color_type=6)

@@ -15,6 +15,7 @@ import gradshade as gs
 from gradshade import _shading
 from gradshade.brdf import PARAM_COUNT, material_from_raw
 from gradshade.core import NormalMap
+from gradshade.fixtures import plane_normal_map
 from gradshade.grad import ALL_GROUPS, fd_check
 from gradshade.render import prepare_problem, render_linear
 
@@ -154,6 +155,17 @@ def test_fd_report_carries_trials(sphere_scene):
     worst = max(rep.trials, key=lambda t: t.rel_error)
     assert rep.max_rel_error == worst.rel_error
     assert rep.worst_coordinate == worst.coordinate
+
+
+def test_fd_check_normal_group_raises_when_every_pixel_sits_on_a_kink():
+    # a 4x5 env has a texel column at phi = pi, where n . omega is ~1e-16 for a
+    # camera-facing normal: no pixel is clear of the max(0, n . omega) kink
+    scene = gs.RenderScene(
+        plane_normal_map(8), gs.Camera("orthographic", 8, 8), gs.default_blob_env(4, 5),
+        (gs.preset_materials()["matte"],),
+    )
+    with pytest.raises(RuntimeError, match="clear of gradient kinks"):
+        fd_check(scene, "normal")
 
 
 def test_multi_region_material_gradients_are_local(rng):

@@ -383,6 +383,17 @@ def test_solve_runs_one_backward_per_group_run_and_accepted_step(monkeypatch):
     assert all(r.evaluations <= 9 for r in res.runs if r.cycle > 0)
 
 
+def test_solve_follows_a_non_default_cycle_order():
+    # all three groups are free, but only the groups in cycle_order run, in its order
+    prob = make_brighter_env_problem()
+    order = ("material", "normal")
+    res = solve(prob, OptimizerConfig(max_cycles=2, inner_iters_per_group=4, cycle_order=order))
+    assert [(r.cycle, r.group) for r in res.runs] == [(0, "material"), (0, "normal"), (1, "material"), (1, "normal")]
+    steps = [(t.cycle, order.index(t.group)) for t in res.trace]
+    assert steps and steps == sorted(steps)
+    assert np.array_equal(res.env.radiance, prob.env.radiance)
+
+
 def test_solve_clears_the_memory_of_a_group_whose_line_search_fails(monkeypatch):
     prob = make_brighter_env_problem()
     real = invert.lbfgs_minimize

@@ -321,6 +321,20 @@ def test_material_rejects_non_numeric_params(tmp_path):
         read_material(p)
 
 
+def test_material_rejects_an_integer_past_float_range(tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"version": 1, "params": [0.0] * PARAM_COUNT}).replace("0.0", "1" + "0" * 400, 1))
+    with pytest.raises(MalformedFileError, match="too large"):
+        read_material(p)
+
+
+def test_material_rejects_deeply_nested_arrays(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200000)
+    with pytest.raises(MalformedFileError, match="recursion"):
+        read_material(p)
+
+
 def test_material_rejects_non_object(tmp_path):
     p = tmp_path / "arr.json"
     p.write_text("[1, 2, 3]")
