@@ -1,6 +1,6 @@
 """Tiled evaluation of the environment shading sum and its adjoints.
 
-Private engine behind :mod:`gradshade.render` and :mod:`gradshade.grad`.
+Private engine behind :mod:`gradshade.render`, :mod:`gradshade.grad` and :mod:`gradshade.invert`.
 
 The image model per foreground pixel p and color channel k is
 
@@ -43,6 +43,16 @@ Pair geometry is recomputed on every call: a per-pair cache of it saved no
 solve time. A TransferCache, the one cache, stores f * cmax of the shaded
 pairs only, per chunk as (lights, (3, C, B)) blocks; forward and the light
 adjoint reduce those blocks exactly as they reduce freshly shaded ones.
+
+``backward``'s residual mode is the solver's objective pass: given the target
+instead of an upstream, it takes u = 2 (I - target) for the image I of the
+same pass and returns I too. A one-tile chunk reduces channel k of I right
+after that channel's lobes, from the f * cmax the light adjoint also reads,
+then runs the reductions that need u_k. A chunk listing more than LIGHT_BLOCK
+lights has several tiles: it reduces I through ``_shaded`` first, then runs
+the adjoints as for an upstream; the transfer path does the same in two
+passes over its blocks. Either way I and the adjoints equal ``forward`` and
+``backward`` against 2 (I - target) bit for bit.
 
 The traversal order (region, then tile row-major, then light block), the
 light lists and all reduction orders are fixed, so outputs are bit-identical
@@ -191,19 +201,26 @@ class _Tile(NamedTuple):
     gate: np.ndarray | None  # cmax * 1(EPS_BASE < h . n < 1) / (|omega + v| * base): base moves with n there
 
 
-def _tiles(problem, normals, ci, store, ctrl, *, geometry=False):
+def _listed(problem, nc, store):
+    """Ascending indices of the lights that some pixel of a chunk with normals ``nc`` sees lit."""
+    listed = []
+    for b0 in range(0, problem.light_count, LIGHT_BLOCK):
+        ndl = _buf(store, "ndl", (nc.shape[0], min(LIGHT_BLOCK, problem.light_count - b0)))
+        np.matmul(nc, problem.dirs[b0 : b0 + LIGHT_BLOCK].T, out=ndl)
+        listed.append(b0 + np.flatnonzero(ndl.max(axis=0) > 0.0))
+    return np.concatenate(listed)
+
+
+def _tiles(problem, normals, ci, store, ctrl, *, geometry=False, listed=None):
     """Yield a _Tile per block of up to LIGHT_BLOCK lights that some pixel of chunk ``ci`` sees lit.
 
     ``ctrl`` is the chunk material's (3, 3, 2, 6) control points; ``geometry``
-    adds the normal-gradient fields.
+    adds the normal-gradient fields; ``listed`` is the chunk's ``_listed``
+    lights when the caller has them already.
     """
     nc = normals[ci]
-    listed = []
-    for b0 in range(0, problem.light_count, LIGHT_BLOCK):
-        ndl = _buf(store, "ndl", (ci.shape[0], min(LIGHT_BLOCK, problem.light_count - b0)))
-        np.matmul(nc, problem.dirs[b0 : b0 + LIGHT_BLOCK].T, out=ndl)
-        listed.append(b0 + np.flatnonzero(ndl.max(axis=0) > 0.0))
-    listed = np.concatenate(listed)
+    if listed is None:
+        listed = _listed(problem, nc, store)
     view_c = problem.view_rows(ci)
     vdn = np.einsum("cd,cd->c", nc, np.broadcast_to(view_c, nc.shape))[:, None]  # v . n
     for start in range(0, listed.size, LIGHT_BLOCK):
@@ -305,6 +322,14 @@ def _shaded(problem, normals, materials, transfer, j, store):
             yield tile.lights, k, f
 
 
+def _image_rows(shaded, env_lw, count):
+    """A chunk's (count, 3) image from its ``_shaded`` blocks: zeros, then each block reduced against L w."""
+    out = np.zeros((count, 3))
+    for lights, k, fc in shaded:
+        out[:, k] += np.einsum("cb,b->c", fc, env_lw[lights, k])
+    return out
+
+
 def _light_values(fc, u_k, weights):
     """One channel's light adjoint from a contiguous (C, B) f * cmax; cached and fresh blocks share it, bit for bit."""
     return np.einsum("cb,c->b", fc, u_k) * weights
@@ -334,11 +359,8 @@ def forward(problem, normals, materials, env_flat, *, threads=1, transfer=None) 
 
     def run(j):
         ci = problem.chunks[j][1]
-        out = np.zeros((ci.shape[0], 3))
         with _POOL.lease() as store:
-            for lights, k, fc in _shaded(problem, normals, materials, transfer, j, store):
-                out[:, k] += np.einsum("cb,b->c", fc, env_lw[lights, k])
-        return ci, out
+            return ci, _image_rows(_shaded(problem, normals, materials, transfer, j, store), env_lw, ci.shape[0])
 
     image = np.zeros((problem.pixel_count, 3))
     for ci, block in _run_tasks(run, problem, threads):
@@ -362,23 +384,28 @@ def build_transfer(problem, normals, materials, *, threads=1) -> TransferCache:
     return TransferCache(blocks=tuple(_run_tasks(run, problem, threads)))
 
 
-def _backward_chunk(problem, normals, material, env_lw, u_c, groups, ci):
-    """Adjoints for one chunk.
+def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_c=None):
+    """Adjoints for chunk j against its upstream rows ``u_c``, or in residual mode against its own image.
 
-    Returns (dn_block, light_partials, dm_partial). dn_block is (C, 3);
+    Returns (image, dn_block, light_partials, dm_partial). dn_block is (C, 3);
     light_partials holds one (lights, (B, 3) values) pair per tile, so it
     covers only the chunk's listed lights, which are unique across its tiles;
     dm_partial covers the material vector. The caller adds both partials in
     chunk order.
 
+    In residual mode (``u_c`` None, ``target_c`` the chunk's target rows; see the
+    module docstring) image is the chunk's (C, 3) image, else None. The normal
+    rows take u_k only at the end and the material sums run after the lobes,
+    from each lobe's own e * t, so u_k may come from that channel's image.
+
     Factors of a whole tile, channel or (V, B) row are applied once there, not
-    once per lobe: e * t is shared by the normal and material branches, a * b
-    is one row, ``tile.gate`` already holds cmax / base, cmax * u_k is one
-    array per channel and L_k w goes into the light directions.
+    once per lobe: a * b is one row, ``tile.gate`` already holds cmax / base,
+    cmax * u_k is one array per channel and L_k w goes into the light directions.
     """
     want_n = "normal" in groups
     want_l = "light" in groups
     want_m = "material" in groups
+    region, ci = problem.chunks[j]
 
     dn = np.zeros((ci.shape[0], 3)) if want_n else None
     dlight = [] if want_l else None
@@ -386,13 +413,19 @@ def _backward_chunk(problem, normals, material, env_lw, u_c, groups, ci):
     view_c = problem.view_rows(ci)
 
     with _POOL.lease() as store:
-        for tile in _tiles(problem, normals, ci, store, material.control_points, geometry=want_n):
+        listed = _listed(problem, normals[ci], store)
+        image = None if target_c is None else np.zeros((ci.shape[0], 3))
+        if target_c is not None and listed.size > LIGHT_BLOCK:  # several tiles: the whole image comes first
+            image = _image_rows(_shaded(problem, normals, materials, None, j, store), env_lw, ci.shape[0])
+            u_c, target_c = 2.0 * (image - target_c), None
+        ctrl = materials[region].control_points
+        for tile in _tiles(problem, normals, ci, store, ctrl, geometry=want_n, listed=listed):
             lights, cmaxv = tile.lights, tile.cmaxv
             shape = cmaxv.shape
             f = _buf(store, "bw_f", shape)
             t = _buf(store, "bw_t", shape)
             x = _buf(store, "bw_x", shape)
-            et = _buf(store, "bw_e", shape) if want_n or want_m else None
+            ets = [_buf(store, f"bw_e{s}", shape) for s in range(3)] if want_n or want_m else None
             dacc = _buf(store, "bw_d", shape) if want_n else None
             cu = _buf(store, "bw_cu", shape) if want_m else None
             if want_n:
@@ -403,23 +436,29 @@ def _backward_chunk(problem, normals, material, env_lw, u_c, groups, ci):
 
             for k in range(3):
                 lw_k = env_lw[lights, k]
-                if want_m:
-                    np.multiply(cmaxv, u_c[:, k : k + 1], out=cu)
-                    if tile.basis.shape[0] > 1:  # see _accumulate_material
-                        cu *= lw_k
                 for s, (a_row, b_row, _, x_s) in enumerate(_lobes(problem, ci, tile, k, f, t, x)):
-                    if et is not None:
-                        np.add(x_s, 1.0, out=et)  # e = exp(a * t)
-                        et *= t  # t is free from here on
+                    if ets is not None:
+                        np.add(x_s, 1.0, out=ets[s])  # e = exp(a * t)
+                        ets[s] *= t  # t is free from here on
                     if want_n:
-                        np.multiply(et, a_row * b_row, out=dacc if s == 0 else t)
+                        np.multiply(ets[s], a_row * b_row, out=dacc if s == 0 else t)
                         if s > 0:
                             dacc += t
-                    if want_m:
-                        _accumulate_material(dm[k, s], et, cu, t, tile.ell, a_row, lw_k, tile.basis)
-                if want_l:
+                if target_c is not None or want_l:
                     np.multiply(f, cmaxv, out=t)
-                    values[:, k] = _light_values(t, u_c[:, k], problem.weights[lights])
+                if target_c is not None:
+                    image[:, k] += np.einsum("cb,b->c", t, lw_k)
+                    u_k = 2.0 * (image[:, k] - target_c[:, k])
+                else:
+                    u_k = u_c[:, k]
+                if want_l:
+                    values[:, k] = _light_values(t, u_k, problem.weights[lights])
+                if want_m:
+                    np.multiply(cmaxv, u_k[:, None], out=cu)
+                    if tile.basis.shape[0] > 1:  # see _accumulate_material
+                        cu *= lw_k
+                    for s in range(3):
+                        _accumulate_material(dm[k, s], ets[s], cu, t, tile.ell, tile.curves[k, s, 0], lw_k, tile.basis)
                 if want_n:
                     lw_dirs = lw_k[:, None] * dirs_l
                     np.multiply(f, tile.litv, out=t)
@@ -428,9 +467,9 @@ def _backward_chunk(problem, normals, material, env_lw, u_c, groups, ci):
                     dacc *= tile.gate
                     g += dacc @ lw_dirs
                     g += (dacc @ lw_k)[:, None] * view_c
-                    g *= u_c[:, k : k + 1]
+                    g *= u_k[:, None]
                     dn += g
-    return dn, dlight, dm
+    return image, dn, dlight, dm
 
 
 def _accumulate_material(dm_ks, et, cu, tmp, ell, a_row, lw_k, basis):
@@ -454,12 +493,17 @@ def _accumulate_material(dm_ks, et, cu, tmp, ell, a_row, lw_k, basis):
     dm_ks[1] += m.reshape(-1) @ basis
 
 
-def backward(problem, normals, materials, env_flat, upstream, groups, *, threads=1, transfer=None):
+def backward(problem, normals, materials, env_flat, upstream, groups, *, threads=1, transfer=None, target=None):
     """Adjoints of the foreground image against a (F, 3) upstream weighting.
 
     ``normals`` and ``materials`` are as in :func:`forward`. Returns
     (d_normals (F,3) | None, d_env (I,3) | None, d_materials [(3,3,2,6)] |
     None) for the requested parameter groups.
+
+    Residual mode: with ``upstream`` None and a (F, 3) ``target``, the
+    upstream is 2 (I - target) for the image I of this same pass, and the
+    result is (I, d_normals, d_env, d_materials), each equal bit for bit to
+    ``forward`` and to ``backward`` against 2 (forward - target).
     """
     groups = frozenset(groups)
     unknown = groups.difference(GROUPS)
@@ -471,26 +515,34 @@ def backward(problem, normals, materials, env_flat, upstream, groups, *, threads
 
     def run(j):
         region, ci = problem.chunks[j]
-        u_c = upstream[ci]
+        u_c, target_c = (upstream[ci], None) if target is None else (None, target[ci])
         if transfer is None:
-            return ci, region, _backward_chunk(problem, normals, materials[region], env_lw, u_c, groups, ci)
-        # Light-only fast path: contributions are frozen.
+            return ci, region, _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_c)
+        # Light-only fast path: contributions are frozen. Residual mode passes over the blocks twice, image first.
+        image = None
+        if target_c is not None:
+            image = _image_rows(_shaded(problem, normals, materials, transfer, j, None), env_lw, ci.shape[0])
+            u_c = 2.0 * (image - target_c)
         dlight = []
         for lights, k, fc in _shaded(problem, normals, materials, transfer, j, None):
             if k == 0:
                 values = np.empty((lights.size, 3))
                 dlight.append((lights, values))
             values[:, k] = _light_values(fc, u_c[:, k], problem.weights[lights])
-        return ci, region, (None, dlight, None)
+        return ci, region, (image, None, dlight, None)
 
+    image_all = None if target is None else np.zeros((problem.pixel_count, 3))
     dn_all = np.zeros((problem.pixel_count, 3)) if "normal" in groups else None
     denv_all = np.zeros((problem.light_count, 3)) if "light" in groups else None
     dm_all = [np.zeros((3, 3, 2, 6)) for _ in materials] if "material" in groups else None
-    for ci, region, (dn, dlight, dm) in _run_tasks(run, problem, threads):
+    for ci, region, (image, dn, dlight, dm) in _run_tasks(run, problem, threads):
+        if image is not None:
+            image_all[ci] = image
         if dn is not None:
             dn_all[ci] = dn
         for lights, values in dlight or ():
             denv_all[lights] += values
         if dm is not None:
             dm_all[region] += dm
-    return dn_all, denv_all, dm_all
+    grads = (dn_all, denv_all, dm_all)
+    return grads if target is None else (image_all, *grads)

@@ -14,11 +14,12 @@ non-increasing. Normal gradients are projected to each normal's tangent plane
 before entering the L-BFGS update.
 
 Materials are optimized in their normalized [-0.95, 0.95] coordinates so all
-three groups move on comparable scales. Gradients are lazy: the objective runs
-the forward pass and returns a function for the backward pass, which L-BFGS
-calls only at accepted points. Each group's L-BFGS memory carries over from
-one cycle to the next, so only a group's first run starts from the cautious
-step min(1, 1/||d||) along the steepest descent direction.
+three groups move on comparable scales. Each evaluation of a group run is one
+shading pass, the engine's residual-mode backward, which yields the value and
+the group's gradient together; L-BFGS uses the gradient only at x0 and at
+accepted points. Each group's L-BFGS memory carries over from one cycle to the
+next, so only a group's first run starts from the cautious step
+min(1, 1/||d||) along the steepest descent direction.
 """
 
 from __future__ import annotations
@@ -175,32 +176,32 @@ class _Objective:
         )
 
     def __call__(self, normals, materials, env, groups=frozenset(), *, transfer=None):
-        """Value at one state, and ``gradients()``, which runs the backward pass.
+        """Value at one state and its (d_normals, d_env, d_materials), from one shading pass.
 
-        ``gradients()`` reuses this forward's residual and returns (d_normals,
-        d_env, d_materials) for ``groups``: material rows in the normalized
-        coordinates the solver moves in (chain rule through the affine range
-        codec), None for groups not asked for.
+        With ``groups`` the pass is the engine's residual-mode backward, which
+        yields the image and the gradients together; without, a plain forward.
+        Material rows are in the normalized coordinates the solver moves in
+        (chain rule through the affine range codec); groups not asked for are None.
         """
-        img = _shading.forward(self.shading, normals, materials, env, threads=self.threads, transfer=transfer)
+        dn = denv = dms = None
+        if groups:
+            img, dn, denv, dms = _shading.backward(
+                self.shading, normals, materials, env, None, groups,
+                threads=self.threads, transfer=transfer, target=self.target,
+            )
+        else:
+            img = _shading.forward(self.shading, normals, materials, env, threads=self.threads, transfer=transfer)
         r = img - self.target
         n_diff = normals - self.n_prior
         env_diff = env - self.env_prior
         value = float(np.sum(r * r)) + self.a * float(np.sum(n_diff * n_diff)) + self.b * float(np.sum(env_diff * env_diff))
-
-        def gradients():
-            dn, denv, dms = _shading.backward(
-                self.shading, normals, materials, env, 2.0 * r, groups, threads=self.threads, transfer=transfer
-            )
-            if dn is not None:
-                dn += 2.0 * self.a * n_diff
-            if denv is not None:
-                denv += 2.0 * self.b * env_diff
-            if dms is not None:
-                dms = [dm.reshape(-1) * ((m.hi - m.lo) / (2.0 * NORM_LIMIT)) for m, dm in zip(materials, dms)]
-            return dn, denv, dms
-
-        return value, gradients
+        if dn is not None:
+            dn += 2.0 * self.a * n_diff
+        if denv is not None:
+            denv += 2.0 * self.b * env_diff
+        if dms is not None:
+            dms = [dm.reshape(-1) * ((m.hi - m.lo) / (2.0 * NORM_LIMIT)) for m, dm in zip(materials, dms)]
+        return value, (dn, denv, dms)
 
 
 def objective(problem: InverseProblem, state: SceneState, *, threads: int = 1):
@@ -212,10 +213,10 @@ def objective(problem: InverseProblem, state: SceneState, *, threads: int = 1):
     """
     scene = RenderScene(state.normal_map, problem.camera, state.env, tuple(state.materials), problem.segmentation)
     mask = scene.normal_map.mask
-    value, gradients = _Objective.of(problem, scene, threads)(
+    value, grads = _Objective.of(problem, scene, threads)(
         state.normal_map.normals[mask], scene.materials, state.env.radiance.reshape(-1, 3), problem.free_groups
     )
-    return value, _scene_gradients(mask, state.env.radiance.shape, *gradients())
+    return value, _scene_gradients(mask, state.env.radiance.shape, *grads)
 
 
 class LineSearchError(RuntimeError):
@@ -238,8 +239,8 @@ class LbfgsResult:
     converged: bool
     stop_reason: str
     trace: list = field(default_factory=list)  # (value, grad_inf_norm) per accepted step
-    evaluations: int = 0  # value calls of ``fun``, x0 included
-    gradient_evaluations: int = 0  # gradients taken: x0 and each accepted point
+    evaluations: int = 0  # calls of ``fun``, x0 included (in ``solve``, shading passes that give value and gradient)
+    gradient_evaluations: int = 0  # gradients the run used: x0 and each accepted point
 
 
 def _two_loop(g, pairs):
@@ -381,8 +382,8 @@ class RunRecord:
     cycle: int
     group: str
     iterations: int
-    evaluations: int  # forward passes, x0 included
-    gradient_evaluations: int  # backward passes: x0 and each accepted step
+    evaluations: int  # shading passes, x0 included; each yields a value and a gradient
+    gradient_evaluations: int  # gradients the run used: x0 and each accepted step
     stop_reason: str
 
 
@@ -477,7 +478,7 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
             def fun(x, group=group, slot=slot, unpack=unpack, transfer=transfer):
                 trial = {**state, group: unpack(x)}
                 val, grads = obj(trial["normal"], trial["material"], trial["light"], {group}, transfer=transfer)
-                return val, lambda: np.ravel(grads()[slot])
+                return val, np.ravel(grads[slot])
 
             def record(it, val, gnorm, _x, cycle=cycle, group=group):
                 trace.append(TraceEntry(cycle, group, it, val, gnorm))

@@ -294,6 +294,8 @@ def read_material(path) -> DsbrdfMaterial:
         lo, hi = default_bounds()
     elif not (isinstance(lo, list) and isinstance(hi, list) and len(lo) == len(hi) == PARAM_COUNT):
         raise MalformedFileError(f"material lo/hi must be {PARAM_COUNT}-entry lists")
+    if any(isinstance(v, bool) for seq in (params, lo, hi) for v in seq):  # json reads true as True, a number to numpy
+        raise MalformedFileError("material params and bounds must be numbers, not booleans")
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise MalformedFileError("material name must be a string")

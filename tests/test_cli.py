@@ -105,9 +105,10 @@ def test_render_png_bomb_exits_2(fixture_dir, tmp_path, capsys):
 
 
 HUGE_PARAM = '{"version": 1, "params": [1%s%s]}' % ("0" * 400, ", 0" * 107)  # 108 params, one past float range
+BOOL_PARAMS = '{"version": 1, "params": [%s]}' % ", ".join(["true"] * 108)
 
 
-@pytest.mark.parametrize("text", ["[" * 200000, HUGE_PARAM], ids=["nested", "huge"])
+@pytest.mark.parametrize("text", ["[" * 200000, HUGE_PARAM, BOOL_PARAMS], ids=["nested", "huge", "booleans"])
 def test_render_hostile_material_file_exits_2(fixture_dir, tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -1,9 +1,10 @@
-"""Bit-identity contracts: caches and worker counts never change an output bit.
+"""Bit-identity contracts: caches, worker counts and fused passes never change an output bit.
 
 The solver shades the light group through a transfer cache when it fits its
 byte budget; a zero budget takes the uncached path. Worker threads only trade
-whole pixel chunks (screen tiles). Either way every output must come out
-bit-for-bit the same.
+whole pixel chunks (screen tiles). Each solver evaluation takes its value and
+gradient from one residual-mode backward pass. Either way every output must
+come out bit-for-bit the same.
 """
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 
 import gradshade as gs
 from gradshade import _shading
+from gradshade.brdf import NORM_LIMIT
+from gradshade.invert import _Objective
 from gradshade.render import prepare_problem
 
 MODES = ("orthographic", "pinhole")
@@ -27,9 +30,9 @@ def two_region_scene(side, mode, env_shape=ENV_SHAPE):
     return gs.RenderScene(nm, cam, gs.default_blob_env(*env_shape), (presets["glossy"], presets["matte"]), seg)
 
 
-def two_region_problem(mode):
+def two_region_problem(mode, side=SIDE, env_shape=ENV_SHAPE):
     """A solve that starts away from the target in every group."""
-    scene = two_region_scene(SIDE, mode)
+    scene = two_region_scene(side, mode, env_shape)
     target = gs.render(scene)
     rng = np.random.default_rng(7)
     n = scene.normal_map.normals + 0.15 * rng.standard_normal(scene.normal_map.normals.shape)
@@ -106,6 +109,74 @@ def test_backward_is_bit_identical_across_thread_counts_with_several_light_block
     for g in runs[1:]:
         for name in ("d_normals", "d_env", "d_materials"):
             assert getattr(g, name).tobytes() == getattr(runs[0], name).tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_solve_is_bit_identical_with_several_light_blocks(mode):
+    problem = two_region_problem(mode, 16, (48, 96))  # every chunk lists several light blocks
+
+    def short(**kw):
+        return gs.OptimizerConfig(max_cycles=1, inner_iters_per_group=2, **kw)
+
+    single = gs.solve(problem, short())
+    assert {t.group for t in single.trace} == {"normal", "light", "material"}
+    for kw in ({"threads": 2}, {"threads": 3}, {"cache_budget_bytes": 0}):
+        assert solve_bytes(gs.solve(problem, short(**kw))) == solve_bytes(single), kw
+
+
+# (side, env): one-tile chunks only; several-tile chunks only; 6 of 12 chunks of each kind
+FUSED_SCENES = {"one_tile": (16, (16, 32)), "several_tiles": (16, (48, 96)), "mixed": (20, (28, 56))}
+FUSED_GROUPS = [  # (groups, cached); a transfer cache serves the light group only
+    pytest.param(("normal",), False, id="normal"),
+    pytest.param(("light",), False, id="light"),
+    pytest.param(("light",), True, id="light-transfer"),
+    pytest.param(("material",), False, id="material"),
+    pytest.param(_shading.GROUPS, False, id="all"),
+]
+
+
+def _bytes_or_none(grads):
+    return [None if g is None else np.asarray(g).tobytes() for g in grads]
+
+
+@pytest.mark.parametrize("groups, cached", FUSED_GROUPS)
+@pytest.mark.parametrize("kind", FUSED_SCENES)
+@pytest.mark.parametrize("mode", MODES)
+def test_objective_pass_equals_forward_then_backward(mode, kind, groups, cached):
+    """The objective's one pass gives the value and gradients of forward + backward(2 r), bit for bit."""
+    side, env_shape = FUSED_SCENES[kind]
+    problem = two_region_problem(mode, side, env_shape)
+    obj = _Objective.of(problem, problem.scene(), 1)
+    sh = obj.shading
+    # a state off the priors in normals and light, and off the target's materials
+    normals = two_region_scene(side, mode, env_shape).normal_map.normals[problem.normal_map.mask]
+    env, materials = 1.1 * obj.env_prior, problem.materials
+    listed = [_shading._listed(sh, normals[ci], {}).size for _, ci in sh.chunks]
+    several = sum(n > _shading.LIGHT_BLOCK for n in listed)
+    assert several == {"one_tile": 0, "several_tiles": len(listed), "mixed": len(listed) // 2}[kind]
+    transfer = _shading.build_transfer(sh, normals, materials) if cached else None
+
+    value, grads = obj(normals, materials, env, set(groups), transfer=transfer)
+
+    image = _shading.forward(sh, normals, materials, env, transfer=transfer)
+    r = image - obj.target
+    n_diff, env_diff = normals - obj.n_prior, env - obj.env_prior
+    want_value = float(np.sum(r * r)) + obj.a * float(np.sum(n_diff * n_diff))
+    want_value += obj.b * float(np.sum(env_diff * env_diff))
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    dn, denv, dms = _shading.backward(sh, normals, materials, env, 2.0 * r, groups, transfer=transfer)
+    fused = _shading.backward(sh, normals, materials, env, None, groups, transfer=transfer, target=obj.target)
+    assert fused[0].tobytes() == image.tobytes()
+    assert _bytes_or_none(fused[1:]) == _bytes_or_none((dn, denv, dms))
+    if dn is not None:
+        dn += 2.0 * obj.a * n_diff
+    if denv is not None:
+        denv += 2.0 * obj.b * env_diff
+    if dms is not None:
+        dms = [dm.reshape(-1) * ((m.hi - m.lo) / (2.0 * NORM_LIMIT)) for m, dm in zip(materials, dms)]
+    assert _bytes_or_none(grads[:2]) == _bytes_or_none((dn, denv))
+    assert (grads[2] is None) == (dms is None)
+    assert grads[2] is None or _bytes_or_none(grads[2]) == _bytes_or_none(dms)
 
 
 @pytest.mark.parametrize("cpus", [4, 64, None])

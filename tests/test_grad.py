@@ -260,12 +260,12 @@ def test_backward_chunk_memory_does_not_grow_with_the_env(monkeypatch):
         cam = gs.Camera("orthographic", 16, 16)
         scene = gs.RenderScene(gs.sphere_normal_map(16), cam, gs.default_blob_env(*env_shape), (gs.preset_materials()["glossy"],))
         problem, normals, env, upstream = _engine_args(scene, np.random.default_rng(9))
-        region, ci = problem.chunks[0]
-        args = (problem, normals, scene.materials[region], env * problem.weights[:, None], upstream[ci], _shading.GROUPS, ci)
+        ci = problem.chunks[0][1]
+        args = (problem, normals, scene.materials, env * problem.weights[:, None], upstream[ci], _shading.GROUPS, 0)
         _shading._backward_chunk(*args)
         tracemalloc.start()
         try:
-            _, partials, _ = _shading._backward_chunk(*args)
+            _, _, partials, _ = _shading._backward_chunk(*args)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -354,7 +354,7 @@ def make_brighter_env_problem():
     )
 
 
-def test_solve_runs_one_backward_per_group_run_and_accepted_step(monkeypatch):
+def test_solve_shades_each_evaluation_once(monkeypatch):
     prob = make_brighter_env_problem()
     counts = {"forward": 0, "backward": 0}
 
@@ -369,16 +369,17 @@ def test_solve_runs_one_backward_per_group_run_and_accepted_step(monkeypatch):
     monkeypatch.setattr(_shading, "backward", counting("backward", _shading.backward))
     res = solve(prob, OptimizerConfig(max_cycles=3, inner_iters_per_group=8))
     assert len(res.trace) > 0
-    # x0 of every group run, then one per accepted step; rejected trials cost a forward only
-    assert counts["backward"] == res.cycles * 3 + len(res.trace)
-    assert counts["forward"] > counts["backward"] + 1
-    # the run records account for every pass after the initial objective
+    # a plain forward for the initial objective only; every later evaluation is
+    # one residual-mode backward that yields its value and gradient together
+    assert counts["forward"] == 1
     order = ("normal", "light", "material")
     assert [(r.cycle, r.group) for r in res.runs] == [(c, g) for c in range(res.cycles) for g in order]
-    assert counts["forward"] == 1 + sum(r.evaluations for r in res.runs)
-    assert counts["backward"] == sum(r.gradient_evaluations for r in res.runs)
+    assert counts["backward"] == sum(r.evaluations for r in res.runs)
+    # the gradients used: x0 of every group run, then one per accepted step
+    assert sum(r.gradient_evaluations for r in res.runs) == res.cycles * 3 + len(res.trace)
+    assert counts["backward"] > sum(r.gradient_evaluations for r in res.runs)  # it backtracked
     assert sum(r.iterations for r in res.runs) == len(res.trace)
-    # warm-started runs: at most 9 forward passes each (x0 and 8 accepted steps)
+    # warm-started runs: at most 9 evaluations each (x0 and 8 accepted steps)
     assert res.cycles == 3
     assert all(r.evaluations <= 9 for r in res.runs if r.cycle > 0)
 

@@ -321,6 +321,17 @@ def test_material_rejects_non_numeric_params(tmp_path):
         read_material(p)
 
 
+@pytest.mark.parametrize("field", ["params", "lo", "hi"])
+def test_material_rejects_booleans(tmp_path, field):
+    lo, hi = gs.default_bounds()
+    doc = {"version": 1, "params": [0.0] * PARAM_COUNT, "lo": lo.tolist(), "hi": hi.tolist()}
+    doc[field] = doc[field][:-1] + [field != "lo"]  # true, or false as a lower bound, both inside the bounds
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(MalformedFileError, match="booleans"):
+        read_material(p)
+
+
 def test_material_rejects_an_integer_past_float_range(tmp_path):
     p = tmp_path / "huge.json"
     p.write_text(json.dumps({"version": 1, "params": [0.0] * PARAM_COUNT}).replace("0.0", "1" + "0" * 400, 1))
