@@ -19,7 +19,6 @@ from .fixtures import default_blob_env, preset_materials, sphere_normal_map
 from .grad import NonFiniteGradientError, SceneGradients, backward, fd_check
 from .invert import (
     InverseProblem,
-    LineSearchError,
     OptimizerConfig,
     SolveResult,
     edit_material,
@@ -40,7 +39,6 @@ __all__ = [
     "InverseProblem",
     "LdrImage",
     "LightTable",
-    "LineSearchError",
     "NonFiniteGradientError",
     "NormalMap",
     "OptimizerConfig",

@@ -41,8 +41,8 @@ are ``forward`` (reduces f * cmax against the environment),
 ``build_transfer`` (stores f * cmax) and ``backward`` (the three adjoints).
 Pair geometry is recomputed on every call: a per-pair cache of it saved no
 solve time. A TransferCache, the one cache, stores f * cmax of the shaded
-pairs only, per chunk as (lights, (3, C, B)) blocks; forward and the light
-adjoint reduce those blocks exactly as they reduce freshly shaded ones.
+pairs only, per chunk as (lights, (3, C, B)) blocks; the light adjoint and
+the residual-mode image reduce those blocks exactly as freshly shaded ones.
 
 ``backward``'s residual mode is the solver's objective pass: given the target
 instead of an upstream, it takes u = 2 (I - target) for the image I of the
@@ -50,9 +50,10 @@ same pass and returns I too. A one-tile chunk reduces channel k of I right
 after that channel's lobes, from the f * cmax the light adjoint also reads,
 then runs the reductions that need u_k. A chunk listing more than LIGHT_BLOCK
 lights has several tiles: it reduces I through ``_shaded`` first, then runs
-the adjoints as for an upstream; the transfer path does the same in two
-passes over its blocks. Either way I and the adjoints equal ``forward`` and
-``backward`` against 2 (I - target) bit for bit.
+the adjoints as for an upstream, both over the one light list it made; the
+transfer path does the same in two passes over its blocks. Either way I and
+the adjoints equal ``forward`` and ``backward`` against 2 (I - target) bit
+for bit.
 
 The traversal order (region, then tile row-major, then light block), the
 light lists and all reduction orders are fixed, so outputs are bit-identical
@@ -301,10 +302,11 @@ def _lobes(problem, ci, tile, k, f, t, x_next):
         )
 
 
-def _shaded(problem, normals, materials, transfer, j, store):
+def _shaded(problem, normals, materials, transfer, j, store, listed=None):
     """Yield (lights, k, f_k * cmax) per tile and channel of chunk j, from ``transfer`` when given.
 
     Either way the values are a contiguous (C, B) array, so reductions over them agree bit for bit.
+    ``listed`` is as in ``_tiles``.
     """
     if transfer is not None:
         for lights, block in transfer.blocks[j]:
@@ -312,7 +314,7 @@ def _shaded(problem, normals, materials, transfer, j, store):
                 yield lights, k, block[k]
         return
     region, ci = problem.chunks[j]
-    for tile in _tiles(problem, normals, ci, store, materials[region].control_points):
+    for tile in _tiles(problem, normals, ci, store, materials[region].control_points, listed=listed):
         f = _buf(store, "f", tile.ell.shape)
         t = _buf(store, "lobe_t", tile.ell.shape)
         for k in range(3):
@@ -349,7 +351,7 @@ def _run_tasks(fn, problem, threads):
         yield from ex.map(fn, tasks)
 
 
-def forward(problem, normals, materials, env_flat, *, threads=1, transfer=None) -> np.ndarray:
+def forward(problem, normals, materials, env_flat, *, threads=1) -> np.ndarray:
     """Foreground-stream image, shape (F, 3). ``env_flat`` is (I, 3) radiance.
 
     ``normals`` is (F, 3) over the foreground stream and ``materials`` holds
@@ -360,7 +362,7 @@ def forward(problem, normals, materials, env_flat, *, threads=1, transfer=None) 
     def run(j):
         ci = problem.chunks[j][1]
         with _POOL.lease() as store:
-            return ci, _image_rows(_shaded(problem, normals, materials, transfer, j, store), env_lw, ci.shape[0])
+            return ci, _image_rows(_shaded(problem, normals, materials, None, j, store), env_lw, ci.shape[0])
 
     image = np.zeros((problem.pixel_count, 3))
     for ci, block in _run_tasks(run, problem, threads):
@@ -416,7 +418,7 @@ def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_
         listed = _listed(problem, normals[ci], store)
         image = None if target_c is None else np.zeros((ci.shape[0], 3))
         if target_c is not None and listed.size > LIGHT_BLOCK:  # several tiles: the whole image comes first
-            image = _image_rows(_shaded(problem, normals, materials, None, j, store), env_lw, ci.shape[0])
+            image = _image_rows(_shaded(problem, normals, materials, None, j, store, listed), env_lw, ci.shape[0])
             u_c, target_c = 2.0 * (image - target_c), None
         ctrl = materials[region].control_points
         for tile in _tiles(problem, normals, ci, store, ctrl, geometry=want_n, listed=listed):

@@ -7,8 +7,8 @@ gradients, ``metrics`` scores two renders, and ``fixtures`` materializes the
 built-in test scene.
 
 Exit codes: 0 on success, 2 for bad usage or unreadable/inconsistent inputs,
-3 when the numerics fail (overflow, non-finite gradients, a stuck line
-search). Every run is deterministic given its flags.
+3 when the numerics fail: shading overflow, a non-finite gradient, or a
+``gradcheck`` error beyond tolerance. Every run is deterministic given its flags.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .brdf import ShadingOverflowError
 from .core import BACKGROUND_REGION, Camera, EnvironmentMap, RadianceImage, SegmentationMask
 from .fixtures import default_blob_env, preset_materials, sphere_normal_map
 from .grad import NonFiniteGradientError, fd_check
-from .invert import InverseProblem, LineSearchError, OptimizerConfig, edit_material, solve
+from .invert import InverseProblem, OptimizerConfig, edit_material, solve
 from .io import (
     MalformedFileError,
     read_material,
@@ -39,7 +39,6 @@ from .io import (
 )
 from .metrics import auto_exposure, l2_metric, ssim, tone_map
 from .render import RenderScene, render
-from .spline import RankDeficientError
 
 FD_TOLERANCES = {"light": 1e-9, "normal": 1e-4, "material": 1e-4}
 
@@ -270,7 +269,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ShadingOverflowError, NonFiniteGradientError, LineSearchError, RankDeficientError) as exc:
+    except (ShadingOverflowError, NonFiniteGradientError) as exc:
         print(f"gradshade: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (MalformedFileError, ValueError, OSError) as exc:

@@ -16,10 +16,11 @@ before entering the L-BFGS update.
 Materials are optimized in their normalized [-0.95, 0.95] coordinates so all
 three groups move on comparable scales. Each evaluation of a group run is one
 shading pass, the engine's residual-mode backward, which yields the value and
-the group's gradient together; L-BFGS uses the gradient only at x0 and at
-accepted points. Each group's L-BFGS memory carries over from one cycle to the
-next, so only a group's first run starts from the cautious step
-min(1, 1/||d||) along the steepest descent direction.
+the group's gradient array together. Each group's L-BFGS memory carries over
+from one cycle to the next, so only a group's first run starts from the
+cautious step min(1, 1/||d||) along the steepest descent direction. A run
+whose line search finds no step at its first iterate is a recorded stop, not
+an error: it leaves its group where it was and clears that group's memory.
 """
 
 from __future__ import annotations
@@ -179,7 +180,8 @@ class _Objective:
         """Value at one state and its (d_normals, d_env, d_materials), from one shading pass.
 
         With ``groups`` the pass is the engine's residual-mode backward, which
-        yields the image and the gradients together; without, a plain forward.
+        yields the image and the gradients together, shading the light group
+        through ``transfer`` when given; without, a plain forward.
         Material rows are in the normalized coordinates the solver moves in
         (chain rule through the affine range codec); groups not asked for are None.
         """
@@ -190,7 +192,7 @@ class _Objective:
                 threads=self.threads, transfer=transfer, target=self.target,
             )
         else:
-            img = _shading.forward(self.shading, normals, materials, env, threads=self.threads, transfer=transfer)
+            img = _shading.forward(self.shading, normals, materials, env, threads=self.threads)
         r = img - self.target
         n_diff = normals - self.n_prior
         env_diff = env - self.env_prior
@@ -219,28 +221,15 @@ def objective(problem: InverseProblem, state: SceneState, *, threads: int = 1):
     return value, _scene_gradients(mask, state.env.radiance.shape, *grads)
 
 
-class LineSearchError(RuntimeError):
-    """Armijo backtracking exhausted at the very first iterate.
-
-    ``evaluations`` counts the value calls of the failed run, x0 included.
-    """
-
-    def __init__(self, message: str, evaluations: int = 0):
-        super().__init__(message)
-        self.evaluations = evaluations
-
-
 @dataclass
 class LbfgsResult:
     x: np.ndarray
     value: float
     grad: np.ndarray
     iterations: int
-    converged: bool
-    stop_reason: str
+    stop_reason: str  # "gradient", "rel_tol", "line_search" or "iteration_cap"
     trace: list = field(default_factory=list)  # (value, grad_inf_norm) per accepted step
     evaluations: int = 0  # calls of ``fun``, x0 included (in ``solve``, shading passes that give value and gradient)
-    gradient_evaluations: int = 0  # gradients the run used: x0 and each accepted point
 
 
 def _two_loop(g, pairs):
@@ -272,21 +261,20 @@ def lbfgs_minimize(
 ) -> LbfgsResult:
     """Two-loop-recursion L-BFGS with Armijo backtracking.
 
-    ``fun(x) -> (value, gradient)``, where the gradient is an array or a
-    zero-argument function returning one. A function is called only at x0 and
-    at accepted points, so a rejected trial costs only its value. Optional
-    ``project`` maps trial points back to the feasible set before evaluation
-    (the Armijo test then uses the actual displacement), and
-    ``grad_transform(x, g)`` filters gradients (e.g. tangent-plane projection)
-    before they enter stopping tests and curvature pairs. Raises
-    LineSearchError only when no acceptable step exists at the first iterate;
-    later failures return the best point found.
+    ``fun(x) -> (value, gradient array)``. Optional ``project`` maps trial
+    points back to the feasible set before evaluation (the Armijo test then
+    uses the actual displacement), and ``grad_transform(x, g)`` filters
+    gradients (e.g. tangent-plane projection) before they enter stopping tests
+    and curvature pairs. When backtracking finds no acceptable step the run
+    stops with ``stop_reason`` "line_search" and returns the last accepted
+    point: x0, with 0 iterations, if it fails at the first iterate.
 
     ``memory`` is a list of ``(s, y, rho)`` curvature pairs to start from; the
     run extends it in place, keeps at most ``config.memory_pairs`` of them and
-    clears it when its direction is not a descent direction, so a later run
-    on the same problem can pass it on. With empty memory the first trial
-    step is min(1, 1/||d||) along d (as in L-BFGS-B), otherwise the full step.
+    clears it when its direction is not a descent direction or its line search
+    fails at the first iterate, so a later run on the same problem can pass it
+    on. With empty memory the first trial step is min(1, 1/||d||) along d (as
+    in L-BFGS-B), otherwise the full step.
     """
     x = np.array(x0, dtype=np.float64)
     if project is not None:
@@ -295,19 +283,16 @@ def lbfgs_minimize(
         max_iters = config.inner_iters_per_group
 
     f, g = fun(x)
-    g = g() if callable(g) else g
     if grad_transform is not None:
         g = grad_transform(x, g)
     ginf = float(np.abs(g).max(initial=0.0))
     pairs = [] if memory is None else memory
     del pairs[: -config.memory_pairs]
     trace: list = []
-    result = LbfgsResult(x=x, value=f, grad=g, iterations=0, converged=False, stop_reason="iteration_cap", trace=trace,
-                         evaluations=1, gradient_evaluations=1)
+    result = LbfgsResult(x=x, value=f, grad=g, iterations=0, stop_reason="iteration_cap", trace=trace, evaluations=1)
 
     for it in range(1, max_iters + 1):
         if ginf < config.grad_tol:
-            result.converged = True
             result.stop_reason = "gradient"
             break
 
@@ -317,7 +302,6 @@ def lbfgs_minimize(
             d = -g
 
         alpha = 1.0 if pairs else min(1.0, 1.0 / float(np.linalg.norm(d)))
-        accepted = False
         for _ in range(config.max_backtracks + 1):
             x_t = x + alpha * d
             if project is not None:
@@ -326,17 +310,14 @@ def lbfgs_minimize(
             result.evaluations += 1
             step = x_t - x
             if f_t < f and f_t <= f + config.armijo_c * float(g @ step):
-                accepted = True
                 break
             alpha *= config.backtrack_factor
-        if not accepted:
-            if it == 1:
-                raise LineSearchError("no acceptable step at the first iterate", result.evaluations)
+        else:
+            if it == 1:  # nothing moved: the next run starts cold rather than from the same curvature
+                pairs.clear()
             result.stop_reason = "line_search"
             break
 
-        g_t = g_t() if callable(g_t) else g_t
-        result.gradient_evaluations += 1
         if grad_transform is not None:
             g_t = grad_transform(x_t, g_t)
         s = x_t - x
@@ -354,7 +335,6 @@ def lbfgs_minimize(
         if callback is not None:
             callback(it, f, ginf, x)
         if f_prev - f <= config.rel_tol * max(1.0, abs(f_prev)):
-            result.converged = True
             result.stop_reason = "rel_tol"
             break
     else:
@@ -383,7 +363,6 @@ class RunRecord:
     group: str
     iterations: int
     evaluations: int  # shading passes, x0 included; each yields a value and a gradient
-    gradient_evaluations: int  # gradients the run used: x0 and each accepted step
     stop_reason: str
 
 
@@ -446,10 +425,10 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
     config.inner_iters_per_group L-BFGS iterations. Each group keeps its
     curvature pairs from one cycle to the next, so from the second cycle on
     its run starts from the step scale its previous run learned; a run whose
-    line search fails at its first iterate clears them. Stops when a full
-    cycle improves the objective by less than rel_tol (relative) or after
-    max_cycles. The trace carries one entry per accepted step and ``runs`` one
-    record per group run.
+    line search fails at its first iterate leaves the group unchanged and
+    clears them. Stops when a full cycle improves the objective by less than
+    rel_tol (relative) or after max_cycles. The trace carries one entry per
+    accepted step and ``runs`` one record per group run.
     """
     scene = problem.scene()
     mask = scene.normal_map.mask
@@ -483,25 +462,17 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
             def record(it, val, gnorm, _x, cycle=cycle, group=group):
                 trace.append(TraceEntry(cycle, group, it, val, gnorm))
 
-            try:
-                res = lbfgs_minimize(
-                    fun,
-                    pack(state[group]),
-                    config,
-                    max_iters=config.inner_iters_per_group,
-                    project=project,
-                    grad_transform=transform,
-                    callback=record,
-                    memory=memories[group],
-                )
-            except LineSearchError as err:
-                # no acceptable step; the group contributes nothing this cycle, and
-                # its next run starts cold rather than from the same curvature
-                memories[group].clear()
-                runs.append(RunRecord(cycle, group, 0, err.evaluations, 1, "line_search"))
-                continue
-
-            runs.append(RunRecord(cycle, group, res.iterations, res.evaluations, res.gradient_evaluations, res.stop_reason))
+            res = lbfgs_minimize(
+                fun,
+                pack(state[group]),
+                config,
+                max_iters=config.inner_iters_per_group,
+                project=project,
+                grad_transform=transform,
+                callback=record,
+                memory=memories[group],
+            )
+            runs.append(RunRecord(cycle, group, res.iterations, res.evaluations, res.stop_reason))
             if res.iterations == 0:
                 continue
             state[group] = unpack(res.x)

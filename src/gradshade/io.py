@@ -72,21 +72,25 @@ def read_pfm(path) -> np.ndarray:
         if isinstance(exc, MalformedFileError):
             raise
         raise MalformedFileError(f"bad PFM header: {exc}") from exc
-    if w <= 0 or h <= 0 or scale == 0.0:
+    if w <= 0 or h <= 0 or scale == 0.0 or not np.isfinite(scale):
         raise MalformedFileError("bad PFM dimensions or scale")
     pos += 1  # exactly one whitespace byte separates header and payload
     expected = w * h * 3 * 4
     payload = data[pos : pos + expected]
     if len(payload) != expected:
         raise MalformedFileError(f"PFM payload truncated: wanted {expected} bytes, have {len(payload)}")
-    endian = "<f4" if scale < 0.0 else ">f4"
-    pixels = np.frombuffer(payload, dtype=endian).reshape(h, w, 3).astype(np.float64)
-    if abs(scale) != 1.0:
-        pixels = pixels * abs(scale)
-    pixels = np.flipud(pixels).copy()
-    if not np.isfinite(pixels).all():
+    endian = "<" if scale < 0.0 else ">"
+    # inf and NaN have all exponent bits set; test the bits, since casting a
+    # signalling NaN raises the invalid-operation flag
+    if ((np.frombuffer(payload, dtype=endian + "u4") & 0x7F800000) == 0x7F800000).any():
         raise MalformedFileError("PFM payload contains non-finite values")
-    return pixels
+    pixels = np.frombuffer(payload, dtype=endian + "f4").reshape(h, w, 3).astype(np.float64)
+    if abs(scale) != 1.0:
+        with np.errstate(over="ignore"):
+            pixels *= abs(scale)
+        if not np.isfinite(pixels).all():
+            raise MalformedFileError("PFM scale takes the payload past float range")
+    return np.flipud(pixels).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,7 @@ def read_material(path) -> DsbrdfMaterial:
         raise MalformedFileError("material file must hold a JSON object")
     if "version" not in doc:
         raise MalformedFileError("material file is missing its version tag")
-    if doc["version"] != MATERIAL_FORMAT_VERSION:
+    if type(doc["version"]) is not int or doc["version"] != MATERIAL_FORMAT_VERSION:  # bool is an int subclass
         raise MalformedFileError(f"unsupported material format version {doc['version']!r}")
     params = doc.get("params")
     if not isinstance(params, list) or len(params) != PARAM_COUNT:
@@ -290,12 +294,13 @@ def read_material(path) -> DsbrdfMaterial:
     lo, hi = doc.get("lo"), doc.get("hi")
     if (lo is None) != (hi is None):
         raise MalformedFileError("material lo/hi bounds must be present together")
+    if lo is not None and not (isinstance(lo, list) and isinstance(hi, list) and len(lo) == len(hi) == PARAM_COUNT):
+        raise MalformedFileError(f"material lo/hi must be {PARAM_COUNT}-entry lists")
+    # numpy would read true as 1 and "0.5" as 0.5; json gives numbers as int or float only
+    if any(type(v) not in (int, float) for seq in (params, lo or (), hi or ()) for v in seq):
+        raise MalformedFileError("material params and bounds must be JSON numbers, not strings, booleans or null")
     if lo is None:
         lo, hi = default_bounds()
-    elif not (isinstance(lo, list) and isinstance(hi, list) and len(lo) == len(hi) == PARAM_COUNT):
-        raise MalformedFileError(f"material lo/hi must be {PARAM_COUNT}-entry lists")
-    if any(isinstance(v, bool) for seq in (params, lo, hi) for v in seq):  # json reads true as True, a number to numpy
-        raise MalformedFileError("material params and bounds must be numbers, not booleans")
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise MalformedFileError("material name must be a string")

@@ -1,5 +1,6 @@
-"""Shared scene builders for the test suite."""
+"""Shared scene builders and file corruptors for the test suite."""
 
+import re
 import struct
 import zlib
 
@@ -9,6 +10,7 @@ import pytest
 import gradshade as gs
 from gradshade.brdf import material_from_raw
 from gradshade.core import NormalMap
+from gradshade.io import _read_png
 
 
 @pytest.fixture
@@ -89,3 +91,78 @@ def filtered_scanlines(rows, bpp, ftypes):
         bytes([t]) + ((x[y] - predictors[t][y] if t else x[y]) % 256).astype(np.uint8).tobytes()
         for y, t in enumerate(ftypes)
     )
+
+
+def refilter_png16(src, dst, ftypes):
+    """Write the 16-bit RGBA PNG ``src`` to ``dst`` again, its rows filtered with ``ftypes``, cycled."""
+    rgba = _read_png(src, expect_bit_depth=16, expect_color_type=6)
+    h, w = rgba.shape[:2]
+    rows = np.frombuffer(rgba.astype(">u2").tobytes(), dtype=np.uint8).reshape(h, w * 8)
+    write_png16(dst, h, w, zlib.compress(filtered_scanlines(rows, 8, (list(ftypes) * h)[:h])))
+
+
+# ---------------------------------------------------------------------------
+# seeded mutations of well-formed files, for the decoder corpus
+
+def _flip(data, rng):
+    out = bytearray(data)
+    for i in rng.integers(0, len(out), int(rng.integers(1, 5))):
+        out[i] ^= int(rng.integers(1, 256))
+    return bytes(out)
+
+
+def _truncate(data, rng):
+    return data[: int(rng.integers(0, len(data)))]
+
+
+def _insert(data, rng):
+    i = int(rng.integers(0, len(data) + 1))
+    return data[:i] + rng.bytes(int(rng.integers(1, 9))) + data[i:]
+
+
+# byte offset in the file, struct format and candidate values of the IHDR
+# fields edited: width, height and bit depth (IHDR is the first chunk)
+IHDR_FIELDS = (
+    (16, ">I", (0, 1, 2, 3, 7, 9, 2**20, 2**20 + 1, 2**31, 2**32 - 1)),
+    (20, ">I", (0, 1, 2, 3, 7, 9, 2**20, 2**20 + 1, 2**31, 2**32 - 1)),
+    (24, ">B", (0, 1, 2, 4, 8, 15, 17, 32, 255)),
+)
+
+
+def ihdr_edit(data, rng):
+    """Set one IHDR field to a hostile value and recompute the chunk's CRC, so the edit gets past it."""
+    offset, fmt, values = IHDR_FIELDS[int(rng.integers(len(IHDR_FIELDS)))]
+    out = bytearray(data)
+    struct.pack_into(fmt, out, offset, values[int(rng.integers(len(values)))])
+    struct.pack_into(">I", out, 29, zlib.crc32(bytes(out[12:29])) & 0xFFFFFFFF)
+    return bytes(out)
+
+
+PFM_TOKENS = (b"PF", b"Pf", b"P6", b"0", b"-1", b"1", b"2", b"3.5", b"+2", b"1_0", b"99999999999999999999",
+              b"nan", b"inf", b"-inf", b"-1e300", b"1e300", b"-1e-300", b"-0.0", b"x", b"\xff")
+
+
+def pfm_token_edit(data, rng):
+    """Replace one of the four header tokens (magic, width, height, scale)."""
+    tokens = list(re.finditer(rb"\S+", data[:64]))[:4]
+    tok = tokens[int(rng.integers(len(tokens)))]
+    return data[: tok.start()] + PFM_TOKENS[int(rng.integers(len(PFM_TOKENS)))] + data[tok.end() :]
+
+
+JSON_VALUES = (b"true", b"false", b"null", b'"0.5"', b"NaN", b"Infinity", b"1e400", b"1" + b"0" * 400,
+               b"[]", b"{}", b"1.0", b"-0", b"2")
+
+
+def json_value_edit(data, rng):
+    """Replace one JSON number (the version tag included) with a hostile value."""
+    numbers = list(re.finditer(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?", data))
+    num = numbers[int(rng.integers(len(numbers)))]
+    return data[: num.start()] + JSON_VALUES[int(rng.integers(len(JSON_VALUES)))] + data[num.end() :]
+
+
+def mutants(data, seed, count, edits=()):
+    """``count`` seeded corruptions of ``data``: byte flips, truncations, inserted bytes and the format ``edits``."""
+    rng = np.random.default_rng(seed)
+    ops = (_flip, _truncate, _insert) + tuple(edits)
+    for _ in range(count):
+        yield ops[int(rng.integers(len(ops)))](data, rng)

@@ -1,18 +1,17 @@
 """End-to-end command line tests driving main(argv) in-process."""
 
-import zlib
-
 import numpy as np
 import pytest
 
-from conftest import filtered_scanlines, write_png16, write_png_bomb
+from conftest import ihdr_edit, json_value_edit, mutants, pfm_token_edit, refilter_png16, write_png_bomb
 from gradshade.cli import main
 from gradshade.core import BACKGROUND_REGION, SegmentationMask
 from gradshade.io import (
-    _read_png,
+    MalformedFileError,
     read_material,
     read_normal_png16,
     read_pfm,
+    read_segmentation_png16,
     write_pfm,
     write_segmentation_png16,
 )
@@ -106,9 +105,12 @@ def test_render_png_bomb_exits_2(fixture_dir, tmp_path, capsys):
 
 HUGE_PARAM = '{"version": 1, "params": [1%s%s]}' % ("0" * 400, ", 0" * 107)  # 108 params, one past float range
 BOOL_PARAMS = '{"version": 1, "params": [%s]}' % ", ".join(["true"] * 108)
+STRING_PARAMS = '{"version": 1, "params": [%s]}' % ", ".join(['"0.55"'] * 108)
 
 
-@pytest.mark.parametrize("text", ["[" * 200000, HUGE_PARAM, BOOL_PARAMS], ids=["nested", "huge", "booleans"])
+@pytest.mark.parametrize(
+    "text", ["[" * 200000, HUGE_PARAM, BOOL_PARAMS, STRING_PARAMS], ids=["nested", "huge", "booleans", "strings"]
+)
 def test_render_hostile_material_file_exits_2(fixture_dir, tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -120,17 +122,49 @@ def test_render_hostile_material_file_exits_2(fixture_dir, tmp_path, capsys, tex
 
 def test_render_paeth_filtered_normals(fixture_dir, tmp_path):
     """A normal map with every row Paeth-filtered renders as the unfiltered one does."""
-    rgba = _read_png(fixture_dir / "sphere_normals.png", expect_bit_depth=16, expect_color_type=6)
-    h, w = rgba.shape[:2]
-    rows = np.frombuffer(rgba.astype(">u2").tobytes(), dtype=np.uint8).reshape(h, w * 8)
     paeth = tmp_path / "paeth.png"
-    write_png16(paeth, h, w, zlib.compress(filtered_scanlines(rows, 8, [4] * h)))
+    refilter_png16(fixture_dir / "sphere_normals.png", paeth, [4])
     plain, out = tmp_path / "plain.pfm", tmp_path / "paeth.pfm"
     assert main(["render", *scene_args(fixture_dir), "--out", str(plain)]) == 0
     argv = ["render", *scene_args(fixture_dir), "--out", str(out)]
     argv[argv.index("--normals") + 1] = str(paeth)
     assert main(argv) == 0
     assert out.read_bytes() == plain.read_bytes()
+
+
+CORRUPTED = {  # input: (flag, fixture file, reader, format edits)
+    "normals": ("--normals", "sphere_normals.png", read_normal_png16, (ihdr_edit,)),
+    "filtered_normals": ("--normals", None, read_normal_png16, (ihdr_edit,)),
+    "segmentation": ("--segmentation", "sphere_segmentation.png", read_segmentation_png16, (ihdr_edit,)),
+    "env": ("--env", "env.pfm", read_pfm, (pfm_token_edit,)),
+    "material": ("--material", "material_matte.json", read_material, (json_value_edit,)),
+}
+
+
+@pytest.mark.parametrize("seed, name", list(enumerate(CORRUPTED)), ids=list(CORRUPTED))
+def test_render_corrupt_input_exits_2(fixture_dir, tmp_path, capsys, seed, name):
+    """A sample of the decoder corpus's mutants (tests/test_io.py), those the reader rejects, through the CLI."""
+    flag, fixture, read, edits = CORRUPTED[name]
+    src = tmp_path / "src"
+    if fixture is None:  # rows alternate the Average and Paeth filters
+        refilter_png16(fixture_dir / "sphere_normals.png", src, [3, 4])
+    else:
+        src.write_bytes((fixture_dir / fixture).read_bytes())
+    bad = tmp_path / "bad"
+    argv = ["render", *scene_args(fixture_dir), "--out", str(tmp_path / "x.pfm")]
+    argv[argv.index(flag) + 1] = str(bad)
+    ran = 0
+    for data in mutants(src.read_bytes(), seed, 40, edits):
+        bad.write_bytes(data)
+        try:
+            read(bad)
+        except MalformedFileError:
+            assert main(argv) == 2
+            assert "gradshade:" in capsys.readouterr().err
+            ran += 1
+            if ran == 4:
+                break
+    assert ran == 4
 
 
 def test_render_empty_last_region_renders(fixture_dir, tmp_path):

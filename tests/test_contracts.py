@@ -158,7 +158,7 @@ def test_objective_pass_equals_forward_then_backward(mode, kind, groups, cached)
 
     value, grads = obj(normals, materials, env, set(groups), transfer=transfer)
 
-    image = _shading.forward(sh, normals, materials, env, transfer=transfer)
+    image = _shading.forward(sh, normals, materials, env)
     r = image - obj.target
     n_diff, env_diff = normals - obj.n_prior, env - obj.env_prior
     want_value = float(np.sum(r * r)) + obj.a * float(np.sum(n_diff * n_diff))
@@ -177,6 +177,25 @@ def test_objective_pass_equals_forward_then_backward(mode, kind, groups, cached)
     assert _bytes_or_none(grads[:2]) == _bytes_or_none((dn, denv))
     assert (grads[2] is None) == (dms is None)
     assert grads[2] is None or _bytes_or_none(grads[2]) == _bytes_or_none(dms)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_residual_backward_lists_each_chunks_lights_once(monkeypatch, mode):
+    """A chunk whose image comes first (several tiles) shades it and its adjoints from one light list."""
+    problem = two_region_problem(mode, 16, (48, 96))
+    obj = _Objective.of(problem, problem.scene(), 1)
+    sh, normals = obj.shading, obj.n_prior
+    assert all(_shading._listed(sh, normals[ci], {}).size > _shading.LIGHT_BLOCK for _, ci in sh.chunks)
+    calls = []
+    real = _shading._listed
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(_shading, "_listed", counting)
+    _shading.backward(sh, normals, problem.materials, obj.env_prior, None, _shading.GROUPS, target=obj.target)
+    assert len(calls) == len(sh.chunks)
 
 
 @pytest.mark.parametrize("cpus", [4, 64, None])

@@ -14,9 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import filtered_scanlines, random_material, random_normal_map, write_png16, write_png_bomb
+from conftest import (
+    filtered_scanlines,
+    ihdr_edit,
+    json_value_edit,
+    mutants,
+    pfm_token_edit,
+    random_material,
+    random_normal_map,
+    refilter_png16,
+    write_png16,
+    write_png_bomb,
+)
 import gradshade as gs
-from gradshade.brdf import PARAM_COUNT
+from gradshade.brdf import PARAM_COUNT, DsbrdfMaterial
 from gradshade.core import NormalMap, SegmentationMask
 from gradshade.io import (
     MalformedFileError,
@@ -103,6 +114,23 @@ def test_pfm_rejects_nonfinite_payload(tmp_path):
     p = tmp_path / "nan.pfm"
     payload = struct.pack("<3f", np.nan, 0.0, 0.0)
     p.write_bytes(b"PF\n1 1\n-1.0\n" + payload)
+    with pytest.raises(MalformedFileError):
+        read_pfm(p)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "header, payload",
+    [
+        (b"PF\n1 1\n-1.0\n", struct.pack("<3I", 0x7F800001, 0, 0)),  # a signalling NaN
+        (b"PF\n1 1\n-1e300\n", struct.pack("<3f", 3e38, 0.0, 0.0)),  # scaled past float range
+        (b"PF\n1 1\n-inf\n", struct.pack("<3f", 1.0, 0.0, 0.0)),  # inf * 0 would be NaN
+    ],
+    ids=["signalling-nan", "scale-overflow", "infinite-scale"],
+)
+def test_pfm_rejects_without_a_warning(tmp_path, header, payload):
+    p = tmp_path / "bad.pfm"
+    p.write_bytes(header + payload)
     with pytest.raises(MalformedFileError):
         read_pfm(p)
 
@@ -332,6 +360,25 @@ def test_material_rejects_booleans(tmp_path, field):
         read_material(p)
 
 
+@pytest.mark.parametrize("field", ["params", "lo", "hi"])
+def test_material_rejects_numbers_written_as_strings(tmp_path, field):
+    lo, hi = gs.default_bounds()
+    doc = {"version": 1, "params": [0.0] * PARAM_COUNT, "lo": lo.tolist(), "hi": hi.tolist()}
+    doc[field] = doc[field][:-1] + [f"{doc[field][-1]!r}"]  # numpy would read the string as its number
+    p = tmp_path / "str.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(MalformedFileError, match="JSON numbers"):
+        read_material(p)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "string"])
+def test_material_version_must_be_an_integer(tmp_path, version):
+    p = tmp_path / "v.json"
+    p.write_text(json.dumps({"version": version, "params": [0.0] * PARAM_COUNT}))
+    with pytest.raises(MalformedFileError, match="version"):
+        read_material(p)
+
+
 def test_material_rejects_an_integer_past_float_range(tmp_path):
     p = tmp_path / "huge.json"
     p.write_text(json.dumps({"version": 1, "params": [0.0] * PARAM_COUNT}).replace("0.0", "1" + "0" * 400, 1))
@@ -410,3 +457,58 @@ def test_material_reader_survives_noise(tmp_path_factory, data):
         read_material(p)
     except MalformedFileError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# seeded mutation corpus: well-formed files from the writers, corrupted
+
+MUTATIONS = 300
+
+
+def _write_filtered_png(path, rng):
+    """A normal map whose rows alternate the Average and Paeth filters."""
+    write_normal_png16(path, random_normal_map(rng, 6, 5))
+    refilter_png16(path, path, [3, 4])
+
+
+def _write_segmentation(path, rng):
+    write_segmentation_png16(path, SegmentationMask(rng.integers(-1, 3, (5, 6)).astype(np.int32), 3))
+
+
+CORPUS = {  # kind: (writer, reader, what a successful read returns, format edits)
+    "normal_png": (lambda p, rng: write_normal_png16(p, random_normal_map(rng, 6, 5)), read_normal_png16, NormalMap,
+                   (ihdr_edit,)),
+    "segmentation_png": (_write_segmentation, read_segmentation_png16, SegmentationMask, (ihdr_edit,)),
+    "filtered_png": (_write_filtered_png, read_normal_png16, NormalMap, (ihdr_edit,)),
+    "pfm": (lambda p, rng: write_pfm(p, rng.gamma(1.0, 2.0, (4, 6, 3))), read_pfm, np.ndarray, (pfm_token_edit,)),
+    "material": (lambda p, rng: write_material(p, random_material(rng)), read_material, DsbrdfMaterial,
+                 (json_value_edit,)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed, kind", list(enumerate(CORPUS)), ids=list(CORPUS))
+def test_decoder_mutation_corpus(tmp_path, seed, kind):
+    """Every mutant reads as a valid object or raises MalformedFileError: no other error, no warning, small memory."""
+    write, read, returns, edits = CORPUS[kind]
+    src, p = tmp_path / "src", tmp_path / "mutant"
+    write(src, np.random.default_rng(seed))
+    assert isinstance(read(src), returns)
+    rejected = 0
+    tracemalloc.start()
+    try:
+        for data in mutants(src.read_bytes(), seed, MUTATIONS, edits):
+            p.write_bytes(data)
+            try:
+                value = read(p)
+            except MalformedFileError:
+                rejected += 1
+                continue
+            assert isinstance(value, returns)
+            if returns is np.ndarray:
+                assert value.ndim == 3 and value.shape[2] == 3 and np.isfinite(value).all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert rejected > MUTATIONS // 3  # the mutations do corrupt
