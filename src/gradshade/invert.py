@@ -26,6 +26,7 @@ an error: it leaves its group where it was and clears that group's memory.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +47,8 @@ class LossWeights:
     w_image: float = 1.0
 
     def __post_init__(self):
-        if min(self.w_normal, self.w_material, self.w_image) <= 0.0:
-            raise ValueError("loss weights must be positive")
+        if not all(0.0 < w < math.inf for w in (self.w_normal, self.w_material, self.w_image)):
+            raise ValueError("loss weights must be positive and finite")
 
 
 def loss_normal(pred: NormalMap, gt: NormalMap) -> float:
@@ -73,9 +74,18 @@ def loss_combined(weights: LossWeights, l_normal: float, l_material: float, l_im
     return weights.w_normal * l_normal + weights.w_material * l_material + weights.w_image * l_image
 
 
+ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
+BACKTRACK_FACTOR = 0.5  # step shrink per rejected line-search trial
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of :func:`solve`.
+    """Settings of :func:`solve` and :func:`lbfgs_minimize`.
+
+    ``inner_iters_per_group`` caps the iterations of each L-BFGS run and
+    ``max_backtracks`` the rejected trials of each of its line searches.
+    ``rel_tol`` (relative decrease of a step, and of a cycle in ``solve``)
+    and ``grad_tol`` (gradient max-norm) must be finite and positive.
 
     ``cache_budget_bytes`` gates the one cache the solver builds: the transfer
     cache, f * cmax per shaded (pixel, light) pair and channel, that the light
@@ -88,8 +98,6 @@ class OptimizerConfig:
     inner_iters_per_group: int = 20
     max_cycles: int = 50
     rel_tol: float = 1e-6
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
     max_backtracks: int = 25
     cycle_order: tuple = ("normal", "light", "material")
     grad_tol: float = 1e-12
@@ -99,10 +107,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if min(self.memory_pairs, self.inner_iters_per_group, self.max_cycles, self.max_backtracks) < 1:
             raise ValueError("iteration counts must be positive")
-        if self.rel_tol <= 0.0 or self.armijo_c <= 0.0 or self.grad_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.grad_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         bad = set(self.cycle_order).difference(_shading.GROUPS)
         if bad or not self.cycle_order:
             raise ValueError(f"cycle order may contain only {_shading.GROUPS}, got {self.cycle_order!r}")
@@ -128,8 +134,8 @@ class InverseProblem:
     def __post_init__(self):
         object.__setattr__(self, "materials", tuple(self.materials))
         object.__setattr__(self, "free_groups", frozenset(self.free_groups))
-        if self.a < 0.0 or self.b < 0.0:
-            raise ValueError("regularizer weights must be non-negative")
+        if not (0.0 <= self.a < math.inf and 0.0 <= self.b < math.inf):
+            raise ValueError("regularizer weights must be non-negative and finite")
         bad = self.free_groups.difference(_shading.GROUPS)
         if bad or not self.free_groups:
             raise ValueError(f"free groups must be a non-empty subset of {_shading.GROUPS}")
@@ -225,7 +231,6 @@ def objective(problem: InverseProblem, state: SceneState, *, threads: int = 1):
 class LbfgsResult:
     x: np.ndarray
     value: float
-    grad: np.ndarray
     iterations: int
     stop_reason: str  # "gradient", "rel_tol", "line_search" or "iteration_cap"
     trace: list = field(default_factory=list)  # (value, grad_inf_norm) per accepted step
@@ -253,21 +258,21 @@ def lbfgs_minimize(
     x0,
     config: OptimizerConfig = OptimizerConfig(),
     *,
-    max_iters: int | None = None,
     project=None,
-    grad_transform=None,
-    callback=None,
     memory: list | None = None,
 ) -> LbfgsResult:
     """Two-loop-recursion L-BFGS with Armijo backtracking.
 
-    ``fun(x) -> (value, gradient array)``. Optional ``project`` maps trial
-    points back to the feasible set before evaluation (the Armijo test then
-    uses the actual displacement), and ``grad_transform(x, g)`` filters
-    gradients (e.g. tangent-plane projection) before they enter stopping tests
-    and curvature pairs. When backtracking finds no acceptable step the run
-    stops with ``stop_reason`` "line_search" and returns the last accepted
-    point: x0, with 0 iterations, if it fails at the first iterate.
+    ``fun(x) -> (value, gradient array)``; the gradient it returns is the one
+    that enters the stopping tests and curvature pairs. Optional ``project``
+    maps trial points back to the feasible set before evaluation (the Armijo
+    test, with constant ``ARMIJO_C``, then uses the actual displacement).
+    Each rejected trial shrinks the step by ``BACKTRACK_FACTOR``, at most
+    ``config.max_backtracks`` times; a run takes at most
+    ``config.inner_iters_per_group`` iterations. When backtracking finds no
+    acceptable step the run stops with ``stop_reason`` "line_search" and
+    returns the last accepted point: x0, with 0 iterations, if it fails at
+    the first iterate.
 
     ``memory`` is a list of ``(s, y, rho)`` curvature pairs to start from; the
     run extends it in place, keeps at most ``config.memory_pairs`` of them and
@@ -279,19 +284,15 @@ def lbfgs_minimize(
     x = np.array(x0, dtype=np.float64)
     if project is not None:
         x = project(x)
-    if max_iters is None:
-        max_iters = config.inner_iters_per_group
 
     f, g = fun(x)
-    if grad_transform is not None:
-        g = grad_transform(x, g)
     ginf = float(np.abs(g).max(initial=0.0))
     pairs = [] if memory is None else memory
     del pairs[: -config.memory_pairs]
     trace: list = []
-    result = LbfgsResult(x=x, value=f, grad=g, iterations=0, stop_reason="iteration_cap", trace=trace, evaluations=1)
+    result = LbfgsResult(x=x, value=f, iterations=0, stop_reason="iteration_cap", trace=trace, evaluations=1)
 
-    for it in range(1, max_iters + 1):
+    for it in range(1, config.inner_iters_per_group + 1):
         if ginf < config.grad_tol:
             result.stop_reason = "gradient"
             break
@@ -309,17 +310,15 @@ def lbfgs_minimize(
             f_t, g_t = fun(x_t)
             result.evaluations += 1
             step = x_t - x
-            if f_t < f and f_t <= f + config.armijo_c * float(g @ step):
+            if f_t < f and f_t <= f + ARMIJO_C * float(g @ step):
                 break
-            alpha *= config.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
         else:
             if it == 1:  # nothing moved: the next run starts cold rather than from the same curvature
                 pairs.clear()
             result.stop_reason = "line_search"
             break
 
-        if grad_transform is not None:
-            g_t = grad_transform(x_t, g_t)
         s = x_t - x
         y = g_t - g
         sy = float(s @ y)
@@ -330,15 +329,11 @@ def lbfgs_minimize(
 
         f_prev, x, f, g = f, x_t, f_t, g_t
         ginf = float(np.abs(g).max(initial=0.0))
-        result.x, result.value, result.grad, result.iterations = x, f, g, it
+        result.x, result.value, result.iterations = x, f, it
         trace.append((f, ginf))
-        if callback is not None:
-            callback(it, f, ginf, x)
         if f_prev - f <= config.rel_tol * max(1.0, abs(f_prev)):
             result.stop_reason = "rel_tol"
             break
-    else:
-        result.stop_reason = "iteration_cap"
     return result
 
 
@@ -399,8 +394,9 @@ def _group_layouts(materials):
 
     ``pack`` maps the group's solver state to x and ``unpack`` maps x back;
     ``slot`` is the group's place in the objective's (normals, env, materials)
-    gradients. Materials move in normalized coordinates under their own
-    bounds, which no run changes.
+    gradients, and the transform, if any, maps that gradient at x to the one
+    the group's run sees. Materials move in normalized coordinates under their
+    own bounds, which no run changes.
     """
     def rows(x):
         return np.ascontiguousarray(x.reshape(-1, 3))
@@ -454,24 +450,14 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
             if group == "light" and shading.pixel_count * shading.light_count * 24 <= config.cache_budget_bytes:
                 transfer = _shading.build_transfer(shading, state["normal"], state["material"], threads=obj.threads)
 
-            def fun(x, group=group, slot=slot, unpack=unpack, transfer=transfer):
+            def fun(x, group=group, slot=slot, unpack=unpack, transform=transform, transfer=transfer):
                 trial = {**state, group: unpack(x)}
                 val, grads = obj(trial["normal"], trial["material"], trial["light"], {group}, transfer=transfer)
-                return val, np.ravel(grads[slot])
+                g = np.ravel(grads[slot])
+                return val, (g if transform is None else transform(x, g))
 
-            def record(it, val, gnorm, _x, cycle=cycle, group=group):
-                trace.append(TraceEntry(cycle, group, it, val, gnorm))
-
-            res = lbfgs_minimize(
-                fun,
-                pack(state[group]),
-                config,
-                max_iters=config.inner_iters_per_group,
-                project=project,
-                grad_transform=transform,
-                callback=record,
-                memory=memories[group],
-            )
+            res = lbfgs_minimize(fun, pack(state[group]), config, project=project, memory=memories[group])
+            trace.extend(TraceEntry(cycle, group, it, val, gnorm) for it, (val, gnorm) in enumerate(res.trace, 1))
             runs.append(RunRecord(cycle, group, res.iterations, res.evaluations, res.stop_reason))
             if res.iterations == 0:
                 continue

@@ -7,6 +7,7 @@ the contract; do not loosen them to make a box turn green.
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,12 +204,12 @@ def test_criterion_07_lbfgs_unit_problems():
     rng = np.random.default_rng(4)
     c = rng.standard_normal(10)
     res1 = lbfgs_minimize(lambda x: (float(np.sum((x - c) ** 2)), 2.0 * (x - c)),
-                          np.zeros(10), TIGHT, max_iters=50)
+                          np.zeros(10), replace(TIGHT, inner_iters_per_group=50))
     err1 = float(np.linalg.norm(res1.x - c))
 
     diag = np.arange(1.0, 21.0)
     res2 = lbfgs_minimize(lambda x: (float(x @ (diag * x)), 2.0 * diag * x),
-                          np.ones(20), TIGHT, max_iters=60)
+                          np.ones(20), replace(TIGHT, inner_iters_per_group=60))
 
     ok = err1 < 1e-8 and res1.iterations <= 5 and res2.value < 1e-10 and res2.iterations <= 60
     detail = (

@@ -350,6 +350,15 @@ def test_invert_empty_last_region_runs(fixture_dir, tmp_path):
     assert (tmp_path / "sol_material_1.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--a", "nan"), ("--b", "nan"), ("--a", "inf"), ("--b", "inf"), ("--rel-tol", "nan")])
+def test_invert_non_finite_weight_or_tolerance_exits_2_before_writing(fixture_dir, tmp_path, capsys, flag, value):
+    argv = invert_argv(fixture_dir, tmp_path, fixture_dir / "sphere_segmentation.png", ["matte"])
+    assert main([*argv, flag, value]) == 2
+    assert not list(tmp_path.glob("sol_*"))
+    captured = capsys.readouterr()
+    assert "finite" in captured.err and "objective" not in captured.out
+
+
 def test_invert_region_id_past_material_count_exits_2(fixture_dir, tmp_path, capsys):
     nm = read_normal_png16(fixture_dir / "sphere_normals.png")
     ids = np.where(nm.mask, 0, BACKGROUND_REGION).astype(np.int32)

@@ -1,5 +1,8 @@
 """Inverse rendering: losses, the L-BFGS core, and the alternating solver."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,6 +79,15 @@ def test_loss_combined_weights():
     assert loss_combined(LossWeights(1.0, 1.0, 1.0), 2.0, 3.0, 4.0) == pytest.approx(9.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("slot", range(3))
+def test_loss_weights_must_be_positive_and_finite(slot, bad):
+    weights = [1.0, 1.0, 1.0]
+    weights[slot] = bad
+    with pytest.raises(ValueError):
+        LossWeights(*weights)
+
+
 # ---------------------------------------------------------------------------
 # L-BFGS core
 
@@ -85,7 +97,7 @@ def test_lbfgs_quadratic_dim10(rng):
     def fg(x):
         return float(np.sum((x - c) ** 2)), 2.0 * (x - c)
 
-    res = lbfgs_minimize(fg, np.zeros(10), TIGHT, max_iters=50)
+    res = lbfgs_minimize(fg, np.zeros(10), replace(TIGHT, inner_iters_per_group=50))
     assert res.iterations <= 5
     assert np.linalg.norm(res.x - c) < 1e-8
 
@@ -97,7 +109,7 @@ def diagonal_bowl(x):
 
 
 def test_lbfgs_ill_conditioned_diagonal():
-    res = lbfgs_minimize(diagonal_bowl, np.ones(20), TIGHT, max_iters=60)
+    res = lbfgs_minimize(diagonal_bowl, np.ones(20), replace(TIGHT, inner_iters_per_group=60))
     assert res.value < 1e-10
     assert res.iterations <= 60
 
@@ -106,7 +118,7 @@ def test_lbfgs_stationary_start_returns_immediately():
     def fg(x):
         return float(x @ x), 2.0 * x
 
-    res = lbfgs_minimize(fg, np.zeros(4), TIGHT, max_iters=10)
+    res = lbfgs_minimize(fg, np.zeros(4), replace(TIGHT, inner_iters_per_group=10))
     assert res.iterations == 0
     assert res.value == 0.0
 
@@ -117,8 +129,9 @@ def test_lbfgs_iterates_never_increase(rng):
         v = float(np.sum(x**4) + np.sum(x**2))
         return v, 4.0 * x**3 + 2.0 * x
 
-    values = []
-    res = lbfgs_minimize(fg, rng.uniform(-2, 2, 8), TIGHT, max_iters=40, callback=lambda i, v, g, x: values.append(v))
+    res = lbfgs_minimize(fg, rng.uniform(-2, 2, 8), replace(TIGHT, inner_iters_per_group=40))
+    values = [v for v, _ in res.trace]
+    assert len(values) == res.iterations > 0
     assert all(b <= a for a, b in zip(values, values[1:]))
     assert res.value <= values[0]
 
@@ -131,7 +144,7 @@ def test_lbfgs_line_search_failure_at_first_iterate():
 
     # one positive-definite pair: the two-loop direction is still "descent" for the lie
     memory = [(np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]), 0.5)]
-    res = lbfgs_minimize(fg, np.ones(3), OptimizerConfig(max_backtracks=5), max_iters=10, memory=memory)
+    res = lbfgs_minimize(fg, np.ones(3), OptimizerConfig(max_backtracks=5, inner_iters_per_group=10), memory=memory)
     assert np.array_equal(res.x, np.ones(3)) and res.value == 3.0
     assert (res.iterations, res.stop_reason, res.trace) == (0, "line_search", [])
     assert res.evaluations == 1 + 6  # x0, then the first trial and 5 backtracks
@@ -141,22 +154,21 @@ def test_lbfgs_line_search_failure_at_first_iterate():
 def test_lbfgs_line_search_failure_at_a_later_iterate_keeps_the_memory():
     # the bowl turns to +inf everywhere after three value calls: two steps are
     # accepted, then no trial of the third iteration is
-    calls = []
+    memory = []
+    seen = []  # the pairs in the caller's memory list at each value call
 
     def fg(x):
-        calls.append(None)
+        seen.append(list(memory))
         value, grad = diagonal_bowl(x)
-        return (value if len(calls) <= 3 else np.inf), grad
+        return (value if len(seen) <= 3 else np.inf), grad
 
-    memory = []
-    seen = []
-    res = lbfgs_minimize(fg, np.ones(20), OptimizerConfig(max_backtracks=5), max_iters=10, memory=memory,
-                         callback=lambda i, v, g, x: seen.append(list(memory)))
+    res = lbfgs_minimize(fg, np.ones(20), OptimizerConfig(max_backtracks=5, inner_iters_per_group=10), memory=memory)
     assert (res.iterations, res.stop_reason) == (2, "line_search")
-    assert res.evaluations == 3 + 6
+    assert res.evaluations == len(seen) == 3 + 6
     assert res.value == res.trace[-1][0] < 20.0
     assert len(memory) == 2
-    assert all(p is q for p, q in zip(memory, seen[-1], strict=True))
+    # the failed trials saw the pairs of the two accepted steps, which the run then kept
+    assert all(p is q for snapshot in seen[3:] for p, q in zip(memory, snapshot, strict=True))
 
 
 def test_lbfgs_projection_hook_keeps_feasible(rng):
@@ -167,7 +179,7 @@ def test_lbfgs_projection_hook_keeps_feasible(rng):
         return float(np.sum((x - c) ** 2)), 2.0 * (x - c)
 
     res = lbfgs_minimize(
-        fg, np.zeros(2), TIGHT, max_iters=30, project=lambda x: np.clip(x, -1.0, 1.0)
+        fg, np.zeros(2), replace(TIGHT, inner_iters_per_group=30), project=lambda x: np.clip(x, -1.0, 1.0)
     )
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
 
@@ -181,27 +193,31 @@ def test_lbfgs_first_step_from_empty_memory_has_at_most_unit_length():
         trials.append(x.copy())
         return float(np.sum((x - c) ** 2)), 2.0 * (x - c)
 
-    res = lbfgs_minimize(fg, np.zeros(2), TIGHT, max_iters=20)
+    res = lbfgs_minimize(fg, np.zeros(2), replace(TIGHT, inner_iters_per_group=20))
     assert np.linalg.norm(trials[1] - trials[0]) <= 1.0 + 1e-12
     assert np.allclose(trials[1], c / 50.0, rtol=1e-12)
     assert np.linalg.norm(res.x - c) < 1e-8
 
 
 def test_lbfgs_memory_is_extended_in_place_and_capped():
-    fg = diagonal_bowl
     memory = []
-    sizes = []
-    lbfgs_minimize(fg, np.ones(20), OptimizerConfig(memory_pairs=3), max_iters=10, memory=memory,
-                   callback=lambda i, v, g, x: sizes.append(len(memory)))
-    assert sizes == [1, 2, 3] + [3] * 7
+    sizes = []  # length of the caller's memory list at each value call
+
+    def fg(x):
+        sizes.append(len(memory))
+        return diagonal_bowl(x)
+
+    res = lbfgs_minimize(fg, np.ones(20), OptimizerConfig(memory_pairs=3, inner_iters_per_group=10), memory=memory)
+    # x0 and the first trial see no pairs; each accepted step adds one, up to the cap
+    assert res.iterations == 10 and len(memory) == 3
+    assert sizes == [0, 0, 1, 2] + [3] * (res.evaluations - 4)
     for s, y, rho in memory:
         assert rho == 1.0 / float(s @ y)
     # memory longer than the cap is trimmed to its newest pairs before the first step
     newest = memory[-2:]
     sizes.clear()
-    lbfgs_minimize(fg, np.ones(20), OptimizerConfig(memory_pairs=2), max_iters=4, memory=memory,
-                   callback=lambda i, v, g, x: sizes.append(len(memory)))
-    assert max(sizes) == 2 and len(memory) == 2
+    lbfgs_minimize(fg, np.ones(20), OptimizerConfig(memory_pairs=2, inner_iters_per_group=4), memory=memory)
+    assert max(sizes[1:]) == 2 and len(memory) == 2
     assert all(not any(p is q for q in memory) for p in newest)  # both replaced by later pairs
 
 
@@ -209,10 +225,11 @@ def test_lbfgs_warm_start_takes_fewer_evaluations_on_kappa_20_diagonal():
     # a run continued with the memory of the run that got it there needs
     # fewer value calls than one continued cold
     memory = []
-    first = lbfgs_minimize(diagonal_bowl, np.ones(20), TIGHT, max_iters=10, memory=memory)
+    first = lbfgs_minimize(diagonal_bowl, np.ones(20), replace(TIGHT, inner_iters_per_group=10), memory=memory)
     assert len(memory) == TIGHT.memory_pairs
-    warm = lbfgs_minimize(diagonal_bowl, first.x, TIGHT, max_iters=60, memory=memory)
-    cold = lbfgs_minimize(diagonal_bowl, first.x, TIGHT, max_iters=60)
+    long_run = replace(TIGHT, inner_iters_per_group=60)
+    warm = lbfgs_minimize(diagonal_bowl, first.x, long_run, memory=memory)
+    cold = lbfgs_minimize(diagonal_bowl, first.x, long_run)
     assert warm.value < 1e-10 and cold.value < 1e-10
     assert warm.evaluations < cold.evaluations
 
@@ -229,6 +246,22 @@ def make_problem(free=frozenset({"normal", "light", "material"})):
     return InverseProblem(
         target=target, normal_map=nm, env=env, materials=(mat,), camera=cam, free_groups=free
     )
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_regularizer_weights_must_be_non_negative_and_finite(name, bad):
+    prob = make_problem()
+    replace(prob, **{name: 0.0})  # a zero weight switches its prior off
+    with pytest.raises(ValueError):
+        replace(prob, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["rel_tol", "grad_tol"])
+def test_tolerances_must_be_positive_and_finite(name, bad):
+    with pytest.raises(ValueError):
+        OptimizerConfig(**{name: bad})
 
 
 def test_objective_zero_at_ground_truth():
@@ -373,6 +406,18 @@ def test_solve_shades_each_evaluation_once(monkeypatch):
     assert all(r.evaluations <= 9 for r in res.runs if r.cycle > 0)
 
 
+def assert_trace_follows_runs(res):
+    """The trace holds iterations 1..n of each run's (cycle, group), run after run; a 0-iteration run has none."""
+    expected = [(r.cycle, r.group, it) for r in res.runs for it in range(1, r.iterations + 1)]
+    assert [(t.cycle, t.group, t.iteration) for t in res.trace] == expected
+
+
+def test_solve_trace_follows_the_runs():
+    res = solve(make_brighter_env_problem(), OptimizerConfig(max_cycles=3, inner_iters_per_group=8))
+    assert len({r.iterations for r in res.runs}) > 1
+    assert_trace_follows_runs(res)
+
+
 def test_solve_follows_a_non_default_cycle_order():
     # all three groups are free, but only the groups in cycle_order run, in its order
     prob = make_brighter_env_problem()
@@ -417,6 +462,7 @@ def test_solve_clears_the_memory_of_a_group_whose_line_search_fails(monkeypatch)
     assert (failed.cycle, failed.group, failed.iterations, failed.stop_reason) == (1, "light", 0, "line_search")
     assert failed.evaluations == 1 + config.max_backtracks + 1
     assert not any(t.cycle == 1 and t.group == "light" for t in res.trace)
+    assert_trace_follows_runs(res)
 
 
 def test_solve_respects_free_groups():
