@@ -50,8 +50,9 @@ same pass and returns I too. A one-tile chunk reduces channel k of I right
 after that channel's lobes, from the f * cmax the light adjoint also reads,
 then runs the reductions that need u_k. A chunk listing more than LIGHT_BLOCK
 lights has several tiles: it reduces I through ``_shaded`` first, then runs
-the adjoints as for an upstream, both over the one light list it made; the
-transfer path does the same in two passes over its blocks. Either way I and
+the adjoints as for an upstream, both over the one light list it made. A
+TransferCache serves only this mode, for the light group: it reduces I from its
+blocks first, then the light adjoint from the same blocks. Either way I and
 the adjoints equal ``forward`` and ``backward`` against 2 (I - target) bit
 for bit.
 
@@ -302,17 +303,12 @@ def _lobes(problem, ci, tile, k, f, t, x_next):
         )
 
 
-def _shaded(problem, normals, materials, transfer, j, store, listed=None):
-    """Yield (lights, k, f_k * cmax) per tile and channel of chunk j, from ``transfer`` when given.
+def _shaded(problem, normals, materials, j, store, listed=None):
+    """Yield (lights, k, f_k * cmax) per tile and channel of chunk j, freshly shaded.
 
-    Either way the values are a contiguous (C, B) array, so reductions over them agree bit for bit.
-    ``listed`` is as in ``_tiles``.
+    The values are a contiguous (C, B) array, as the channels of a TransferCache
+    block are, so reductions over either agree bit for bit. ``listed`` is as in ``_tiles``.
     """
-    if transfer is not None:
-        for lights, block in transfer.blocks[j]:
-            for k in range(3):
-                yield lights, k, block[k]
-        return
     region, ci = problem.chunks[j]
     for tile in _tiles(problem, normals, ci, store, materials[region].control_points, listed=listed):
         f = _buf(store, "f", tile.ell.shape)
@@ -362,7 +358,7 @@ def forward(problem, normals, materials, env_flat, *, threads=1) -> np.ndarray:
     def run(j):
         ci = problem.chunks[j][1]
         with _POOL.lease() as store:
-            return ci, _image_rows(_shaded(problem, normals, materials, None, j, store), env_lw, ci.shape[0])
+            return ci, _image_rows(_shaded(problem, normals, materials, j, store), env_lw, ci.shape[0])
 
     image = np.zeros((problem.pixel_count, 3))
     for ci, block in _run_tasks(run, problem, threads):
@@ -376,7 +372,7 @@ def build_transfer(problem, normals, materials, *, threads=1) -> TransferCache:
     def run(j):
         blocks = []
         with _POOL.lease() as store:
-            for lights, k, fc in _shaded(problem, normals, materials, None, j, store):
+            for lights, k, fc in _shaded(problem, normals, materials, j, store):
                 if k == 0:
                     block = np.empty((3,) + fc.shape)
                     blocks.append((lights, block))
@@ -418,7 +414,7 @@ def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_
         listed = _listed(problem, normals[ci], store)
         image = None if target_c is None else np.zeros((ci.shape[0], 3))
         if target_c is not None and listed.size > LIGHT_BLOCK:  # several tiles: the whole image comes first
-            image = _image_rows(_shaded(problem, normals, materials, None, j, store, listed), env_lw, ci.shape[0])
+            image = _image_rows(_shaded(problem, normals, materials, j, store, listed), env_lw, ci.shape[0])
             u_c, target_c = 2.0 * (image - target_c), None
         ctrl = materials[region].control_points
         for tile in _tiles(problem, normals, ci, store, ctrl, geometry=want_n, listed=listed):
@@ -506,27 +502,29 @@ def backward(problem, normals, materials, env_flat, upstream, groups, *, threads
     upstream is 2 (I - target) for the image I of this same pass, and the
     result is (I, d_normals, d_env, d_materials), each equal bit for bit to
     ``forward`` and to ``backward`` against 2 (forward - target).
+
+    A ``transfer`` cache serves only the residual light pass (a ``target``
+    and groups {"light"}): the cache freezes normals and materials.
     """
     groups = frozenset(groups)
     unknown = groups.difference(GROUPS)
     if unknown:
         raise ValueError(f"unknown gradient groups: {sorted(unknown)}")
-    if transfer is not None and groups != {"light"}:
-        raise ValueError("a transfer cache freezes normals and material; only light gradients remain")
+    if transfer is not None and (target is None or groups != {"light"}):
+        raise ValueError("a transfer cache serves only the residual light pass: a target and light gradients alone")
     env_lw = env_flat * problem.weights[:, None]
 
     def run(j):
         region, ci = problem.chunks[j]
-        u_c, target_c = (upstream[ci], None) if target is None else (None, target[ci])
         if transfer is None:
+            u_c, target_c = (upstream[ci], None) if target is None else (None, target[ci])
             return ci, region, _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_c)
-        # Light-only fast path: contributions are frozen. Residual mode passes over the blocks twice, image first.
-        image = None
-        if target_c is not None:
-            image = _image_rows(_shaded(problem, normals, materials, transfer, j, None), env_lw, ci.shape[0])
-            u_c = 2.0 * (image - target_c)
+        # Two passes over the frozen blocks: the image, then the light adjoint against its residual.
+        shaded = [(lights, k, block[k]) for lights, block in transfer.blocks[j] for k in range(3)]
+        image = _image_rows(shaded, env_lw, ci.shape[0])
+        u_c = 2.0 * (image - target[ci])
         dlight = []
-        for lights, k, fc in _shaded(problem, normals, materials, transfer, j, None):
+        for lights, k, fc in shaded:
             if k == 0:
                 values = np.empty((lights.size, 3))
                 dlight.append((lights, values))

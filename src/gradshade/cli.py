@@ -76,9 +76,11 @@ def _load_scene(args) -> RenderScene:
 
 
 def _write_radiance(args, image: RadianceImage) -> None:
+    """The PFM and the optional preview; the preview is tone-mapped first, so a bad exposure writes nothing."""
+    preview = tone_map(image, exposure=args.exposure) if args.preview else None
     write_pfm(args.out, image.pixels)
-    if args.preview:
-        write_preview_png(args.preview, tone_map(image, exposure=args.exposure))
+    if preview is not None:
+        write_preview_png(args.preview, preview)
 
 
 def _cmd_render(args) -> int:

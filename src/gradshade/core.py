@@ -134,10 +134,6 @@ class NormalMap:
     def width(self) -> int:
         return self.normals.shape[1]
 
-    @property
-    def foreground_count(self) -> int:
-        return int(self.mask.sum())
-
 
 @dataclass(frozen=True)
 class EnvironmentMap:

@@ -67,27 +67,11 @@ def _check_finite(name, arr, what):
     raise NonFiniteGradientError(f"non-finite {name} gradient at {what} index {idx}")
 
 
-def _scene_gradients(mask, env_shape, dn, denv, dms) -> SceneGradients:
-    """Scatter foreground-stream gradients (F, 3), (I, 3) and per-region rows into SceneGradients.
+def backward(scene: RenderScene, upstream: np.ndarray, groups=ALL_GROUPS, *, threads: int = 1) -> SceneGradients:
+    """Gradients of loss = sum(upstream * render(scene)) for the given groups.
 
     Raises NonFiniteGradientError on the first NaN or infinite entry.
     """
-    d_normals = d_env = d_materials = None
-    if dn is not None:
-        _check_finite("normal", dn, "foreground-pixel")
-        d_normals = np.zeros(mask.shape + (3,))
-        d_normals[mask] = dn
-    if denv is not None:
-        _check_finite("light", denv, "flat texel")
-        d_env = denv.reshape(env_shape)
-    if dms is not None:
-        d_materials = np.stack([m.reshape(-1) for m in dms])
-        _check_finite("material", d_materials, "(region, parameter)")
-    return SceneGradients(d_normals, d_env, d_materials)
-
-
-def backward(scene: RenderScene, upstream: np.ndarray, groups=ALL_GROUPS, *, threads: int = 1) -> SceneGradients:
-    """Gradients of loss = sum(upstream * render(scene)) for the given groups."""
     upstream = np.asarray(upstream, dtype=np.float64)
     shape = scene.normal_map.normals.shape
     if upstream.shape != shape:
@@ -95,11 +79,22 @@ def backward(scene: RenderScene, upstream: np.ndarray, groups=ALL_GROUPS, *, thr
     if not np.isfinite(upstream).all():
         raise ValueError("upstream contains non-finite values")
     mask = scene.normal_map.mask
-    grads = _shading.backward(
+    dn, denv, dms = _shading.backward(
         prepare_problem(scene), scene.normal_map.normals[mask], scene.materials, scene.env.radiance.reshape(-1, 3),
         upstream[mask], frozenset(groups), threads=max(1, threads),
     )
-    return _scene_gradients(mask, scene.env.radiance.shape, *grads)
+    d_normals = d_env = d_materials = None
+    if dn is not None:
+        _check_finite("normal", dn, "foreground-pixel")
+        d_normals = np.zeros(mask.shape + (3,))
+        d_normals[mask] = dn
+    if denv is not None:
+        _check_finite("light", denv, "flat texel")
+        d_env = denv.reshape(scene.env.radiance.shape)
+    if dms is not None:
+        d_materials = np.stack([m.reshape(-1) for m in dms])
+        _check_finite("material", d_materials, "(region, parameter)")
+    return SceneGradients(d_normals, d_env, d_materials)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ import numpy as np
 from . import _shading
 from .brdf import NORM_LIMIT, DsbrdfMaterial, denormalize_params, normalize_params
 from .core import EnvironmentMap, NormalMap, RadianceImage, SegmentationMask, Camera
-from .grad import _scene_gradients
 from .render import RenderScene, prepare_problem, render
 
 
@@ -76,16 +75,18 @@ def loss_combined(weights: LossWeights, l_normal: float, l_material: float, l_im
 
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
 BACKTRACK_FACTOR = 0.5  # step shrink per rejected line-search trial
+MAX_BACKTRACKS = 25  # rejected trials per line search before it fails
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings of :func:`solve` and :func:`lbfgs_minimize`.
 
-    ``inner_iters_per_group`` caps the iterations of each L-BFGS run and
-    ``max_backtracks`` the rejected trials of each of its line searches.
-    ``rel_tol`` (relative decrease of a step, and of a cycle in ``solve``)
-    and ``grad_tol`` (gradient max-norm) must be finite and positive.
+    ``inner_iters_per_group`` caps the iterations of each L-BFGS run, and
+    ``solve`` runs the free groups of its problem in the fixed order normal,
+    light, material. ``rel_tol`` (relative decrease of a step, and of a cycle
+    in ``solve``) and ``grad_tol`` (gradient max-norm) must be finite and
+    positive.
 
     ``cache_budget_bytes`` gates the one cache the solver builds: the transfer
     cache, f * cmax per shaded (pixel, light) pair and channel, that the light
@@ -98,20 +99,15 @@ class OptimizerConfig:
     inner_iters_per_group: int = 20
     max_cycles: int = 50
     rel_tol: float = 1e-6
-    max_backtracks: int = 25
-    cycle_order: tuple = ("normal", "light", "material")
     grad_tol: float = 1e-12
     threads: int = 1
     cache_budget_bytes: int = 256 * 2**20
 
     def __post_init__(self):
-        if min(self.memory_pairs, self.inner_iters_per_group, self.max_cycles, self.max_backtracks) < 1:
+        if min(self.memory_pairs, self.inner_iters_per_group, self.max_cycles) < 1:
             raise ValueError("iteration counts must be positive")
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.grad_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        bad = set(self.cycle_order).difference(_shading.GROUPS)
-        if bad or not self.cycle_order:
-            raise ValueError(f"cycle order may contain only {_shading.GROUPS}, got {self.cycle_order!r}")
 
 
 @dataclass(frozen=True)
@@ -149,15 +145,6 @@ class InverseProblem:
 
 
 @dataclass(frozen=True)
-class SceneState:
-    """A candidate (n*, m*, L*) point for the objective."""
-
-    normal_map: NormalMap
-    materials: tuple
-    env: EnvironmentMap
-
-
-@dataclass(frozen=True)
 class _Objective:
     """E(n, L, m) and its gradients over the foreground stream of one inverse problem."""
 
@@ -170,10 +157,10 @@ class _Objective:
     threads: int
 
     @classmethod
-    def of(cls, problem: InverseProblem, scene: RenderScene, threads: int) -> "_Objective":
-        mask = scene.normal_map.mask
+    def of(cls, problem: InverseProblem, threads: int) -> "_Objective":
+        mask = problem.normal_map.mask
         return cls(
-            prepare_problem(scene),
+            prepare_problem(problem.scene()),
             problem.target.pixels[mask],
             problem.normal_map.normals[mask],
             problem.env.radiance.reshape(-1, 3),
@@ -210,21 +197,6 @@ class _Objective:
         if dms is not None:
             dms = [dm.reshape(-1) * ((m.hi - m.lo) / (2.0 * NORM_LIMIT)) for m, dm in zip(materials, dms)]
         return value, (dn, denv, dms)
-
-
-def objective(problem: InverseProblem, state: SceneState, *, threads: int = 1):
-    """Value and free-group gradients of the data + regularizer objective.
-
-    Material gradients are reported in the normalized coordinates the solver
-    moves in (chain rule through the affine range codec). A non-finite
-    gradient raises NonFiniteGradientError, as in :func:`grad.backward`.
-    """
-    scene = RenderScene(state.normal_map, problem.camera, state.env, tuple(state.materials), problem.segmentation)
-    mask = scene.normal_map.mask
-    value, grads = _Objective.of(problem, scene, threads)(
-        state.normal_map.normals[mask], scene.materials, state.env.radiance.reshape(-1, 3), problem.free_groups
-    )
-    return value, _scene_gradients(mask, state.env.radiance.shape, *grads)
 
 
 @dataclass
@@ -268,7 +240,7 @@ def lbfgs_minimize(
     maps trial points back to the feasible set before evaluation (the Armijo
     test, with constant ``ARMIJO_C``, then uses the actual displacement).
     Each rejected trial shrinks the step by ``BACKTRACK_FACTOR``, at most
-    ``config.max_backtracks`` times; a run takes at most
+    ``MAX_BACKTRACKS`` times; a run takes at most
     ``config.inner_iters_per_group`` iterations. When backtracking finds no
     acceptable step the run stops with ``stop_reason`` "line_search" and
     returns the last accepted point: x0, with 0 iterations, if it fails at
@@ -303,7 +275,7 @@ def lbfgs_minimize(
             d = -g
 
         alpha = 1.0 if pairs else min(1.0, 1.0 / float(np.linalg.norm(d)))
-        for _ in range(config.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             x_t = x + alpha * d
             if project is not None:
                 x_t = project(x_t)
@@ -417,7 +389,8 @@ def _group_layouts(materials):
 def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) -> SolveResult:
     """Alternating projected L-BFGS on the free groups of ``problem``.
 
-    Per cycle each free group (in config.cycle_order) gets up to
+    Per cycle each free group, in the fixed order normal, light, material
+    (``_shading.GROUPS``), gets up to
     config.inner_iters_per_group L-BFGS iterations. Each group keeps its
     curvature pairs from one cycle to the next, so from the second cycle on
     its run starts from the step scale its previous run learned; a run whose
@@ -426,17 +399,16 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
     rel_tol (relative) or after max_cycles. The trace carries one entry per
     accepted step and ``runs`` one record per group run.
     """
-    scene = problem.scene()
-    mask = scene.normal_map.mask
-    obj = _Objective.of(problem, scene, max(1, config.threads))
+    mask = problem.normal_map.mask
+    obj = _Objective.of(problem, max(1, config.threads))
     shading = obj.shading
-    layouts = _group_layouts(scene.materials)
-    state = {"normal": obj.n_prior.copy(), "light": obj.env_prior.copy(), "material": list(scene.materials)}
+    layouts = _group_layouts(problem.materials)
+    state = {"normal": obj.n_prior.copy(), "light": obj.env_prior.copy(), "material": list(problem.materials)}
 
     initial = current = obj(state["normal"], state["material"], state["light"])[0]
     trace: list = []
     runs: list = []
-    order = [grp for grp in config.cycle_order if grp in problem.free_groups]
+    order = [grp for grp in _shading.GROUPS if grp in problem.free_groups]
     memories = {group: [] for group in order}
     cycles_run = 0
 
@@ -467,9 +439,9 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
         if cycle_start - current <= config.rel_tol * max(1.0, abs(cycle_start)):
             break
 
-    normals_img = np.zeros_like(scene.normal_map.normals)
+    normals_img = np.zeros_like(problem.normal_map.normals)
     normals_img[mask] = state["normal"]
-    result_env = EnvironmentMap(np.maximum(state["light"], 0.0).reshape(scene.env.radiance.shape))
+    result_env = EnvironmentMap(np.maximum(state["light"], 0.0).reshape(problem.env.radiance.shape))
     return SolveResult(
         normal_map=NormalMap(normals_img, mask),
         materials=tuple(state["material"]),

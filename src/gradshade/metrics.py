@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ def tone_map(image: RadianceImage, exposure: float | None = None) -> LdrImage:
     """
     if exposure is None:
         exposure = auto_exposure(image)
-    if exposure <= 0.0:
-        raise ValueError("exposure must be positive")
+    if not 0.0 < exposure < math.inf:  # NaN fails too
+        raise ValueError(f"exposure must be positive and finite, got {exposure!r}")
     scaled = np.clip(exposure * image.pixels, 0.0, None)
     return LdrImage(np.clip(255.0 * scaled ** (1.0 / GAMMA), 0.0, 255.0))
 

@@ -46,14 +46,6 @@ class LightTable:
         object.__setattr__(self, "directions", _freeze(d))
         object.__setattr__(self, "weights", _freeze(w))
 
-    @property
-    def height(self) -> int:
-        return self.directions.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.directions.shape[1]
-
 
 def build_light_table(height: int, width: int) -> LightTable:
     """Light table for an (height x width) equirectangular map.

@@ -17,7 +17,7 @@ from conftest import random_material, random_scene
 import gradshade as gs
 from gradshade.brdf import PARAM_COUNT, material_from_raw
 from gradshade.core import NormalMap
-from gradshade.invert import InverseProblem, OptimizerConfig, SceneState, lbfgs_minimize, solve
+from gradshade.invert import InverseProblem, OptimizerConfig, lbfgs_minimize, solve
 from gradshade import io as gsio
 from gradshade.metrics import auto_exposure
 from gradshade.render import render_linear

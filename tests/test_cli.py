@@ -1,5 +1,7 @@
 """End-to-end command line tests driving main(argv) in-process."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,20 @@ def test_edit_with_same_material_mirrors_render(fixture_dir, tmp_path):
     assert edited.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("exposure", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["render", "edit"])
+def test_bad_preview_exposure_exits_2_before_writing(fixture_dir, tmp_path, capsys, command, exposure):
+    out, preview = tmp_path / "e.pfm", tmp_path / "e.png"
+    argv = [command, *scene_args(fixture_dir), "--out", str(out), "--preview", str(preview), "--exposure", exposure]
+    if command == "edit":
+        argv += ["--target-material", str(fixture_dir / "material_glossy.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before numpy sees it, so no RuntimeWarning either
+        assert main(argv) == 2
+    assert not out.exists() and not preview.exists()
+    assert "exposure" in capsys.readouterr().err
+
+
 def test_edit_swaps_material(fixture_dir, tmp_path):
     ref = tmp_path / "ref.pfm"
     assert main(["render", *scene_args(fixture_dir), "--out", str(ref)]) == 0
@@ -289,6 +305,13 @@ def test_metrics_identical_files(fixture_dir, tmp_path, capsys):
     assert main(["render", *scene_args(fixture_dir), "--out", str(out)]) == 0
     assert main(["metrics", str(out), str(out)]) == 0
     assert capsys.readouterr().out.strip() == "l2=0 ssim=1"
+
+
+def test_metrics_nan_exposure_exits_2(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "img.pfm"
+    assert main(["render", *scene_args(fixture_dir), "--out", str(out)]) == 0
+    assert main(["metrics", str(out), str(out), "--exposure", "nan"]) == 2
+    assert "exposure" in capsys.readouterr().err
 
 
 def test_metrics_detects_differences(fixture_dir, tmp_path, capsys):

@@ -146,7 +146,7 @@ def test_objective_pass_equals_forward_then_backward(mode, kind, groups, cached)
     """The objective's one pass gives the value and gradients of forward + backward(2 r), bit for bit."""
     side, env_shape = FUSED_SCENES[kind]
     problem = two_region_problem(mode, side, env_shape)
-    obj = _Objective.of(problem, problem.scene(), 1)
+    obj = _Objective.of(problem, 1)
     sh = obj.shading
     # a state off the priors in normals and light, and off the target's materials
     normals = two_region_scene(side, mode, env_shape).normal_map.normals[problem.normal_map.mask]
@@ -164,7 +164,7 @@ def test_objective_pass_equals_forward_then_backward(mode, kind, groups, cached)
     want_value = float(np.sum(r * r)) + obj.a * float(np.sum(n_diff * n_diff))
     want_value += obj.b * float(np.sum(env_diff * env_diff))
     assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
-    dn, denv, dms = _shading.backward(sh, normals, materials, env, 2.0 * r, groups, transfer=transfer)
+    dn, denv, dms = _shading.backward(sh, normals, materials, env, 2.0 * r, groups)  # uncached reference
     fused = _shading.backward(sh, normals, materials, env, None, groups, transfer=transfer, target=obj.target)
     assert fused[0].tobytes() == image.tobytes()
     assert _bytes_or_none(fused[1:]) == _bytes_or_none((dn, denv, dms))
@@ -183,7 +183,7 @@ def test_objective_pass_equals_forward_then_backward(mode, kind, groups, cached)
 def test_residual_backward_lists_each_chunks_lights_once(monkeypatch, mode):
     """A chunk whose image comes first (several tiles) shades it and its adjoints from one light list."""
     problem = two_region_problem(mode, 16, (48, 96))
-    obj = _Objective.of(problem, problem.scene(), 1)
+    obj = _Objective.of(problem, 1)
     sh, normals = obj.shading, obj.n_prior
     assert all(_shading._listed(sh, normals[ci], {}).size > _shading.LIGHT_BLOCK for _, ci in sh.chunks)
     calls = []

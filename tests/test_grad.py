@@ -218,18 +218,35 @@ def _engine_args(scene, rng):
 def test_light_adjoint_is_bit_identical_across_paths(rng, mode):
     """Light-only, all-groups and transfer-cache light adjoints reduce the same f * cmax arrays the same way.
 
-    The solver's bit-identity with and without its transfer cache rests on this.
+    The solver's bit-identity with and without its transfer cache rests on this:
+    against one target, the cached residual pass gives the fresh one's image and
+    light adjoint bit for bit.
     """
     scene = random_two_region_scene(rng, 16, 24, 48, mode)  # 1152 texels: some tiles list two light blocks
     problem, normals, env, upstream = _engine_args(scene, rng)
     mats = scene.materials
     light = _shading.backward(problem, normals, mats, env, upstream, {"light"})[1]
     every = _shading.backward(problem, normals, mats, env, upstream, _shading.GROUPS)[1]
-    transfer = _shading.build_transfer(problem, normals, mats)
-    cached = _shading.backward(problem, normals, mats, env, upstream, {"light"}, transfer=transfer)[1]
     assert light.any()
     assert every.tobytes() == light.tobytes()
-    assert cached.tobytes() == light.tobytes()
+    target = np.abs(upstream)
+    fresh = _shading.backward(problem, normals, mats, env, None, {"light"}, target=target)
+    transfer = _shading.build_transfer(problem, normals, mats)
+    cached = _shading.backward(problem, normals, mats, env, None, {"light"}, transfer=transfer, target=target)
+    assert fresh[2].any()
+    assert [cached[0].tobytes(), cached[2].tobytes()] == [fresh[0].tobytes(), fresh[2].tobytes()]
+
+
+@pytest.mark.parametrize("groups", [{"light"}, {"light", "normal"}, {"material"}], ids=["light", "light+normal", "material"])
+def test_transfer_cache_serves_only_the_residual_light_pass(rng, groups):
+    scene = random_two_region_scene(rng, 16, 6, 12, "orthographic")
+    problem, normals, env, upstream = _engine_args(scene, rng)
+    transfer = _shading.build_transfer(problem, normals, scene.materials)
+    with pytest.raises(ValueError, match="transfer cache"):
+        _shading.backward(problem, normals, scene.materials, env, upstream, groups, transfer=transfer)
+    if groups != {"light"}:
+        with pytest.raises(ValueError, match="transfer cache"):
+            _shading.backward(problem, normals, scene.materials, env, None, groups, transfer=transfer, target=upstream)
 
 
 @pytest.mark.parametrize("mode", ["orthographic", "pinhole"])

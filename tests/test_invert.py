@@ -15,12 +15,11 @@ from gradshade.invert import (
     InverseProblem,
     LossWeights,
     OptimizerConfig,
-    SceneState,
+    _Objective,
     lbfgs_minimize,
     loss_combined,
     loss_material,
     loss_normal,
-    objective,
     solve,
 )
 
@@ -144,10 +143,10 @@ def test_lbfgs_line_search_failure_at_first_iterate():
 
     # one positive-definite pair: the two-loop direction is still "descent" for the lie
     memory = [(np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]), 0.5)]
-    res = lbfgs_minimize(fg, np.ones(3), OptimizerConfig(max_backtracks=5, inner_iters_per_group=10), memory=memory)
+    res = lbfgs_minimize(fg, np.ones(3), OptimizerConfig(inner_iters_per_group=10), memory=memory)
     assert np.array_equal(res.x, np.ones(3)) and res.value == 3.0
     assert (res.iterations, res.stop_reason, res.trace) == (0, "line_search", [])
-    assert res.evaluations == 1 + 6  # x0, then the first trial and 5 backtracks
+    assert res.evaluations == 1 + 1 + invert.MAX_BACKTRACKS  # x0, then the first trial and every backtrack
     assert memory == []  # cleared in place, so the next run on the problem starts cold
 
 
@@ -162,9 +161,9 @@ def test_lbfgs_line_search_failure_at_a_later_iterate_keeps_the_memory():
         value, grad = diagonal_bowl(x)
         return (value if len(seen) <= 3 else np.inf), grad
 
-    res = lbfgs_minimize(fg, np.ones(20), OptimizerConfig(max_backtracks=5, inner_iters_per_group=10), memory=memory)
+    res = lbfgs_minimize(fg, np.ones(20), OptimizerConfig(inner_iters_per_group=10), memory=memory)
     assert (res.iterations, res.stop_reason) == (2, "line_search")
-    assert res.evaluations == len(seen) == 3 + 6
+    assert res.evaluations == len(seen) == 3 + 1 + invert.MAX_BACKTRACKS
     assert res.value == res.trace[-1][0] < 20.0
     assert len(memory) == 2
     # the failed trials saw the pairs of the two accepted steps, which the run then kept
@@ -264,21 +263,27 @@ def test_tolerances_must_be_positive_and_finite(name, bad):
         OptimizerConfig(**{name: bad})
 
 
+def objective_at(prob, env):
+    """The solver's objective at the problem's normals and materials under ``env``: value, (dn, denv, dms)."""
+    obj = _Objective.of(prob, 1)
+    return obj(obj.n_prior, prob.materials, env.reshape(-1, 3), prob.free_groups)
+
+
 def test_objective_zero_at_ground_truth():
     prob = make_problem()
-    state = SceneState(prob.normal_map, prob.materials, prob.env)
-    value, grads = objective(prob, state)
+    value, (dn, denv, dms) = objective_at(prob, prob.env.radiance)
     assert value == 0.0
-    assert not grads.d_normals[prob.normal_map.mask].any() or np.abs(grads.d_normals).max() < 1e-12
-    assert np.abs(grads.d_env).max() < 1e-12
-    assert np.abs(grads.d_materials).max() < 1e-12
+    assert np.abs(dn).max() < 1e-12
+    assert np.abs(denv).max() < 1e-12
+    assert np.abs(np.concatenate(dms)).max() < 1e-12
 
 
 def test_objective_gradients_match_finite_differences(rng):
     prob = make_problem(free=frozenset({"light"}))
     env0 = prob.env.radiance * rng.uniform(0.5, 1.5, prob.env.radiance.shape)
-    state = SceneState(prob.normal_map, prob.materials, gs.EnvironmentMap(env0))
-    value, grads = objective(prob, state)
+    value, (dn, denv, dms) = objective_at(prob, env0)
+    assert dn is None and dms is None
+    d_env = denv.reshape(env0.shape)
     step = 1e-4
     for probe in range(6):
         h = int(rng.integers(0, env0.shape[0]))
@@ -288,25 +293,24 @@ def test_objective_gradients_match_finite_differences(rng):
         plus, minus = env0.copy(), env0.copy()
         plus[h, w, k] += delta
         minus[h, w, k] -= delta
-        vp, _ = objective(prob, SceneState(prob.normal_map, prob.materials, gs.EnvironmentMap(plus)))
-        vm, _ = objective(prob, SceneState(prob.normal_map, prob.materials, gs.EnvironmentMap(minus)))
+        vp, _ = objective_at(prob, plus)
+        vm, _ = objective_at(prob, minus)
         fd = (vp - vm) / (2.0 * delta)
-        assert grads.d_env[h, w, k] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+        assert d_env[h, w, k] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
 def test_objective_includes_regularizers():
     prob = make_problem()
     # move the environment away from the prior; image term changes too, but the
     # b * ||L - L'||^2 term must appear in the difference against a=b=0
-    env2 = gs.EnvironmentMap(prob.env.radiance + 0.1)
-    state = SceneState(prob.normal_map, prob.materials, env2)
-    with_reg, _ = objective(prob, state)
+    env2 = prob.env.radiance + 0.1
+    with_reg, _ = objective_at(prob, env2)
     bare_problem = InverseProblem(
         target=prob.target, normal_map=prob.normal_map, env=prob.env,
         materials=prob.materials, camera=prob.camera, a=0.0, b=0.0,
     )
-    without_reg, _ = objective(bare_problem, state)
-    expected_gap = prob.b * float(np.sum((env2.radiance - prob.env.radiance) ** 2))
+    without_reg, _ = objective_at(bare_problem, env2)
+    expected_gap = prob.b * float(np.sum((env2 - prob.env.radiance) ** 2))
     assert with_reg - without_reg == pytest.approx(expected_gap, rel=1e-12)
 
 
@@ -418,15 +422,15 @@ def test_solve_trace_follows_the_runs():
     assert_trace_follows_runs(res)
 
 
-def test_solve_follows_a_non_default_cycle_order():
-    # all three groups are free, but only the groups in cycle_order run, in its order
-    prob = make_brighter_env_problem()
-    order = ("material", "normal")
-    res = solve(prob, OptimizerConfig(max_cycles=2, inner_iters_per_group=4, cycle_order=order))
-    assert [(r.cycle, r.group) for r in res.runs] == [(0, "material"), (0, "normal"), (1, "material"), (1, "normal")]
-    steps = [(t.cycle, order.index(t.group)) for t in res.trace]
+def test_solve_runs_a_subset_of_free_groups_in_the_fixed_order():
+    # whatever order the free-group set iterates in, each cycle runs normal before material
+    prob = replace(make_brighter_env_problem(), free_groups=frozenset({"material", "normal"}))
+    res = solve(prob, OptimizerConfig(max_cycles=2, inner_iters_per_group=4))
+    assert res.cycles == 2
+    assert [(r.cycle, r.group) for r in res.runs] == [(0, "normal"), (0, "material"), (1, "normal"), (1, "material")]
+    steps = [(t.cycle, _shading.GROUPS.index(t.group)) for t in res.trace]
     assert steps and steps == sorted(steps)
-    assert np.array_equal(res.env.radiance, prob.env.radiance)
+    assert res.env.radiance.tobytes() == prob.env.radiance.tobytes()
 
 
 def test_solve_clears_the_memory_of_a_group_whose_line_search_fails(monkeypatch):
@@ -460,7 +464,7 @@ def test_solve_clears_the_memory_of_a_group_whose_line_search_fails(monkeypatch)
     assert sizes[7] == 0  # light starts cold after its failed run
     failed = res.runs[4]
     assert (failed.cycle, failed.group, failed.iterations, failed.stop_reason) == (1, "light", 0, "line_search")
-    assert failed.evaluations == 1 + config.max_backtracks + 1
+    assert failed.evaluations == 1 + 1 + invert.MAX_BACKTRACKS
     assert not any(t.cycle == 1 and t.group == "light" for t in res.trace)
     assert_trace_follows_runs(res)
 

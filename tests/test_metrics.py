@@ -57,6 +57,12 @@ def test_tone_map_output_range(rng):
     assert out.min() >= 0.0 and out.max() <= 255.0
 
 
+@pytest.mark.parametrize("exposure", [math.nan, math.inf, 0.0, -1.0])
+def test_tone_map_takes_only_a_positive_finite_exposure(exposure):
+    with pytest.raises(ValueError, match="exposure"):
+        tone_map(radiance(np.ones((2, 2, 3))), exposure=exposure)
+
+
 def test_auto_exposure_targets_percentile():
     vals = np.zeros((10, 10, 3))
     vals[:, :, :] = 2.0
