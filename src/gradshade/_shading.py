@@ -36,7 +36,7 @@ producer, ``_tiles``, first lists the lights that some pixel of the chunk
 sees lit (max_c n_c . omega > 0), then yields the pair geometry of the chunk
 against blocks of up to LIGHT_BLOCK listed lights: cmax = max(0, n . omega),
 ell = log(base), the spline basis and coefficient curves at theta_d and, for
-normal gradients, the lit indicator and the clamp gate. Its consumers
+normal gradients, the clamp gate. Its consumers
 are ``forward`` (reduces f * cmax against the environment),
 ``build_transfer`` (stores f * cmax) and ``backward`` (the three adjoints).
 Pair geometry is recomputed on every call: a per-pair cache of it saved no
@@ -46,15 +46,17 @@ the residual-mode image reduce those blocks exactly as freshly shaded ones.
 
 ``backward``'s residual mode is the solver's objective pass: given the target
 instead of an upstream, it takes u = 2 (I - target) for the image I of the
-same pass and returns I too. A one-tile chunk reduces channel k of I right
-after that channel's lobes, from the f * cmax the light adjoint also reads,
-then runs the reductions that need u_k. A chunk listing more than LIGHT_BLOCK
-lights has several tiles: it reduces I through ``_shaded`` first, then runs
-the adjoints as for an upstream, both over the one light list it made. A
-TransferCache serves only this mode, for the light group: it reduces I from its
-blocks first, then the light adjoint from the same blocks. Either way I and
-the adjoints equal ``forward`` and ``backward`` against 2 (I - target) bit
-for bit.
+same pass and returns I too. The normal and material adjoints need u only
+after the sum over lights: they sum u-free rows per pixel over the chunk's
+tiles and contract them with u at the end, in both modes, so their chunks
+shade once whatever the number of tiles. The light adjoint needs u per
+light. A one-tile chunk has it right after the channel's lobes, from the
+f * cmax the light adjoint also reads; a chunk listing more than LIGHT_BLOCK
+lights has several tiles and, for the light group alone, reduces I through
+``_shaded`` first, over the one light list it made. A TransferCache serves
+only this mode, for the light group: it reduces I from its blocks first,
+then the light adjoint from the same blocks. Either way I and the adjoints
+equal ``forward`` and ``backward`` against 2 (I - target) bit for bit.
 
 The traversal order (region, then tile row-major, then light block), the
 light lists and all reduction orders are fixed, so outputs are bit-identical
@@ -199,7 +201,6 @@ class _Tile(NamedTuple):
     ell: np.ndarray  # log(base), base = clamp(h . n, EPS_BASE, 1)
     basis: np.ndarray  # (V, B, 6) spline basis at theta_d
     curves: np.ndarray  # (3, 3, 2, V, B) coefficient curves
-    litv: np.ndarray | None  # only for normal gradients: 1(n . omega > 0) on valid pairs
     gate: np.ndarray | None  # cmax * 1(EPS_BASE < h . n < 1) / (|omega + v| * base): base moves with n there
 
 
@@ -259,17 +260,15 @@ def _tiles(problem, normals, ci, store, ctrl, *, geometry=False, listed=None):
         np.clip(hdn, EPS_BASE, 1.0, out=base)
         ell = _buf(store, "ell", shape)
         np.log(base, out=ell)
-        litv = gate = None
+        gate = None
         if geometry:
-            litv = _buf(store, "litv", shape)
-            np.multiply(ndl > 0.0, valid, out=litv)
             gate = _buf(store, "gate", shape)
             np.multiply((hdn > EPS_BASE) & (hdn < 1.0), rlen, out=gate)
             gate *= cmaxv
             gate /= base
         curves = _buf(store, "curves", (18, basis.shape[0] * basis.shape[1]))
         np.matmul(ctrl.reshape(18, 6), basis.reshape(-1, 6).T, out=curves)
-        yield _Tile(lights, cmaxv, ell, basis, curves.reshape((3, 3, 2) + vshape), litv, gate)
+        yield _Tile(lights, cmaxv, ell, basis, curves.reshape((3, 3, 2) + vshape), gate)
 
 
 def _lobes(problem, ci, tile, k, f, t, x_next):
@@ -389,106 +388,99 @@ def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_
     light_partials holds one (lights, (B, 3) values) pair per tile, so it
     covers only the chunk's listed lights, which are unique across its tiles;
     dm_partial covers the material vector. The caller adds both partials in
-    chunk order.
+    chunk order. image is the chunk's (C, 3) image in residual mode (``u_c``
+    None, ``target_c`` its target rows; see the module docstring), else None.
 
-    In residual mode (``u_c`` None, ``target_c`` the chunk's target rows; see the
-    module docstring) image is the chunk's (C, 3) image, else None. The normal
-    rows take u_k only at the end and the material sums run after the lobes,
-    from each lobe's own e * t, so u_k may come from that channel's image.
+    The normal and material adjoints sum u-free rows per pixel over the tiles,
+    rows_n[k] (C, 3) and rows_m[k] (C, 3, 2, 6), and contract them with u once,
+    at the end: dn = sum_k u_k rows_n[k] and dm[k] = u_k @ rows_m[k]. Only the
+    light adjoint needs u per light: for it a residual chunk with several tiles
+    reduces its image through ``_shaded`` first.
 
     Factors of a whole tile, channel or (V, B) row are applied once there, not
     once per lobe: a * b is one row, ``tile.gate`` already holds cmax / base,
-    cmax * u_k is one array per channel and L_k w goes into the light directions.
+    and L_k w goes into the light directions and an orthographic basis.
     """
     want_n = "normal" in groups
     want_l = "light" in groups
     want_m = "material" in groups
     region, ci = problem.chunks[j]
-
-    dn = np.zeros((ci.shape[0], 3)) if want_n else None
-    dlight = [] if want_l else None
-    dm = np.zeros((3, 3, 2, 6)) if want_m else None
+    count = ci.shape[0]
     view_c = problem.view_rows(ci)
+    rows_n = np.zeros((3, count, 3)) if want_n else None
+    rows_m = np.zeros((3, count, 3, 2, 6)) if want_m else None
+    dlight = [] if want_l else None
 
     with _POOL.lease() as store:
         listed = _listed(problem, normals[ci], store)
-        image = None if target_c is None else np.zeros((ci.shape[0], 3))
-        if target_c is not None and listed.size > LIGHT_BLOCK:  # several tiles: the whole image comes first
-            image = _image_rows(_shaded(problem, normals, materials, j, store, listed), env_lw, ci.shape[0])
-            u_c, target_c = 2.0 * (image - target_c), None
+        image = None
+        if target_c is not None:
+            if want_l and listed.size > LIGHT_BLOCK:  # several tiles: the light adjoint's u comes first
+                image = _image_rows(_shaded(problem, normals, materials, j, store, listed), env_lw, count)
+                u_c = 2.0 * (image - target_c)
+            else:
+                image = np.zeros((count, 3))
+        reduce_image = u_c is None
         ctrl = materials[region].control_points
         for tile in _tiles(problem, normals, ci, store, ctrl, geometry=want_n, listed=listed):
-            lights, cmaxv = tile.lights, tile.cmaxv
+            lights, cmaxv, basis = tile.lights, tile.cmaxv, tile.basis
             shape = cmaxv.shape
-            f = _buf(store, "bw_f", shape)
-            t = _buf(store, "bw_t", shape)
-            x = _buf(store, "bw_x", shape)
-            ets = [_buf(store, f"bw_e{s}", shape) for s in range(3)] if want_n or want_m else None
+            f = _buf(store, "f", shape)
+            t = _buf(store, "lobe_t", shape)
+            x = _buf(store, "bw_x", shape)  # each lobe's x, then its e * t = (x + 1) * t
             dacc = _buf(store, "bw_d", shape) if want_n else None
-            cu = _buf(store, "bw_cu", shape) if want_m else None
-            if want_n:
-                dirs_l = problem.dirs[lights]
             if want_l:
                 values = np.empty((lights.size, 3))
                 dlight.append((lights, values))
 
             for k in range(3):
                 lw_k = env_lw[lights, k]
+                if want_m and basis.shape[0] == 1:
+                    basis_lw = lw_k[:, None] * basis[0]
                 for s, (a_row, b_row, _, x_s) in enumerate(_lobes(problem, ci, tile, k, f, t, x)):
-                    if ets is not None:
-                        np.add(x_s, 1.0, out=ets[s])  # e = exp(a * t)
-                        ets[s] *= t  # t is free from here on
+                    if not (want_n or want_m):
+                        continue
+                    et = np.add(x_s, 1.0, out=x)
+                    et *= t  # e * t with e = exp(a * t); t is free from here on
                     if want_n:
-                        np.multiply(ets[s], a_row * b_row, out=dacc if s == 0 else t)
+                        np.multiply(et, a_row * b_row, out=dacc if s == 0 else t)
                         if s > 0:
                             dacc += t
-                if target_c is not None or want_l:
+                    if want_m:  # the second coefficient adds a * ln(base)
+                        et *= cmaxv
+                        rows_ks = rows_m[k, :, s]
+                        if basis.shape[0] == 1:  # one basis row per light, shared by every pixel
+                            rows_ks[:, 0] += et @ basis_lw
+                            et *= tile.ell
+                            rows_ks[:, 1] += et @ (a_row[0][:, None] * basis_lw)
+                        else:
+                            et *= lw_k
+                            rows_ks[:, 0] += np.einsum("cb,cbj->cj", et, basis)
+                            et *= a_row
+                            et *= tile.ell
+                            rows_ks[:, 1] += np.einsum("cb,cbj->cj", et, basis)
+                if reduce_image or want_l:
                     np.multiply(f, cmaxv, out=t)
-                if target_c is not None:
+                if reduce_image:
                     image[:, k] += np.einsum("cb,b->c", t, lw_k)
-                    u_k = 2.0 * (image[:, k] - target_c[:, k])
-                else:
-                    u_k = u_c[:, k]
-                if want_l:
+                if want_l:  # with one tile, channel k of the image is complete here
+                    u_k = 2.0 * (image[:, k] - target_c[:, k]) if reduce_image else u_c[:, k]
                     values[:, k] = _light_values(t, u_k, problem.weights[lights])
-                if want_m:
-                    np.multiply(cmaxv, u_k[:, None], out=cu)
-                    if tile.basis.shape[0] > 1:  # see _accumulate_material
-                        cu *= lw_k
-                    for s in range(3):
-                        _accumulate_material(dm[k, s], ets[s], cu, t, tile.ell, tile.curves[k, s, 0], lw_k, tile.basis)
                 if want_n:
-                    lw_dirs = lw_k[:, None] * dirs_l
-                    np.multiply(f, tile.litv, out=t)
+                    lw_dirs = lw_k[:, None] * problem.dirs[lights]
+                    np.greater(cmaxv, 0.0, out=t)  # 1 on the lit pairs, the only ones where cmax > 0
+                    t *= f
                     g = t @ lw_dirs
                     # sum_b m h = sum_b (m / |omega + v|) (omega + v); the gate holds the 1 / |omega + v|
                     dacc *= tile.gate
                     g += dacc @ lw_dirs
                     g += (dacc @ lw_k)[:, None] * view_c
-                    g *= u_k[:, None]
-                    dn += g
-    return image, dn, dlight, dm
-
-
-def _accumulate_material(dm_ks, et, cu, tmp, ell, a_row, lw_k, basis):
-    """Add one tile's contribution to d/d(control points) of one lobe of one channel.
-
-    The pair weight is m = e * t * cu, with e = exp(a t) and cu = cmax * u_k,
-    times L_k w for a pinhole basis; the second coefficient adds the
-    a * ln(base) factor. An orthographic basis is (1, B, 6), shared by every
-    pixel, so the pixels are summed first, without forming m, and a and L_k w
-    scale the (B,) sums. A pinhole basis is (C, B, 6); m is formed in ``tmp``.
-    """
-    if basis.shape[0] == 1:
-        dm_ks[0] += (np.einsum("cb,cb->b", et, cu) * lw_k) @ basis[0]
-        dm_ks[1] += (np.einsum("cb,cb,cb->b", et, cu, ell) * a_row[0] * lw_k) @ basis[0]
-        return
-    basis = basis.reshape(-1, 6)
-    m = np.multiply(et, cu, out=tmp)
-    dm_ks[0] += m.reshape(-1) @ basis
-    m *= a_row
-    m *= ell
-    dm_ks[1] += m.reshape(-1) @ basis
+                    rows_n[k] += g
+    if reduce_image:
+        u_c = 2.0 * (image - target_c)
+    dn = None if rows_n is None else sum(u_c[:, k, None] * rows_n[k] for k in range(3))
+    dm = None if rows_m is None else np.stack([u_c[:, k] @ rows_m[k].reshape(count, 36) for k in range(3)])
+    return image, dn, dlight, None if dm is None else dm.reshape(3, 3, 2, 6)
 
 
 def backward(problem, normals, materials, env_flat, upstream, groups, *, threads=1, transfer=None, target=None):

@@ -37,7 +37,7 @@ from .io import (
     write_preview_png,
     write_segmentation_png16,
 )
-from .metrics import auto_exposure, l2_metric, ssim, tone_map
+from .metrics import auto_exposure, check_exposure, l2_metric, ssim, tone_map
 from .render import RenderScene, render
 
 FD_TOLERANCES = {"light": 1e-9, "normal": 1e-4, "material": 1e-4}
@@ -67,6 +67,9 @@ def _read_segmentation(path, materials) -> SegmentationMask | None:
 
 
 def _load_scene(args) -> RenderScene:
+    """The scene of ``render`` and ``edit``; a bad ``--exposure`` fails first, with or without ``--preview``."""
+    if args.exposure is not None:
+        check_exposure(args.exposure)
     normal_map = read_normal_png16(args.normals)
     env = EnvironmentMap(read_pfm(args.env))
     materials = tuple(read_material(p) for p in args.material)

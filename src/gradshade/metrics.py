@@ -51,6 +51,12 @@ def auto_exposure(image: RadianceImage) -> float:
     return 1.0 / p if p > 0.0 else 1.0
 
 
+def check_exposure(exposure: float) -> None:
+    """Raise ValueError unless 0 < exposure < inf; NaN fails too."""
+    if not 0.0 < exposure < math.inf:
+        raise ValueError(f"exposure must be positive and finite, got {exposure!r}")
+
+
 def tone_map(image: RadianceImage, exposure: float | None = None) -> LdrImage:
     """clamp(255 * (exposure * c)^(1/2.2), 0, 255) per channel.
 
@@ -58,8 +64,7 @@ def tone_map(image: RadianceImage, exposure: float | None = None) -> LdrImage:
     """
     if exposure is None:
         exposure = auto_exposure(image)
-    if not 0.0 < exposure < math.inf:  # NaN fails too
-        raise ValueError(f"exposure must be positive and finite, got {exposure!r}")
+    check_exposure(exposure)
     scaled = np.clip(exposure * image.pixels, 0.0, None)
     return LdrImage(np.clip(255.0 * scaled ** (1.0 / GAMMA), 0.0, 255.0))
 

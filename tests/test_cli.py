@@ -212,6 +212,18 @@ def test_bad_preview_exposure_exits_2_before_writing(fixture_dir, tmp_path, caps
     assert "exposure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exposure", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["render", "edit"])
+def test_bad_exposure_without_preview_exits_2_before_writing(fixture_dir, tmp_path, capsys, command, exposure):
+    out = tmp_path / "e.pfm"
+    argv = [command, *scene_args(fixture_dir), "--out", str(out), "--exposure", exposure]
+    if command == "edit":
+        argv += ["--target-material", str(fixture_dir / "material_glossy.json")]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "exposure" in capsys.readouterr().err
+
+
 def test_edit_swaps_material(fixture_dir, tmp_path):
     ref = tmp_path / "ref.pfm"
     assert main(["render", *scene_args(fixture_dir), "--out", str(ref)]) == 0

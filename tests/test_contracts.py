@@ -198,6 +198,28 @@ def test_residual_backward_lists_each_chunks_lights_once(monkeypatch, mode):
     assert len(calls) == len(sh.chunks)
 
 
+@pytest.mark.parametrize("groups", [{"normal"}, {"material"}, {"normal", "material"}], ids=["normal", "material", "both"])
+@pytest.mark.parametrize("mode", MODES)
+def test_residual_backward_shades_each_tile_once(monkeypatch, mode, groups):
+    """The normal and material adjoints take u only after the sum over lights, so each tile runs its lobes once."""
+    problem = two_region_problem(mode, 16, (48, 96))
+    obj = _Objective.of(problem, 1)
+    sh, normals = obj.shading, obj.n_prior
+    listed = [_shading._listed(sh, normals[ci], {}).size for _, ci in sh.chunks]
+    assert min(listed) > _shading.LIGHT_BLOCK
+    tiles = sum(-(-n // _shading.LIGHT_BLOCK) for n in listed)
+    calls = []
+    real = _shading._lobes
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(_shading, "_lobes", counting)
+    _shading.backward(sh, normals, problem.materials, obj.env_prior, None, groups, target=obj.target)
+    assert len(calls) == 3 * tiles  # one call per channel
+
+
 @pytest.mark.parametrize("cpus", [4, 64, None])
 def test_worker_count_is_clamped(monkeypatch, cpus):
     """min(threads, chunks, cpu count) workers: a huge ``threads`` never asks for a huge pool."""

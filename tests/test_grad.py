@@ -291,3 +291,29 @@ def test_backward_chunk_memory_does_not_grow_with_the_env(monkeypatch):
         assert np.unique(listed).size == listed.size < problem.light_count
         assert all(values.shape == (lights.size, 3) for lights, values in partials)
     assert working[1] <= 1.05 * working[0], working
+
+
+# Scratch of one worker after a several-tile backward of every group, in (C, LIGHT_BLOCK)
+# float64 buffers for the largest chunk C: measured 10.31 orthographic (ten pair
+# buffers, the (1, B) view rows and the (18, B) coefficient curves) and 30.0 pinhole,
+# where the view rows and the curves are (C, B) per row.
+SCRATCH_BUFFERS = {"orthographic": 10.5, "pinhole": 30.5}
+
+
+@pytest.mark.parametrize("mode", ["orthographic", "pinhole"])
+def test_backward_scratch_holds_one_lobe_buffer_per_role(monkeypatch, mode):
+    """Upstream and residual backward of every group over several-tile chunks share one bounded store."""
+    pool = _shading._ScratchPool()
+    monkeypatch.setattr(_shading, "_POOL", pool)
+    scene = gs.RenderScene(
+        gs.sphere_normal_map(24), gs.Camera(mode, 24, 24, 50.0), gs.default_blob_env(48, 96), (gs.preset_materials()["glossy"],)
+    )
+    problem, normals, env, upstream = _engine_args(scene, np.random.default_rng(4))
+    counts = [ci.size for _, ci in problem.chunks]
+    assert max(counts) == _shading.PIXEL_TILE**2
+    assert all(_shading._listed(problem, normals[ci], {}).size > _shading.LIGHT_BLOCK for _, ci in problem.chunks)
+    _shading.backward(problem, normals, scene.materials, env, upstream, _shading.GROUPS)
+    _shading.backward(problem, normals, scene.materials, env, None, _shading.GROUPS, target=np.abs(upstream))
+    with pool.lease() as store:  # one worker thread leaves one store
+        held = sum(a.nbytes for a in store.values())
+    assert held <= SCRATCH_BUFFERS[mode] * max(counts) * _shading.LIGHT_BLOCK * 8
