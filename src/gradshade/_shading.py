@@ -36,9 +36,9 @@ producer, ``_tiles``, first lists the lights that some pixel of the chunk
 sees lit (max_c n_c . omega > 0), then yields the pair geometry of the chunk
 against blocks of up to LIGHT_BLOCK listed lights: cmax = max(0, n . omega),
 ell = log(base), the spline basis and coefficient curves at theta_d and, for
-normal gradients, the clamp gate. Its consumers
-are ``forward`` (reduces f * cmax against the environment),
-``build_transfer`` (stores f * cmax) and ``backward`` (the three adjoints).
+normal gradients, the clamp gate. Its consumers are ``forward`` (reduces
+f * cmax against the environment), ``build_transfer`` (stores f * cmax) and
+``backward`` (the three adjoints).
 Pair geometry is recomputed on every call: a per-pair cache of it saved no
 solve time. A TransferCache, the one cache, stores f * cmax of the shaded
 pairs only, per chunk as (lights, (3, C, B)) blocks; the light adjoint and
