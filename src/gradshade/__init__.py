@@ -6,7 +6,7 @@ inverts the process by alternating projected L-BFGS so a photographed object
 can be relit or given a new material.
 """
 
-from .brdf import DsbrdfMaterial, ShadingOverflowError, default_bounds, eval_f
+from .brdf import DsbrdfMaterial, ShadingOverflowError, default_bounds
 from .core import (
     Camera,
     DegenerateVectorError,
@@ -55,7 +55,6 @@ __all__ = [
     "default_blob_env",
     "default_bounds",
     "edit_material",
-    "eval_f",
     "fd_check",
     "l2_metric",
     "lbfgs_minimize",

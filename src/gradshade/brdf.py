@@ -11,12 +11,12 @@ lobes x 2 coefficients x 6 control points = 108 raw parameters, stored flat
 with index ((k * 3 + s) * 2 + t) * 6 + j.
 
 Raw parameters map affinely to the normalized box [-0.95, 0.95] used by the
-optimizer; the per-parameter bounds (lo, hi) travel with the material.
+optimizer; the per-parameter bounds (lo, hi) travel with the material. The
+lobes themselves are evaluated only by the tile engine, :mod:`gradshade._shading`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,73 +96,6 @@ def material_from_raw(raw, name: str | None = None) -> DsbrdfMaterial:
     """Material with the default bounds attached."""
     lo, hi = default_bounds()
     return DsbrdfMaterial(np.asarray(raw, dtype=np.float64), lo, hi, name)
-
-
-@dataclass(frozen=True)
-class HalfAngleGeometry:
-    """Half-vector quantities for one (light, view, normal) configuration.
-
-    ``valid`` is False when light and view are opposed so closely that the
-    half vector is undefined (|omega_i + omega_p| < 1e-8); such pairs shade
-    to zero.
-    """
-
-    h_dot_n: float
-    theta_d: float
-    valid: bool
-    half: np.ndarray
-
-    def __post_init__(self):
-        h = np.ascontiguousarray(self.half, dtype=np.float64)
-        if h.shape != (3,):
-            raise ValueError("half vector must have shape (3,)")
-        h.flags.writeable = False
-        object.__setattr__(self, "half", h)
-
-
-def half_geometry(omega_i, omega_p, n) -> HalfAngleGeometry:
-    """Half vector, clamped h . n, and half angle theta_d = acos(omega_i . h)."""
-    omega_i = np.asarray(omega_i, dtype=np.float64)
-    omega_p = np.asarray(omega_p, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    s = omega_i + omega_p
-    norm = float(np.linalg.norm(s))
-    if norm < 1e-8:
-        return HalfAngleGeometry(0.0, 0.0, False, np.zeros(3))
-    h = s / norm
-    h_dot_n = min(max(float(h @ n), 0.0), 1.0)
-    theta_d = math.acos(min(max(float(omega_i @ h), 0.0), 1.0))
-    return HalfAngleGeometry(h_dot_n, theta_d, True, h)
-
-
-def coeffs_at(material: DsbrdfMaterial, theta_d: float) -> np.ndarray:
-    """Spline-evaluated coefficients at one half angle, shape (channel, lobe, 2)."""
-    w = spline.basis(theta_d)
-    return material.control_points @ w
-
-
-def eval_f(material: DsbrdfMaterial, geom: HalfAngleGeometry) -> np.ndarray:
-    """Reflectance triple for one geometry sample, shape (3,).
-
-    Invalid geometry evaluates to zero. Raises ShadingOverflowError when any
-    channel exceeds OVERFLOW_LIMIT or turns non-finite.
-    """
-    out = np.zeros(CHANNELS)
-    if not geom.valid:
-        return out
-    base = min(max(geom.h_dot_n, EPS_BASE), 1.0)
-    coeffs = coeffs_at(material, geom.theta_d)
-    for k in range(CHANNELS):
-        acc = 0.0
-        for s in range(LOBES):
-            a, b = coeffs[k, s]
-            acc += math.expm1(a * base**b)
-        if not math.isfinite(acc) or abs(acc) > OVERFLOW_LIMIT:
-            raise ShadingOverflowError(
-                f"channel {k} evaluated to {acc!r} at h_dot_n={geom.h_dot_n:.6g}, theta_d={geom.theta_d:.6g}"
-            )
-        out[k] = acc
-    return out
 
 
 def normalize_params(material: DsbrdfMaterial) -> np.ndarray:

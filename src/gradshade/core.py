@@ -63,24 +63,6 @@ class Camera:
             raise ValueError("pinhole field of view must lie in (0, 180) degrees")
 
 
-def view_direction(camera: Camera, px: int, py: int) -> np.ndarray:
-    """Unit direction from the surface point seen by pixel (px, py) toward the camera."""
-    if not (0 <= px < camera.image_width and 0 <= py < camera.image_height):
-        raise ValueError(f"pixel ({px}, {py}) outside {camera.image_width}x{camera.image_height} image")
-    if camera.mode == "orthographic":
-        return np.array([0.0, 0.0, 1.0])
-    w, h = camera.image_width, camera.image_height
-    half_tan = math.tan(math.radians(camera.fov_y_degrees) / 2.0)
-    d = np.array(
-        [
-            (2.0 * (px + 0.5) / w - 1.0) * half_tan * (w / h),
-            (1.0 - 2.0 * (py + 0.5) / h) * half_tan,
-            -1.0,
-        ]
-    )
-    return -d / np.linalg.norm(d)
-
-
 def view_direction_grid(camera: Camera) -> np.ndarray:
     """(H, W, 3) array of view directions for every pixel."""
     w, h = camera.image_width, camera.image_height

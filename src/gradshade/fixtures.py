@@ -40,13 +40,6 @@ def sphere_normal_map(resolution: int) -> NormalMap:
     return NormalMap(normals, mask)
 
 
-def plane_normal_map(resolution: int, normal=(0.0, 0.0, 1.0)) -> NormalMap:
-    """Every pixel carries the same unit normal; mask is all-foreground."""
-    n = normalize(np.asarray(normal, dtype=np.float64))
-    normals = np.broadcast_to(n, (resolution, resolution, 3)).copy()
-    return NormalMap(normals, np.ones((resolution, resolution), dtype=bool))
-
-
 def gaussian_blob_env(height: int, width: int, blobs) -> EnvironmentMap:
     """Environment map as a sum of angular Gaussian lobes.
 

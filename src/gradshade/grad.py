@@ -144,8 +144,8 @@ def fd_check(scene: RenderScene, which_group: str, step: float | None = None, tr
         raise ValueError("need at least one trial")
     if step is None:
         step = FD_STEPS[which_group]
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
 
     rng = np.random.default_rng(seed)
     mask = scene.normal_map.mask

@@ -57,11 +57,6 @@ def basis_matrix(theta) -> np.ndarray:
     return out
 
 
-def basis(theta: float) -> np.ndarray:
-    """Six basis values at a single angle, shape (6,)."""
-    return basis_matrix(float(theta))
-
-
 @dataclass(frozen=True)
 class QuadBSpline:
     """A quadratic spline as its six control values."""

@@ -9,7 +9,7 @@ import pytest
 
 import gradshade as gs
 from gradshade.brdf import material_from_raw
-from gradshade.core import NormalMap
+from gradshade.core import NormalMap, normalize
 from gradshade.io import _read_png
 
 
@@ -28,6 +28,13 @@ def random_normal_map(rng, height, width, coverage=0.8):
         mask[height // 2, width // 2] = True
     n[~mask] = 0.0
     return NormalMap(n, mask)
+
+
+def plane_normal_map(resolution, normal=(0.0, 0.0, 1.0)):
+    """Every pixel carries the same unit normal; the mask is all foreground."""
+    n = normalize(np.asarray(normal, dtype=np.float64))
+    normals = np.broadcast_to(n, (resolution, resolution, 3)).copy()
+    return NormalMap(normals, np.ones((resolution, resolution), dtype=bool))
 
 
 def random_material(rng, amp_range=(-1.2, 1.2), exp_range=(0.3, 3.0)):

@@ -88,6 +88,18 @@ def brdf_value(raw, theta_d, h_dot_n):
     return out
 
 
+def half_angles(omega, view, n):
+    """(theta_d, h . n) through the explicit half vector h; None when omega and view are opposed."""
+    sx, sy, sz = omega[0] + view[0], omega[1] + view[1], omega[2] + view[2]
+    s_norm = math.sqrt(sx * sx + sy * sy + sz * sz)
+    if s_norm < 1e-8:
+        return None
+    hx, hy, hz = sx / s_norm, sy / s_norm, sz / s_norm
+    h_dot_n = hx * n[0] + hy * n[1] + hz * n[2]
+    d = omega[0] * hx + omega[1] * hy + omega[2] * hz
+    return math.acos(min(max(d, 0.0), 1.0)), h_dot_n
+
+
 def pinhole_view(camera, px, py):
     half_tan = math.tan(math.radians(camera.fov_y_degrees) / 2.0)
     w, h = camera.image_width, camera.image_height
@@ -122,15 +134,10 @@ def render_scene(scene):
                 cos_term = max(0.0, ndl)
                 if cos_term == 0.0:
                     continue
-                sx, sy, sz = omega[0] + view[0], omega[1] + view[1], omega[2] + view[2]
-                s_norm = math.sqrt(sx * sx + sy * sy + sz * sz)
-                if s_norm < 1e-8:
+                angles = half_angles(omega, view, n)
+                if angles is None:
                     continue
-                hx, hy, hz = sx / s_norm, sy / s_norm, sz / s_norm
-                h_dot_n = hx * n[0] + hy * n[1] + hz * n[2]
-                d = omega[0] * hx + omega[1] * hy + omega[2] * hz
-                theta_d = math.acos(min(max(d, 0.0), 1.0))
-                f = brdf_value(raw, theta_d, h_dot_n)
+                f = brdf_value(raw, *angles)
                 ell = env[idx // env.shape[1], idx % env.shape[1]]
                 for k in range(3):
                     out[py, px, k] += f[k] * ell[k] * cos_term * weight

@@ -276,14 +276,17 @@ def _perf_scene():
 def test_criterion_10_forward_performance_single_thread():
     """128x128 under a 64x128 env in < 10 s, bit-identical across worker counts."""
     scene = _perf_scene()
-    t0 = time.perf_counter()
+    # Process CPU time: at threads=1 the render runs in this thread, so time spent
+    # waiting for a core under other load does not count. BLAS threads add their
+    # own CPU time, which can only make the gate stricter.
+    t0 = time.process_time()
     base = gs.render(scene, threads=1).pixels
-    single = time.perf_counter() - t0
+    single = time.process_time() - t0
     identical = all(
         np.array_equal(gs.render(scene, threads=t).pixels, base) for t in (2, 8)
     )
     ok = single < 10.0 and identical
-    detail = f"single-thread {single:.2f}s (gate 10s), bit-identical across 1/2/8 workers: {identical}"
+    detail = f"single-thread {single:.2f}s CPU (gate 10s), bit-identical across 1/2/8 workers: {identical}"
     assert _line(10, ok, detail), detail
 
 

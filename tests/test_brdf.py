@@ -1,4 +1,10 @@
-"""Reflectance model: half-vector geometry, lobe evaluation, parameter codec."""
+"""Reflectance model: the DSBRDF lobes as the tile engine shades them, coefficient curves, parameter codec.
+
+The lobe and half-angle tests shade one pixel under one light through
+``_shading.forward``: with unit radiance the image is f * max(0, n . omega) * w,
+so f = I / (cmax * w) is compared against the scalar oracle at the oracle's
+own half angles.
+"""
 
 import math
 
@@ -8,30 +14,45 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import random_material
+from gradshade import _shading
 from gradshade.brdf import (
     AMPLITUDE_BOUNDS,
     EPS_BASE,
     EXPONENT_BOUNDS,
     PARAM_COUNT,
     DsbrdfMaterial,
-    HalfAngleGeometry,
     ShadingOverflowError,
-    coeffs_at,
     default_bounds,
     denormalize_params,
-    eval_f,
     flat_index,
-    half_geometry,
     material_from_raw,
     normalize_params,
 )
+from gradshade.core import normalize
+from gradshade.spline import basis_matrix
 
 Z = np.array([0.0, 0.0, 1.0])
+X = np.array([1.0, 0.0, 0.0])
 
 
-def geom(theta_d, h_dot_n):
-    """Geometry sample with the given angles (half vector itself not used by eval_f)."""
-    return HalfAngleGeometry(h_dot_n=h_dot_n, theta_d=theta_d, valid=True, half=Z)
+W = 0.7  # the light's quadrature weight; not 1, so a dropped weight would show
+
+
+def shade(material, n, omega, v):
+    """Image of one pixel with normal n, orthographic view v and one light omega of weight W under unit radiance."""
+    problem = _shading.prepare(np.ones((1, 1), bool), v, np.asarray(omega)[None], np.array([W]))
+    return _shading.forward(problem, np.asarray(n)[None], (material,), np.ones((1, 3)))[0]
+
+
+def reflectance(material, n, omega, v):
+    """f of one lit pair, I / (L cmax W)."""
+    return shade(material, n, omega, v) / (max(0.0, float(n @ omega)) * W)
+
+
+def assert_matches_oracle(f, material, n, omega, v):
+    """f against the scalar oracle at its own (theta_d, h . n), gated at 1e-12 absolute plus 1e-12 relative."""
+    ref = oracles.brdf_value(material.raw, *oracles.half_angles(omega, v, n))
+    assert np.allclose(f, ref, rtol=1e-12, atol=1e-12), (f, ref)
 
 
 def constant_material(amplitude, exponent):
@@ -45,49 +66,63 @@ def constant_material(amplitude, exponent):
 
 
 # ---------------------------------------------------------------------------
-# half-vector geometry
+# half angles, as the engine derives them from dot products
 
-def test_retroreflection_axis():
-    g = half_geometry(Z, Z, Z)
-    assert np.allclose(g.half, Z, atol=1e-15)
-    assert g.h_dot_n == pytest.approx(1.0, abs=1e-15)
-    assert g.theta_d == pytest.approx(0.0, abs=1e-7)
-    assert g.valid
+def test_retroreflection_axis(rng):
+    # omega = v = n: h = n, so h . n = 1 and theta_d = 0, where every curve
+    # reads its first control point
+    mat = random_material(rng)
+    assert oracles.half_angles(Z, Z, Z) == (0.0, 1.0)
+    f = reflectance(mat, Z, Z, Z)
+    hand = [sum(math.expm1(mat.raw[flat_index(k, s, 0, 0)]) for s in range(3)) for k in range(3)]
+    assert np.allclose(f, hand, rtol=1e-12, atol=1e-12)
+    assert_matches_oracle(f, mat, Z, Z, Z)
 
 
-def test_45_degree_half_vector():
-    g = half_geometry(np.array([1.0, 0.0, 0.0]), Z, Z)
-    assert np.allclose(g.half, [0.70711, 0.0, 0.70711], atol=5e-6)
-    assert g.h_dot_n == pytest.approx(math.sqrt(0.5), abs=1e-12)
-    assert g.theta_d == pytest.approx(math.pi / 4.0, abs=1e-12)
+def test_45_degree_half_vector(rng):
+    # omega = x, v = z: h = (1, 0, 1) / sqrt 2 and theta_d = pi / 4; with
+    # n = (1, 0, 2) / sqrt 5, h . n = 3 / sqrt 10
+    mat = random_material(rng)
+    n = normalize((1.0, 0.0, 2.0))
+    theta_d, h_dot_n = oracles.half_angles(X, Z, n)
+    assert theta_d == pytest.approx(math.pi / 4.0, abs=1e-12)
+    assert h_dot_n == pytest.approx(3.0 / math.sqrt(10.0), abs=1e-12)
+    f = reflectance(mat, n, X, Z)
+    assert np.allclose(f, oracles.brdf_value(mat.raw, math.pi / 4.0, 3.0 / math.sqrt(10.0)), rtol=1e-12, atol=1e-12)
+    assert_matches_oracle(f, mat, n, X, Z)
 
 
 def test_opposed_directions_are_invalid():
-    g = half_geometry(-Z, Z, Z)
-    assert not g.valid
+    # f = 3 everywhere, so only the undefined half vector can make a lit pair black
+    mat = constant_material(math.log(2.0), 0.0)
+    assert oracles.half_angles(-Z, Z, -Z) is None
+    assert np.array_equal(shade(mat, -Z, -Z, Z), np.zeros(3))
+    near = normalize((1e-3, 0.0, -1.0))
+    assert np.allclose(reflectance(mat, near, near, Z), 3.0, atol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_half_vector_is_unit_and_symmetric(seed):
+    # the half vector of (omega, v) is that of (v, omega): swapping the light
+    # and the view gives the same f, and both match the oracle's explicit unit h
     r = np.random.default_rng(seed)
-    wi = r.standard_normal(3)
-    wi /= np.linalg.norm(wi)
-    wp = r.standard_normal(3)
-    wp /= np.linalg.norm(wp)
-    g = half_geometry(wi, wp, Z)
-    if g.valid:
-        assert abs(np.linalg.norm(g.half) - 1.0) < 1e-12
-        g2 = half_geometry(wp, wi, Z)
-        assert np.allclose(g.half, g2.half, atol=1e-12)
-        assert 0.0 <= g.theta_d <= math.pi / 2.0 + 1e-12
+    n, omega, v = (normalize(r.standard_normal(3)) for _ in range(3))
+    omega, v = (d if d @ n > 0.0 else -d for d in (omega, v))
+    if min(omega @ n, v @ n) <= 1e-3:
+        return
+    mat = random_material(r)
+    f = reflectance(mat, n, omega, v)
+    assert np.allclose(f, reflectance(mat, n, v, omega), rtol=1e-12, atol=1e-12)
+    assert_matches_oracle(f, mat, n, omega, v)
+    theta_d, _ = oracles.half_angles(omega, v, n)
+    assert 0.0 <= theta_d <= math.pi / 2.0
 
 
 # ---------------------------------------------------------------------------
-# coefficient curves
+# coefficient curves, control_points @ basis_matrix(theta) as the engine forms them
 
 def test_zero_material_coefficients():
-    mat = material_from_raw(np.zeros(PARAM_COUNT))
-    m = coeffs_at(mat, 0.3)
+    m = material_from_raw(np.zeros(PARAM_COUNT)).control_points @ basis_matrix(0.3)
     assert m.shape == (3, 3, 2)
     assert np.array_equal(m, np.zeros((3, 3, 2)))
 
@@ -96,7 +131,7 @@ def test_single_constant_curve():
     raw = np.zeros(PARAM_COUNT)
     for j in range(6):
         raw[flat_index(0, 0, 0, j)] = 2.0
-    m = coeffs_at(material_from_raw(raw), 0.77)
+    m = material_from_raw(raw).control_points @ basis_matrix(0.77)
     assert m[0, 0, 0] == pytest.approx(2.0, abs=1e-14)
     m[0, 0, 0] = 0.0
     assert np.array_equal(m, np.zeros((3, 3, 2)))
@@ -104,7 +139,7 @@ def test_single_constant_curve():
 
 def test_theta_zero_reads_first_control_points(rng):
     mat = random_material(rng)
-    m = coeffs_at(mat, 0.0)
+    m = mat.control_points @ basis_matrix(0.0)
     for k in range(3):
         for s in range(3):
             for t in range(2):
@@ -114,7 +149,7 @@ def test_theta_zero_reads_first_control_points(rng):
 def test_coeffs_match_spline_oracle(rng):
     mat = random_material(rng)
     for theta in (0.0, 0.2, 0.9, math.pi / 2):
-        m = coeffs_at(mat, theta)
+        m = mat.control_points @ basis_matrix(theta)
         for k in range(3):
             for s in range(3):
                 for t in range(2):
@@ -123,23 +158,34 @@ def test_coeffs_match_spline_oracle(rng):
 
 
 # ---------------------------------------------------------------------------
-# lobe evaluation
+# lobe evaluation, one pixel through _shading.forward
 
-def test_zero_material_is_black():
-    f = eval_f(material_from_raw(np.zeros(PARAM_COUNT)), geom(0.4, 0.8))
-    assert np.array_equal(f, np.zeros(3))
+def test_zero_material_is_black(rng):
+    mat = material_from_raw(np.zeros(PARAM_COUNT))
+    for _ in range(5):
+        n = normalize(rng.standard_normal(3))
+        assert np.array_equal(shade(mat, n, n, normalize(rng.standard_normal(3))), np.zeros(3))
 
 
 def test_invalid_geometry_shades_to_zero(rng):
-    g = HalfAngleGeometry(h_dot_n=0.0, theta_d=0.0, valid=False, half=Z)
-    assert np.array_equal(eval_f(random_material(rng), g), np.zeros(3))
+    # a light at or within 1e-9 of -v has no half vector; lit (n = omega) it
+    # still shades to 0. Axis views keep omega . v at -1 exactly, so the
+    # engine's |omega + v| = sqrt(2 + 2 omega . v) is 0 as well.
+    mat = random_material(rng)
+    for v in np.vstack([np.eye(3), -np.eye(3)]):
+        for tilt in (0.0, 1e-9, -1e-9):
+            omega = normalize(-v + tilt * np.roll(v, 1))
+            assert oracles.half_angles(omega, v, omega) is None
+            assert np.array_equal(shade(mat, omega, omega, v), np.zeros(3))
 
 
 def test_log_two_constant_material_gives_three():
-    # amplitude ln 2, exponent 0: each lobe is e^{ln 2 * base^0} - 1 = 1
+    # amplitude ln 2, exponent 0: each lobe is e^{ln 2 * base^0} - 1 = 1, at any
+    # theta_d and h . n, grazing ones included
     mat = constant_material(math.log(2.0), 0.0)
-    for theta_d, hdn in [(0.0, 1.0), (0.5, 0.3), (1.2, 1e-5)]:
-        assert np.allclose(eval_f(mat, geom(theta_d, hdn)), [3.0, 3.0, 3.0], atol=1e-12)
+    grazing = (normalize((0.3, 0.0, -1.0)), normalize((1.0, 0.0, 0.1)), Z)  # h . n below EPS_BASE
+    for n, omega, v in [(Z, Z, Z), (normalize((1.0, 0.0, 2.0)), X, Z), grazing]:
+        assert np.allclose(reflectance(mat, n, omega, v), [3.0, 3.0, 3.0], atol=1e-12)
 
 
 def test_single_lobe_hand_value():
@@ -147,31 +193,46 @@ def test_single_lobe_hand_value():
     for j in range(6):
         raw[flat_index(0, 0, 0, j)] = 1.0
         raw[flat_index(0, 0, 1, j)] = 2.0
-    f = eval_f(material_from_raw(raw), geom(0.9, 0.5))
-    # e^{1 * 0.5^2} - 1
+    # omega = v = z and n . z = 0.5: h . n = 0.5, so f_0 = e^{1 * 0.5^2} - 1
+    f = reflectance(material_from_raw(raw), np.array([math.sqrt(0.75), 0.0, 0.5]), Z, Z)
     assert f[0] == pytest.approx(math.exp(0.25) - 1.0, abs=1e-14)
     assert f[1] == 0.0 and f[2] == 0.0
 
 
 def test_eval_matches_oracle(rng):
-    mat = random_material(rng)
-    for theta_d in (0.0, 0.4, 1.1, math.pi / 2):
-        for hdn in (1e-6, 0.2, 0.7, 1.0):
-            mine = eval_f(mat, geom(theta_d, hdn))
-            ref = oracles.brdf_value(mat.raw, theta_d, hdn)
-            assert np.allclose(mine, ref, rtol=1e-12, atol=1e-15)
+    # random lit pairs, views on either side of the surface
+    for _ in range(300):
+        n, omega, v = (normalize(rng.standard_normal(3)) for _ in range(3))
+        if omega @ n < 0.0:
+            omega = -omega
+        if omega @ n <= 1e-3:
+            continue
+        mat = random_material(rng)
+        assert_matches_oracle(reflectance(mat, n, omega, v), mat, n, omega, v)
 
 
 def test_h_dot_n_is_clamped_from_below(rng):
+    # omega = x, v = z, n = (0.6, 0.8 cos phi, 0.8 sin phi): n . omega = 0.6 for
+    # every phi (the same cmax), and h . n = (0.6 + 0.8 sin phi) / sqrt 2 <= 0
+    # once sin phi <= -0.75, so the lobes all see base = EPS_BASE
     mat = random_material(rng)
-    assert np.array_equal(eval_f(mat, geom(0.3, 0.0)), eval_f(mat, geom(0.3, EPS_BASE)))
-    assert np.array_equal(eval_f(mat, geom(0.3, -0.4)), eval_f(mat, geom(0.3, EPS_BASE)))
+    images = []
+    for phi in (-math.asin(0.75), -0.35 * math.pi, -0.5 * math.pi, -0.6 * math.pi):
+        n = np.array([0.6, 0.8 * math.cos(phi), 0.8 * math.sin(phi)])
+        assert n @ X == 0.6
+        assert oracles.half_angles(X, Z, n)[1] <= EPS_BASE
+        images.append(shade(mat, n, X, Z))
+    assert all(np.array_equal(image, images[0]) for image in images)
+    ref = oracles.brdf_value(mat.raw, math.pi / 4.0, EPS_BASE)
+    assert np.allclose(images[0] / (0.6 * W), ref, rtol=1e-12, atol=1e-12)
 
 
 def test_overflow_is_reported():
-    mat = constant_material(80.0, 0.0)  # e^80 per lobe overflows the guard
-    with pytest.raises(ShadingOverflowError):
-        eval_f(mat, geom(0.1, 0.9))
+    # three lobes of e^a - 1: a = 60 stays below OVERFLOW_LIMIT (1e30), a = 80 passes it
+    n = normalize((0.0, 0.3, 1.0))
+    assert np.isfinite(shade(constant_material(60.0, 0.0), n, Z, Z)).all()
+    with pytest.raises(ShadingOverflowError, match=r"pixel \(0, 0\), light texel 0"):
+        shade(constant_material(80.0, 0.0), n, Z, Z)
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +290,9 @@ def test_flat_index_layout_is_bijective():
     assert seen == set(range(PARAM_COUNT))
     assert flat_index(0, 0, 0, 0) == 0
     assert flat_index(2, 2, 1, 5) == PARAM_COUNT - 1
+    for axis, size in enumerate((3, 3, 2, 6)):
+        for bad in (size, -1):
+            index = [0, 0, 0, 0]
+            index[axis] = bad
+            with pytest.raises(IndexError):
+                flat_index(*index)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import gradshade as gs
+from conftest import plane_normal_map
 from gradshade.fixtures import (
     gaussian_blob_env,
-    plane_normal_map,
     preset_materials,
     sphere_normal_map,
 )

@@ -10,12 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_material, random_normal_map, random_scene
+from conftest import plane_normal_map, random_material, random_normal_map, random_scene
 import gradshade as gs
 from gradshade import _shading
 from gradshade.brdf import PARAM_COUNT, material_from_raw
 from gradshade.core import NormalMap
-from gradshade.fixtures import plane_normal_map
 from gradshade.grad import ALL_GROUPS, fd_check
 from gradshade.render import prepare_problem, render_linear
 
@@ -191,6 +190,12 @@ def test_unknown_group_rejected(sphere_scene):
         gs.backward(sphere_scene, np.zeros((16, 16, 3)), groups={"albedo"})
     with pytest.raises(ValueError):
         fd_check(sphere_scene, "albedo")
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
+def test_fd_check_rejects_bad_step(sphere_scene, step):
+    with pytest.raises(ValueError, match="step"):
+        fd_check(sphere_scene, "light", step=step)
 
 
 def test_nonfinite_upstream_rejected(sphere_scene):

@@ -15,7 +15,6 @@ from gradshade.spline import (
     CONTROL_COUNT,
     QuadBSpline,
     RankDeficientError,
-    basis,
     basis_matrix,
     fit,
     greville_thetas,
@@ -25,19 +24,20 @@ HALF_PI = math.pi / 2.0
 
 
 def test_endpoints_interpolate():
-    assert np.allclose(basis(0.0), [1, 0, 0, 0, 0, 0], atol=1e-15)
-    assert np.allclose(basis(HALF_PI), [0, 0, 0, 0, 0, 1], atol=1e-15)
+    assert basis_matrix(0.0).shape == (6,)  # a scalar angle gives one row
+    assert np.allclose(basis_matrix(0.0), [1, 0, 0, 0, 0, 0], atol=1e-15)
+    assert np.allclose(basis_matrix(HALF_PI), [0, 0, 0, 0, 0, 1], atol=1e-15)
 
 
 def test_interior_knot_support():
     # normalized t = 0.5 sits on a knot: only basis functions 2 and 3 survive
-    w = basis(HALF_PI / 2.0)
+    w = basis_matrix(HALF_PI / 2.0)
     assert abs(w.sum() - 1.0) < 1e-15
     assert w[2] > 0 and w[3] > 0
     assert np.allclose(w[[0, 1, 4, 5]], 0.0, atol=1e-15)
     # and they agree with the recursion oracle, as do the other knots and ends
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        assert np.allclose(basis(t * HALF_PI), oracles.basis_weights(t), atol=1e-15), t
+        assert np.allclose(basis_matrix(t * HALF_PI), oracles.basis_weights(t), atol=1e-15), t
 
 
 def test_basis_matches_recursion_oracle_on_grid():
@@ -59,10 +59,10 @@ def test_partition_of_unity_and_local_support():
 
 
 def test_out_of_domain_angles_are_clamped():
-    assert np.array_equal(basis(-0.3), basis(0.0))
-    assert np.array_equal(basis(2.0), basis(HALF_PI))
+    assert np.array_equal(basis_matrix(-0.3), basis_matrix(0.0))
+    assert np.array_equal(basis_matrix(2.0), basis_matrix(HALF_PI))
     rows = basis_matrix(np.array([-np.inf, np.inf, np.nan]))
-    assert np.array_equal(rows[:2], [basis(0.0), basis(HALF_PI)])
+    assert np.array_equal(rows[:2], [basis_matrix(0.0), basis_matrix(HALF_PI)])
     # NaN is not an angle to clamp: it stays visible instead of picking a span
     assert not np.isfinite(rows[2]).all()
 
