@@ -2,8 +2,8 @@
 
 Forward renders an image from a normal map, per-region BRDF parameters, and an
 HDR environment map; exposes analytic gradients with respect to all three; and
-inverts the process by alternating projected L-BFGS so a photographed object
-can be relit or given a new material.
+inverts the process (per-block Gauss-Newton for normals and materials, L-BFGS
+for the light) so a photographed object can be relit or given a new material.
 """
 
 from .brdf import DsbrdfMaterial, ShadingOverflowError, default_bounds

@@ -48,15 +48,17 @@ the residual-mode image reduce those blocks exactly as freshly shaded ones.
 instead of an upstream, it takes u = 2 (I - target) for the image I of the
 same pass and returns I too. The normal and material adjoints need u only
 after the sum over lights: they sum u-free rows per pixel over the chunk's
-tiles and contract them with u at the end, in both modes, so their chunks
-shade once whatever the number of tiles. The light adjoint needs u per
-light. A one-tile chunk has it right after the channel's lobes, from the
-f * cmax the light adjoint also reads; a chunk listing more than LIGHT_BLOCK
-lights has several tiles and, for the light group alone, reduces I through
-``_shaded`` first, over the one light list it made. A TransferCache serves
-only this mode, for the light group: it reduces I from its blocks first,
-then the light adjoint from the same blocks. Either way I and the adjoints
-equal ``forward`` and ``backward`` against 2 (I - target) bit for bit.
+tiles, so their chunks shade once whatever the number of tiles. An upstream
+pass contracts those rows with u at the end of each chunk; a residual pass
+returns them, the per-pixel Jacobian rows of the solver's Gauss-Newton steps.
+The light adjoint needs u per light. A one-tile chunk has it right after the
+channel's lobes, from the f * cmax the light adjoint also reads; a chunk
+listing more than LIGHT_BLOCK lights has several tiles and, for the light
+group alone, reduces I through ``_shaded`` first, over the one light list it
+made. A TransferCache serves only this mode, for the light group: it reduces
+I from its blocks first, then the light adjoint from the same blocks. Either
+way I and the light adjoint equal ``forward`` and ``backward`` against
+2 (I - target) bit for bit.
 
 The traversal order (region, then tile row-major, then light block), the
 light lists and all reduction orders are fixed, so outputs are bit-identical
@@ -68,11 +70,13 @@ vectorized exp, a few ulp from the exact power with nothing to cancel, and
 uniformly fast where np.power is not. The lobe values exp(a * t) - 1 use
 expm1, which keeps small values exact to a few ulp where exp(...) - 1 would
 cancel. Every consumer evaluates the lobes through ``_lobes``, so forward,
-backward and the transfer cache raise ShadingOverflowError on the same scenes.
+backward and the transfer cache raise ShadingOverflowError on the same scenes,
+and no floating-point warning comes before it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import queue
@@ -186,6 +190,16 @@ def prepare(mask, view, dirs, weights, region_ids=None) -> ShadingProblem:
         view=view[None, :] if ortho else np.ascontiguousarray(view[ys, xs], dtype=np.float64),
         ortho=ortho,
     )
+
+
+def restrict(problem, pixels) -> ShadingProblem:
+    """``problem`` cut to the stream pixels where the (F,) bool ``pixels`` is set: chunk order kept, empty chunks gone.
+
+    Outputs keep their shapes, 0 at the other pixels. Kept pixels agree with
+    the full problem up to rounding: their chunk may list fewer lights.
+    """
+    kept = ((region, ci[pixels[ci]]) for region, ci in problem.chunks)
+    return dataclasses.replace(problem, chunks=tuple((region, ci) for region, ci in kept if ci.size))
 
 
 class _Tile(NamedTuple):
@@ -339,11 +353,18 @@ def _run_tasks(fn, problem, threads):
     """
     tasks = range(len(problem.chunks))
     workers = min(threads, len(tasks), os.cpu_count() or 1)
+
+    def guarded(j):
+        # An overflowing lobe raises ShadingOverflowError in ``_lobes``; until then its inf must not warn
+        # in expm1 or as inf * 0 in an adjoint. numpy keeps this per thread: set it in the chunk's thread.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(j)
+
     if workers <= 1:
-        yield from map(fn, tasks)
+        yield from map(guarded, tasks)
         return
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        yield from ex.map(fn, tasks)
+        yield from ex.map(guarded, tasks)
 
 
 def forward(problem, normals, materials, env_flat, *, threads=1) -> np.ndarray:
@@ -392,8 +413,11 @@ def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_
     None, ``target_c`` its target rows; see the module docstring), else None.
 
     The normal and material adjoints sum u-free rows per pixel over the tiles,
-    rows_n[k] (C, 3) and rows_m[k] (C, 3, 2, 6), and contract them with u once,
-    at the end: dn = sum_k u_k rows_n[k] and dm[k] = u_k @ rows_m[k]. Only the
+    rows_n[k] (C, 3) and rows_m[k] (C, 3, 2, 6). With an upstream they are
+    contracted with u once, at the end: dn = sum_k u_k rows_n[k] and
+    dm[k] = u_k @ rows_m[k]. In residual mode the rows are returned instead,
+    as dn_block (C, 3, 3) with [c, k] = dI_k(c)/dn_c and dm_partial
+    (C, 3, 36) with [c, k] = dI_k(c)/d(channel k's control points). Only the
     light adjoint needs u per light: for it a residual chunk with several tiles
     reduces its image through ``_shaded`` first.
 
@@ -476,8 +500,10 @@ def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_
                     g += dacc @ lw_dirs
                     g += (dacc @ lw_k)[:, None] * view_c
                     rows_n[k] += g
-    if reduce_image:
-        u_c = 2.0 * (image - target_c)
+    if target_c is not None:  # the rows themselves, pixel-major: (C, 3, 3) and (C, 3, 36)
+        jn = None if rows_n is None else rows_n.transpose(1, 0, 2)
+        jm = None if rows_m is None else rows_m.reshape(3, count, 36).transpose(1, 0, 2)
+        return image, jn, dlight, jm
     dn = None if rows_n is None else sum(u_c[:, k, None] * rows_n[k] for k in range(3))
     dm = None if rows_m is None else np.stack([u_c[:, k] @ rows_m[k].reshape(count, 36) for k in range(3)])
     return image, dn, dlight, None if dm is None else dm.reshape(3, 3, 2, 6)
@@ -487,13 +513,16 @@ def backward(problem, normals, materials, env_flat, upstream, groups, *, threads
     """Adjoints of the foreground image against a (F, 3) upstream weighting.
 
     ``normals`` and ``materials`` are as in :func:`forward`. Returns
-    (d_normals (F,3) | None, d_env (I,3) | None, d_materials [(3,3,2,6)] |
+    (d_normals (F,3) | None, d_env (I,3) | None, d_materials (R,3,3,2,6) |
     None) for the requested parameter groups.
 
     Residual mode: with ``upstream`` None and a (F, 3) ``target``, the
     upstream is 2 (I - target) for the image I of this same pass, and the
-    result is (I, d_normals, d_env, d_materials), each equal bit for bit to
-    ``forward`` and to ``backward`` against 2 (forward - target).
+    result is (I, J_n, d_env, J_m): I and d_env equal bit for bit ``forward``
+    and ``backward`` against 2 (forward - target), and the Jacobian rows
+    J_n[p, k] = dI_k(p)/dn_p (F, 3, 3) and J_m[p, k] = dI_k(p)/d(channel k's
+    36 control points of p's region) (F, 3, 36) are what upstream mode
+    contracts with u.
 
     A ``transfer`` cache serves only the residual light pass (a ``target``
     and groups {"light"}): the cache freezes normals and materials.
@@ -523,10 +552,12 @@ def backward(problem, normals, materials, env_flat, upstream, groups, *, threads
             values[:, k] = _light_values(fc, u_c[:, k], problem.weights[lights])
         return ci, region, (image, None, dlight, None)
 
-    image_all = None if target is None else np.zeros((problem.pixel_count, 3))
-    dn_all = np.zeros((problem.pixel_count, 3)) if "normal" in groups else None
+    pixels = problem.pixel_count
+    residual = target is not None
+    image_all = np.zeros((pixels, 3)) if residual else None
+    dn_all = np.zeros((pixels, 3, 3) if residual else (pixels, 3)) if "normal" in groups else None
     denv_all = np.zeros((problem.light_count, 3)) if "light" in groups else None
-    dm_all = [np.zeros((3, 3, 2, 6)) for _ in materials] if "material" in groups else None
+    dm_all = np.zeros((pixels, 3, 36) if residual else (len(materials), 3, 3, 2, 6)) if "material" in groups else None
     for ci, region, (image, dn, dlight, dm) in _run_tasks(run, problem, threads):
         if image is not None:
             image_all[ci] = image
@@ -535,6 +566,6 @@ def backward(problem, normals, materials, env_flat, upstream, groups, *, threads
         for lights, values in dlight or ():
             denv_all[lights] += values
         if dm is not None:
-            dm_all[region] += dm
+            dm_all[ci if residual else region] += dm
     grads = (dn_all, denv_all, dm_all)
     return grads if target is None else (image_all, *grads)

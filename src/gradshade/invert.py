@@ -6,21 +6,25 @@ The solver minimizes
                + a sum_fg || n - n' ||^2  +  b sum || L - L' ||^2
 
 by cycling through the free parameter groups (normals, light, material), each
-group getting a short L-BFGS run while the other two stay frozen. Feasibility
-is kept by projection — unit normals, non-negative radiance, material
-coordinates inside [-0.95, 0.95] — and the line search accepts on the
-post-projection objective, which makes the reported objective trace literally
-non-increasing. Normal gradients are projected to each normal's tangent plane
-before entering the L-BFGS update.
+getting a short run while the other two stay frozen. Feasibility is kept by
+projection (unit normals, non-negative radiance, material coordinates inside
+[-0.95, 0.95] normalized) and runs accept only on the post-projection
+objective, so the objective trace is non-increasing. Each evaluation is one
+shading pass, the engine's residual-mode backward.
 
-Materials are optimized in their normalized [-0.95, 0.95] coordinates so all
-three groups move on comparable scales. Each evaluation of a group run is one
-shading pass, the engine's residual-mode backward, which yields the value and
-the group's gradient array together. Each group's L-BFGS memory carries over
-from one cycle to the next, so only a group's first run starts from the
-cautious step min(1, 1/||d||) along the steepest descent direction. A run
-whose line search finds no step at its first iterate is a recorded stop, not
-an error: it leaves its group where it was and clears that group's memory.
+The light group gets a projected L-BFGS run, whose memory carries over from
+one cycle to the next. A run whose line search finds no step at its first
+iterate is a recorded stop: it leaves the light as it was and clears the memory.
+
+The normal and material groups are block-separable least squares: I(p)
+depends on n_p alone, and channel k of region r on that region's 36 channel-k
+control points alone. Each block, a pixel or a (region, channel), takes its
+own damped Gauss-Newton (Levenberg-Marquardt) step from the residual pass's
+Jacobian rows: a 2x2 solve on the tangent plane with a I from the prior,
+retracted to the sphere, or a 36x36 solve in normalized coordinates, clipped
+to the box. A trial pass shades only the pixels of the blocks whose predicted
+decrease is above rel_tol max(1, |E|) / blocks. A block keeps its step iff its
+own term of E fell; E is the sum of these terms, so it never rises.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _shading
-from .brdf import NORM_LIMIT, DsbrdfMaterial, denormalize_params, normalize_params
+from .brdf import NORM_LIMIT, DsbrdfMaterial
 from .core import EnvironmentMap, NormalMap, RadianceImage, SegmentationMask, Camera
 from .render import RenderScene, prepare_problem, render
 
@@ -76,17 +80,22 @@ def loss_combined(weights: LossWeights, l_normal: float, l_material: float, l_im
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
 BACKTRACK_FACTOR = 0.5  # step shrink per rejected line-search trial
 MAX_BACKTRACKS = 25  # rejected trials per line search before it fails
+DAMPING_INIT = 0.1  # a Gauss-Newton block's damping lambda before its first step
+DAMPING_DOWN = 0.3  # lambda factor after a block's step is kept
+DAMPING_UP = 10.0  # lambda factor after a block's step is refused
+DAMPING_MIN = 1e-12  # lambda stays above this, so that DAMPING_EPS keeps a zero column of H solvable
+DAMPING_EPS = 1e-6  # share of max diag H that the damping adds to every diagonal entry
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings of :func:`solve` and :func:`lbfgs_minimize`.
 
-    ``inner_iters_per_group`` caps the iterations of each L-BFGS run, and
-    ``solve`` runs the free groups of its problem in the fixed order normal,
-    light, material. ``rel_tol`` (relative decrease of a step, and of a cycle
-    in ``solve``) and ``grad_tol`` (gradient max-norm) must be finite and
-    positive.
+    ``inner_iters_per_group`` caps each run: its L-BFGS iterations, or its
+    Gauss-Newton trial passes. ``memory_pairs`` caps the L-BFGS memory, in
+    ``solve`` the light group's. ``rel_tol`` (relative decrease of a step, of
+    the predicted decreases of all blocks, and of a cycle in ``solve``) and
+    ``grad_tol`` (gradient max-norm) must be finite and positive.
 
     ``cache_budget_bytes`` gates the one cache the solver builds: the transfer
     cache, f * cmax per shaded (pixel, light) pair and channel, that the light
@@ -146,7 +155,7 @@ class InverseProblem:
 
 @dataclass(frozen=True)
 class _Objective:
-    """E(n, L, m) and its gradients over the foreground stream of one inverse problem."""
+    """E(n, L, m) and the shading passes it is built from, over the foreground stream of one inverse problem."""
 
     shading: _shading.ShadingProblem
     target: np.ndarray  # (F, 3) observed foreground radiance
@@ -169,34 +178,29 @@ class _Objective:
             threads,
         )
 
-    def __call__(self, normals, materials, env, groups=frozenset(), *, transfer=None):
-        """Value at one state and its (d_normals, d_env, d_materials), from one shading pass.
-
-        With ``groups`` the pass is the engine's residual-mode backward, which
-        yields the image and the gradients together, shading the light group
-        through ``transfer`` when given; without, a plain forward.
-        Material rows are in the normalized coordinates the solver moves in
-        (chain rule through the affine range codec); groups not asked for are None.
-        """
-        dn = denv = dms = None
-        if groups:
-            img, dn, denv, dms = _shading.backward(
-                self.shading, normals, materials, env, None, groups,
-                threads=self.threads, transfer=transfer, target=self.target,
-            )
-        else:
-            img = _shading.forward(self.shading, normals, materials, env, threads=self.threads)
-        r = img - self.target
+    def value(self, image, normals, env) -> float:
+        """E at a state whose foreground image is ``image``."""
+        r = image - self.target
         n_diff = normals - self.n_prior
         env_diff = env - self.env_prior
-        value = float(np.sum(r * r)) + self.a * float(np.sum(n_diff * n_diff)) + self.b * float(np.sum(env_diff * env_diff))
-        if dn is not None:
-            dn += 2.0 * self.a * n_diff
-        if denv is not None:
-            denv += 2.0 * self.b * env_diff
-        if dms is not None:
-            dms = [dm.reshape(-1) * ((m.hi - m.lo) / (2.0 * NORM_LIMIT)) for m, dm in zip(materials, dms)]
-        return value, (dn, denv, dms)
+        return float(np.sum(r * r)) + self.a * float(np.sum(n_diff * n_diff)) + self.b * float(np.sum(env_diff * env_diff))
+
+    def __call__(self, normals, materials, env, group=None, *, transfer=None, pixels=None):
+        """One shading pass: (image, None) for a forward, else the residual pass's image and the group's output.
+
+        The output is the light gradient of E, shaded through ``transfer`` when
+        given, or the Jacobian rows J_n (F, 3, 3) or J_m (F, 3, 36), over the
+        (F,) bool ``pixels`` alone when given (image and rows are 0 elsewhere).
+        """
+        if group is None:
+            return _shading.forward(self.shading, normals, materials, env, threads=self.threads), None
+        shading = self.shading if pixels is None else _shading.restrict(self.shading, pixels)
+        image, jn, denv, jm = _shading.backward(
+            shading, normals, materials, env, None, {group}, threads=self.threads, transfer=transfer, target=self.target,
+        )
+        if group == "light":
+            return image, denv + 2.0 * self.b * (env - self.env_prior)
+        return image, jn if group == "normal" else jm
 
 
 @dataclass
@@ -320,16 +324,13 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Counts of one group run of :func:`solve`, as its L-BFGS run reports them.
-
-    A run whose line search failed at its first iterate has 0 iterations and
-    stop reason ``"line_search"``.
-    """
+    """Counts of one group run of :func:`solve`; ``iterations`` counts the evaluations that moved something."""
 
     cycle: int
     group: str
     iterations: int
-    evaluations: int  # shading passes, x0 included; each yields a value and a gradient
+    evaluations: int  # shading passes, x0 included
+    shaded_pixels: int  # pixel rows of those passes: F for a light pass, the moving blocks' for a Gauss-Newton trial
     stop_reason: str
 
 
@@ -345,71 +346,172 @@ class SolveResult:
     runs: tuple  # one RunRecord per group run, in order
 
 
-def _project_normals(x):
-    n = x.reshape(-1, 3)
+def _project_normals(n):
+    """Rows of (F, 3) ``n`` scaled to unit length; a zero row becomes +z."""
     norms = np.linalg.norm(n, axis=1, keepdims=True)
-    safe = np.where(norms < 1e-12, 1.0, norms)
-    out = n / safe
+    out = n / np.where(norms < 1e-12, 1.0, norms)
     out[norms[:, 0] < 1e-12] = (0.0, 0.0, 1.0)
-    return out.ravel()
+    return out
 
 
-def _tangent_gradient(x, g):
-    n = x.reshape(-1, 3)
-    gr = g.reshape(-1, 3)
-    out = gr - np.einsum("pc,pc->p", gr, n)[:, None] * n
-    return out.ravel()
+def _tangent_bases(n):
+    """(F, 3, 2) orthonormal bases of the tangent planes of unit normals ``n``."""
+    helper = np.where(np.abs(n[:, :1]) < 0.9, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    t1 = helper - np.einsum("pc,pc->p", helper, n)[:, None] * n
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    return np.stack([t1, np.cross(n, t1)], axis=2)
 
 
-def _group_layouts(materials):
-    """Per group: (gradient slot, pack, unpack, project, gradient transform) of the flat x L-BFGS moves.
+def _normal_blocks(obj):
+    """The normal group's Gauss-Newton helpers (see ``_gauss_newton``): a block per pixel, stepped on its tangent plane."""
+    a, prior = obj.a, obj.n_prior
 
-    ``pack`` maps the group's solver state to x and ``unpack`` maps x back;
-    ``slot`` is the group's place in the objective's (normals, env, materials)
-    gradients, and the transform, if any, maps that gradient at x to the one
-    the group's run sees. Materials move in normalized coordinates under their
-    own bounds, which no run changes.
+    def terms(n, r):
+        d = n - prior
+        return np.einsum("pk,pk->p", r, r) + a * np.einsum("pc,pc->p", d, d)
+
+    def model(n, r, jac):
+        basis = _tangent_bases(n)
+        jt = jac @ basis
+        g = np.einsum("pki,pk->pi", jt, r) + a * np.einsum("pci,pc->pi", basis, n - prior)
+        h = np.einsum("pki,pkj->pij", jt, jt) + a * np.eye(2)
+        return terms(n, r), h, g, 2.0 * float(np.abs(basis @ g[:, :, None]).max(initial=0.0))
+
+    def move(n, steps):
+        return _project_normals(n + (_tangent_bases(n) @ steps[:, :, None])[:, :, 0])
+
+    return (lambda n: n), (lambda n: n), lambda on: np.repeat(on[:, None], 3, axis=1), terms, model, move
+
+
+def _material_blocks(obj, materials):
+    """The material group's Gauss-Newton helpers: a block per (region, channel), stepped in normalized coordinates."""
+    region_of = np.empty(obj.shading.pixel_count, dtype=np.int64)
+    for region, ci in obj.shading.chunks:
+        region_of[ci] = region
+    members = [np.flatnonzero(region_of == q) for q in range(len(materials))]
+    lo = np.concatenate([m.lo for m in materials]).reshape(-1, 36)
+    hi = np.concatenate([m.hi for m in materials]).reshape(-1, 36)
+    scale = (hi - lo) / (2.0 * NORM_LIMIT)  # d raw / d normalized
+
+    def terms(x, r):
+        return np.concatenate([np.einsum("pk,pk->k", r[idx], r[idx]) for idx in members])
+
+    def model(x, r, jac):
+        h, g = [], []
+        for q, idx in enumerate(members):
+            jq = jac[idx].transpose(1, 0, 2) * scale[3 * q : 3 * q + 3, None, :]  # (3, P, 36)
+            h.append(jq.transpose(0, 2, 1) @ jq)
+            g.append(np.einsum("kpi,pk->ki", jq, r[idx]))
+        h, g = np.concatenate(h), np.concatenate(g)
+        held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))  # on the box, and descent would leave it
+        g[held] = 0.0
+        h *= ~held[:, :, None] & ~held[:, None, :]
+        return terms(x, r), h, g, 2.0 * float(np.abs(g).max(initial=0.0))
+
+    return (
+        lambda ms: np.clip(np.concatenate([m.raw for m in ms]).reshape(-1, 36), lo, hi),
+        lambda x: [m.with_raw(row) for m, row in zip(materials, x.reshape(len(materials), -1))],
+        lambda on: on.reshape(-1, 3)[region_of], terms, model, lambda x, steps: np.clip(x + scale * steps, lo, hi),
+    )
+
+
+def _damped_steps(h, g, damping):
+    """Per block, d solving (H + lambda (diag H + DAMPING_EPS max diag H)) d = -g; d = 0 where H = 0, where g = 0 too."""
+    diag = np.diagonal(h, axis1=1, axis2=2)
+    top = diag.max(axis=1)
+    lhs = h.copy()
+    i = np.arange(h.shape[1])
+    lhs[:, i, i] += damping[:, None] * (diag + DAMPING_EPS * top[:, None])
+    lhs[top <= 0.0] = np.eye(h.shape[1])
+    return np.linalg.solve(lhs, np.where(top[:, None] > 0.0, -g, 0.0)[:, :, None])[:, :, 0]
+
+
+def _gauss_newton(obj, state, group, damping, config):
+    """A Gauss-Newton run of the normal or material group: (LbfgsResult whose x is its state, shaded pixel rows).
+
+    ``damping`` holds each block's lambda and is updated in place. x has a row per block; the group's helpers
+    are pack (state -> x), unpack (x -> state), cells (blocks -> the (F, 3) image cells they own), terms
+    ((x, r) -> each block's term of E), model ((x, r, J) -> (terms, H, g, gradient max-norm), a term along
+    a step d being modelled as term + 2 g.d + d.H.d) and move ((x, steps) -> feasible trial x).
     """
-    def rows(x):
-        return np.ascontiguousarray(x.reshape(-1, 3))
+    group_blocks = _normal_blocks(obj) if group == "normal" else _material_blocks(obj, state["material"])
+    pack, unpack, cells_of, terms_of, model, move = group_blocks
 
-    def unpack_materials(x):
-        return [denormalize_params(r, m.lo, m.hi, m.name) for m, r in zip(materials, x.reshape(len(materials), -1))]
+    def shade(x, pixels=None):
+        at = {**state, group: unpack(x)}
+        return (at, *obj(at["normal"], at["material"], at["light"], group, pixels=pixels))
 
-    return {
-        "normal": (0, np.ravel, rows, _project_normals, _tangent_gradient),
-        "light": (1, np.ravel, rows, lambda x: np.maximum(x, 0.0), None),
-        "material": (
-            2, lambda ms: np.concatenate([normalize_params(m) for m in ms]), unpack_materials,
-            lambda x: np.clip(x, -NORM_LIMIT, NORM_LIMIT), None,
-        ),
-    }
+    x = pack(state[group])
+    at, image, jac = shade(x)
+    f = obj.value(image, at["normal"], at["light"])
+    terms, h, g, gnorm = model(x, image - obj.target, jac)
+    result = LbfgsResult(x=at[group], value=f, iterations=0, stop_reason="iteration_cap", evaluations=1)
+    shaded = obj.shading.pixel_count
+    for _ in range(config.inner_iters_per_group):
+        steps = _damped_steps(h, g, damping)
+        predicted = -2.0 * np.einsum("bi,bi->b", g, steps) - np.einsum("bi,bij,bj->b", steps, h, steps)
+        active = predicted > config.rel_tol * max(1.0, abs(f)) / damping.size
+        if gnorm < config.grad_tol or not active.any():
+            result.stop_reason = "gradient" if gnorm < config.grad_tol else "rel_tol"
+            break
+        pixels = cells_of(active).any(axis=1)
+        trial = np.where(active[:, None], move(x, steps), x)
+        _, image_t, jac_t = shade(trial, pixels)
+        result.evaluations += 1
+        shaded += int(pixels.sum())
+        kept = active & (terms_of(trial, image_t - obj.target) < terms)
+        cells = cells_of(kept)
+        x_new, image_new = np.where(kept[:, None], trial, x), np.where(cells, image_t, image)
+        at_new = {**state, group: unpack(x_new)}
+        f_new = obj.value(image_new, at_new["normal"], at_new["light"])
+        if f_new < f:  # no kept block, or (by rounding) kept terms that fell by a few ulp, leave f as it was
+            x, image, f, at, jac = x_new, image_new, f_new, at_new, np.where(cells[:, :, None], jac_t, jac)
+            terms, h, g, gnorm = model(x, image - obj.target, jac)
+            result.x, result.value, result.iterations = at[group], f, result.iterations + 1
+            result.trace.append((f, gnorm))
+        else:
+            kept[:] = False
+        damping[:] = np.maximum(damping * np.where(kept, DAMPING_DOWN, np.where(active, DAMPING_UP, 1.0)), DAMPING_MIN)
+    return result, shaded
+
+
+def _light_run(obj, state, memory, config):
+    """A projected L-BFGS run of the light group, through a transfer cache that fits the budget: (result, pixel rows)."""
+    sh = obj.shading
+    fits = sh.pixel_count * sh.light_count * 24 <= config.cache_budget_bytes
+    transfer = _shading.build_transfer(sh, state["normal"], state["material"], threads=obj.threads) if fits else None
+
+    def fun(x):
+        env = x.reshape(-1, 3)
+        image, grad = obj(state["normal"], state["material"], env, "light", transfer=transfer)
+        return obj.value(image, state["normal"], env), grad.ravel()
+
+    res = lbfgs_minimize(fun, state["light"].ravel(), config, project=lambda x: np.maximum(x, 0.0), memory=memory)
+    res.x = res.x.reshape(-1, 3)
+    return res, res.evaluations * sh.pixel_count
 
 
 def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) -> SolveResult:
-    """Alternating projected L-BFGS on the free groups of ``problem``.
+    """Alternating minimization over the free groups of ``problem``.
 
     Per cycle each free group, in the fixed order normal, light, material
-    (``_shading.GROUPS``), gets up to
-    config.inner_iters_per_group L-BFGS iterations. Each group keeps its
-    curvature pairs from one cycle to the next, so from the second cycle on
-    its run starts from the step scale its previous run learned; a run whose
-    line search fails at its first iterate leaves the group unchanged and
-    clears them. Stops when a full cycle improves the objective by less than
-    rel_tol (relative) or after max_cycles. The trace carries one entry per
-    accepted step and ``runs`` one record per group run.
+    (``_shading.GROUPS``), gets one run (see the module docstring). The light
+    group keeps its curvature pairs, and each Gauss-Newton block its damping
+    lambda, from one cycle to the next. Stops when a full cycle improves the
+    objective by less than rel_tol (relative) or after max_cycles. The trace
+    carries one entry per accepted step and ``runs`` one record per group run.
     """
     mask = problem.normal_map.mask
     obj = _Objective.of(problem, max(1, config.threads))
-    shading = obj.shading
-    layouts = _group_layouts(problem.materials)
     state = {"normal": obj.n_prior.copy(), "light": obj.env_prior.copy(), "material": list(problem.materials)}
 
-    initial = current = obj(state["normal"], state["material"], state["light"])[0]
+    initial = current = obj.value(obj(state["normal"], state["material"], state["light"])[0], state["normal"], state["light"])
     trace: list = []
     runs: list = []
     order = [grp for grp in _shading.GROUPS if grp in problem.free_groups]
-    memories = {group: [] for group in order}
+    memory: list = []
+    blocks = (("normal", obj.shading.pixel_count), ("material", 3 * len(problem.materials)))
+    dampings = {group: np.full(count, DAMPING_INIT) for group, count in blocks}
     cycles_run = 0
 
     for cycle in range(config.max_cycles):
@@ -417,23 +519,15 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
         cycle_start = current
 
         for group in order:
-            slot, pack, unpack, project, transform = layouts[group]
-            transfer = None
-            if group == "light" and shading.pixel_count * shading.light_count * 24 <= config.cache_budget_bytes:
-                transfer = _shading.build_transfer(shading, state["normal"], state["material"], threads=obj.threads)
-
-            def fun(x, group=group, slot=slot, unpack=unpack, transform=transform, transfer=transfer):
-                trial = {**state, group: unpack(x)}
-                val, grads = obj(trial["normal"], trial["material"], trial["light"], {group}, transfer=transfer)
-                g = np.ravel(grads[slot])
-                return val, (g if transform is None else transform(x, g))
-
-            res = lbfgs_minimize(fun, pack(state[group]), config, project=project, memory=memories[group])
+            if group == "light":
+                res, shaded = _light_run(obj, state, memory, config)
+            else:
+                res, shaded = _gauss_newton(obj, state, group, dampings[group], config)
             trace.extend(TraceEntry(cycle, group, it, val, gnorm) for it, (val, gnorm) in enumerate(res.trace, 1))
-            runs.append(RunRecord(cycle, group, res.iterations, res.evaluations, res.stop_reason))
+            runs.append(RunRecord(cycle, group, res.iterations, res.evaluations, shaded, res.stop_reason))
             if res.iterations == 0:
                 continue
-            state[group] = unpack(res.x)
+            state[group] = res.x
             current = res.value
 
         if cycle_start - current <= config.rel_tol * max(1.0, abs(cycle_start)):

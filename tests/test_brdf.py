@@ -235,6 +235,21 @@ def test_overflow_is_reported():
         shade(constant_material(80.0, 0.0), n, Z, Z)
 
 
+@pytest.mark.parametrize("call", ["forward", "backward", "residual"])
+def test_overflow_past_the_float_range_raises_without_a_warning_first(call):
+    # a = 800 overflows expm1 itself, and b = 0 puts inf * 0 in the normal adjoint's
+    # a * b row: the pass must raise ShadingOverflowError while warnings are errors
+    problem = _shading.prepare(np.ones((1, 1), bool), Z, Z[None], np.array([W]))
+    args = (problem, normalize((0.0, 0.3, 1.0))[None], (constant_material(800.0, 0.0),), np.ones((1, 3)))
+    with pytest.raises(ShadingOverflowError, match=r"pixel \(0, 0\), light texel 0"):
+        if call == "forward":
+            _shading.forward(*args)
+        elif call == "backward":
+            _shading.backward(*args, np.ones((1, 3)), _shading.GROUPS)
+        else:  # the solver's pass: the image and the Jacobian rows
+            _shading.backward(*args, None, _shading.GROUPS, target=np.ones((1, 3)))
+
+
 # ---------------------------------------------------------------------------
 # parameter codec
 

@@ -12,7 +12,6 @@ import pytest
 
 import gradshade as gs
 from gradshade import _shading
-from gradshade.brdf import NORM_LIMIT
 from gradshade.invert import _Objective
 from gradshade.render import prepare_problem
 
@@ -135,6 +134,18 @@ FUSED_GROUPS = [  # (groups, cached); a transfer cache serves the light group on
 ]
 
 
+def contracted(problem, u, jn, jm, region_count):
+    """The residual pass's Jacobian rows contracted with u as an upstream pass contracts them, in the same order."""
+    dn = None if jn is None else sum(u[:, k, None] * jn[:, k] for k in range(3))
+    if jm is None:
+        return dn, None
+    dm = np.zeros((region_count, 3, 36))
+    for region, ci in problem.chunks:
+        u_c, j_c = u[ci], jm[ci]
+        dm[region] += np.stack([u_c[:, k] @ j_c[:, k] for k in range(3)])
+    return dn, list(dm.reshape(region_count, 3, 3, 2, 6))
+
+
 def _bytes_or_none(grads):
     return [None if g is None else np.asarray(g).tobytes() for g in grads]
 
@@ -143,7 +154,7 @@ def _bytes_or_none(grads):
 @pytest.mark.parametrize("kind", FUSED_SCENES)
 @pytest.mark.parametrize("mode", MODES)
 def test_objective_pass_equals_forward_then_backward(mode, kind, groups, cached):
-    """The objective's one pass gives the value and gradients of forward + backward(2 r), bit for bit."""
+    """One residual pass gives forward's image, backward(2 r)'s light adjoint, and rows that contract to its other adjoints, bit for bit."""
     side, env_shape = FUSED_SCENES[kind]
     problem = two_region_problem(mode, side, env_shape)
     obj = _Objective.of(problem, 1)
@@ -156,27 +167,25 @@ def test_objective_pass_equals_forward_then_backward(mode, kind, groups, cached)
     assert several == {"one_tile": 0, "several_tiles": len(listed), "mixed": len(listed) // 2}[kind]
     transfer = _shading.build_transfer(sh, normals, materials) if cached else None
 
-    value, grads = obj(normals, materials, env, set(groups), transfer=transfer)
-
     image = _shading.forward(sh, normals, materials, env)
     r = image - obj.target
     n_diff, env_diff = normals - obj.n_prior, env - obj.env_prior
     want_value = float(np.sum(r * r)) + obj.a * float(np.sum(n_diff * n_diff))
     want_value += obj.b * float(np.sum(env_diff * env_diff))
-    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
     dn, denv, dms = _shading.backward(sh, normals, materials, env, 2.0 * r, groups)  # uncached reference
-    fused = _shading.backward(sh, normals, materials, env, None, groups, transfer=transfer, target=obj.target)
-    assert fused[0].tobytes() == image.tobytes()
-    assert _bytes_or_none(fused[1:]) == _bytes_or_none((dn, denv, dms))
-    if dn is not None:
-        dn += 2.0 * obj.a * n_diff
-    if denv is not None:
-        denv += 2.0 * obj.b * env_diff
-    if dms is not None:
-        dms = [dm.reshape(-1) * ((m.hi - m.lo) / (2.0 * NORM_LIMIT)) for m, dm in zip(materials, dms)]
-    assert _bytes_or_none(grads[:2]) == _bytes_or_none((dn, denv))
-    assert (grads[2] is None) == (dms is None)
-    assert grads[2] is None or _bytes_or_none(grads[2]) == _bytes_or_none(dms)
+    fused_image, jn, fused_denv, jm = _shading.backward(
+        sh, normals, materials, env, None, groups, transfer=transfer, target=obj.target
+    )
+    assert fused_image.tobytes() == image.tobytes()
+    assert np.float64(obj.value(fused_image, normals, env)).tobytes() == np.float64(want_value).tobytes()
+    assert _bytes_or_none([fused_denv]) == _bytes_or_none([denv])
+    assert [jn is None, jm is None] == [dn is None, dms is None]
+    assert _bytes_or_none(contracted(sh, 2.0 * r, jn, jm, len(materials))) == _bytes_or_none((dn, dms))
+    if len(groups) == 1:  # the objective's pass for one group
+        got_image, out = obj(normals, materials, env, groups[0], transfer=transfer)
+        assert got_image.tobytes() == image.tobytes()
+        want = denv + 2.0 * obj.b * env_diff if groups == ("light",) else jn if groups == ("normal",) else jm
+        assert out.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import plane_normal_map, random_material, random_normal_map, random_scene
+from test_several_tiles import noised_scene
 import gradshade as gs
 from gradshade import _shading
 from gradshade.brdf import PARAM_COUNT, material_from_raw
@@ -322,3 +323,95 @@ def test_backward_scratch_holds_one_lobe_buffer_per_role(monkeypatch, mode):
     with pool.lease() as store:  # one worker thread leaves one store
         held = sum(a.nbytes for a in store.values())
     assert held <= SCRATCH_BUFFERS[mode] * max(counts) * _shading.LIGHT_BLOCK * 8
+
+
+# ---------------------------------------------------------------------------
+# Jacobian rows of the residual pass, which the solver's Gauss-Newton steps use
+
+JACOBIAN_SCENES = {  # the several-tile scenes: a 24² two-region sphere under 48×96, every chunk listing several tiles
+    "ortho-two-region": lambda: random_two_region_scene(np.random.default_rng(41), 8, 8, 16, "orthographic"),
+    "pinhole-two-region": lambda: random_two_region_scene(np.random.default_rng(41), 8, 8, 16, "pinhole"),
+    "ortho-several-tiles": lambda: noised_scene("orthographic"),
+    "pinhole-several-tiles": lambda: noised_scene("pinhole"),
+}
+
+
+def jacobian_rows(scene, threads=1):
+    """(problem, J_n (F, 3, 3), J_m (F, 3, 36)) of the residual pass at the scene's state."""
+    mask = scene.normal_map.mask
+    problem = prepare_problem(scene)
+    _, jn, _, jm = _shading.backward(
+        problem, scene.normal_map.normals[mask], scene.materials, scene.env.radiance.reshape(-1, 3), None,
+        {"normal", "material"}, threads=threads, target=np.zeros((int(mask.sum()), 3)),
+    )
+    return problem, jn, jm
+
+
+def region_of(problem):
+    regions = np.empty(problem.pixel_count, dtype=np.int64)
+    for region, ci in problem.chunks:
+        regions[ci] = region
+    return regions
+
+
+@pytest.mark.parametrize("group", ["normal", "material"])
+@pytest.mark.parametrize("name", JACOBIAN_SCENES)
+def test_jacobian_rows_match_central_differences(name, group):
+    """Every pixel's rows along a seeded direction per pixel (normals) or per region (materials), at the criterion-1 gates.
+
+    I(p) depends on n_p alone and channel k on channel k's control points alone, so one central difference of the
+    whole image checks every row at once. An entry's error is taken relative to the larger of the two values,
+    floored at 1e-6 of the largest, as fd_check does.
+    """
+    scene = JACOBIAN_SCENES[name]()
+    problem, jn, jm = jacobian_rows(scene)
+    mask = scene.normal_map.mask
+    n, env, materials = scene.normal_map.normals[mask], scene.env.radiance.reshape(-1, 3), scene.materials
+    rng = np.random.default_rng(29)
+    if group == "normal":  # tangent to the unit sphere, as in tests/test_several_tiles.py
+        d = rng.standard_normal(n.shape)
+        d -= np.sum(d * n, axis=1, keepdims=True) * n
+        step = 1e-6
+        analytic = np.einsum("pkc,pc->pk", jn, d)
+
+        def image(sign):
+            return _shading.forward(problem, n + sign * step * d, materials, env)
+    else:
+        d = rng.standard_normal((len(materials), 3, 36))
+        step = 1e-5
+        analytic = np.einsum("pki,pki->pk", jm, d[region_of(problem)])
+
+        def image(sign):
+            moved = [m.with_raw(m.raw + sign * step * dm.ravel()) for m, dm in zip(materials, d)]
+            return _shading.forward(problem, n, moved, env)
+
+    numeric = (image(1.0) - image(-1.0)) / (2.0 * step)
+    floor = 1e-6 * np.abs(analytic).max()
+    rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    assert rel.max() < FD_GATES[group], (rel.max(), np.unravel_index(int(rel.argmax()), rel.shape))
+
+
+@pytest.mark.parametrize("name", JACOBIAN_SCENES)
+def test_jacobian_rows_contract_to_the_upstream_backward_bit_for_bit(name):
+    """sum_k u_k J_k, formed in the engine's own order, is gs.backward against u."""
+    scene = JACOBIAN_SCENES[name]()
+    problem, jn, jm = jacobian_rows(scene)
+    mask = scene.normal_map.mask
+    u_image = np.zeros(scene.normal_map.normals.shape)
+    u_image[mask] = np.random.default_rng(8).standard_normal((int(mask.sum()), 3))
+    u = u_image[mask]
+    grads = gs.backward(scene, u_image, groups={"normal", "material"})
+    assert sum(u[:, k, None] * jn[:, k] for k in range(3)).tobytes() == grads.d_normals[mask].tobytes()
+    dm = np.zeros((len(scene.materials), 3, 36))
+    for region, ci in problem.chunks:  # chunk partials, added in chunk order
+        u_c, j_c = u[ci], jm[ci]
+        dm[region] += np.stack([u_c[:, k] @ j_c[:, k] for k in range(3)])
+    assert dm.reshape(-1, PARAM_COUNT).tobytes() == grads.d_materials.tobytes()
+
+
+@pytest.mark.parametrize("name", JACOBIAN_SCENES)
+def test_jacobian_rows_are_bit_identical_across_thread_counts(name):
+    scene = JACOBIAN_SCENES[name]()
+    runs = [jacobian_rows(scene, threads)[1:] for threads in (1, 2, 3)]
+    for jn, jm in runs[1:]:
+        assert jn.tobytes() == runs[0][0].tobytes() and jm.tobytes() == runs[0][1].tobytes()
