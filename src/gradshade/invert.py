@@ -346,14 +346,6 @@ class SolveResult:
     runs: tuple  # one RunRecord per group run, in order
 
 
-def _project_normals(n):
-    """Rows of (F, 3) ``n`` scaled to unit length; a zero row becomes +z."""
-    norms = np.linalg.norm(n, axis=1, keepdims=True)
-    out = n / np.where(norms < 1e-12, 1.0, norms)
-    out[norms[:, 0] < 1e-12] = (0.0, 0.0, 1.0)
-    return out
-
-
 def _tangent_bases(n):
     """(F, 3, 2) orthonormal bases of the tangent planes of unit normals ``n``."""
     helper = np.where(np.abs(n[:, :1]) < 0.9, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
@@ -377,8 +369,9 @@ def _normal_blocks(obj):
         h = np.einsum("pki,pkj->pij", jt, jt) + a * np.eye(2)
         return terms(n, r), h, g, 2.0 * float(np.abs(basis @ g[:, :, None]).max(initial=0.0))
 
-    def move(n, steps):
-        return _project_normals(n + (_tangent_bases(n) @ steps[:, :, None])[:, :, 0])
+    def move(n, steps):  # a tangent step only lengthens n, so the retraction never divides by 0
+        moved = n + (_tangent_bases(n) @ steps[:, :, None])[:, :, 0]
+        return moved / np.linalg.norm(moved, axis=1, keepdims=True)
 
     return (lambda n: n), (lambda n: n), lambda on: np.repeat(on[:, None], 3, axis=1), terms, model, move
 
