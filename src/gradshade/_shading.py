@@ -23,9 +23,10 @@ view alone are (1, B) per light block for an orthographic camera, whose one
 view row every pixel shares, and (C, B) for a pinhole camera. They broadcast
 against the (C, B) pair arrays, so one code path serves both cameras.
 Near omega = -v the first identity loses relative precision, since its
-square carries an absolute error of a few ulp of 2. Only normals facing away
-from the camera see such a texel lit (n . omega > 0 needs n . v < 0), and
-pairs with |omega + v| < DEGENERATE_HALF are dropped.
+square carries an absolute error of a few ulp of 2: at omega = -v exactly it
+reads up to about 4.5e-8 rather than 0. Only normals facing away from the
+camera see such a texel lit (n . omega > 0 needs n . v < 0), and pairs with
+|omega + v| < DEGENERATE_HALF, which lies above that floor, are dropped.
 
 A ShadingProblem holds only the scene geometry; normals and materials are
 arguments of every call. Its chunks are the foreground pixels of one region
@@ -94,8 +95,9 @@ PIXEL_TILE = 8
 LIGHT_BLOCK = 1024
 
 # |omega_i + omega_p| below this leaves the half vector undefined; the pair
-# contributes nothing and nothing propagates through it.
-DEGENERATE_HALF = 1e-8
+# contributes nothing and nothing propagates through it. It sits above the
+# rounding floor of sqrt(2 + 2 omega . v) at omega = -v, about 4.5e-8.
+DEGENERATE_HALF = 1e-7
 
 GROUPS = ("normal", "light", "material")
 
@@ -349,7 +351,8 @@ def _light_values(fc, u_k, weights):
 def _run_tasks(fn, problem, threads):
     """fn(j) for every chunk j, yielded in chunk order; callers reduce without holding every result.
 
-    At most min(threads, chunks, cpu count) workers run; outputs do not depend on it.
+    At most min(threads, chunks, cpu count) workers run, and one or fewer runs serially in this
+    thread; outputs do not depend on it.
     """
     tasks = range(len(problem.chunks))
     workers = min(threads, len(tasks), os.cpu_count() or 1)

@@ -10,9 +10,9 @@ half-angle theta_d (see :mod:`gradshade.spline`). That makes 3 channels x 3
 lobes x 2 coefficients x 6 control points = 108 raw parameters, stored flat
 with index ((k * 3 + s) * 2 + t) * 6 + j.
 
-Raw parameters map affinely to the normalized box [-0.95, 0.95] used by the
-optimizer; the per-parameter bounds (lo, hi) travel with the material. The
-lobes themselves are evaluated only by the tile engine, :mod:`gradshade._shading`.
+The per-parameter bounds (lo, hi) travel with the material; the solver keeps
+raw parameters inside them. The lobes themselves are evaluated only by the
+tile engine, :mod:`gradshade._shading`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ EPS_BASE = 1e-6
 # A lobe value beyond this is reported as an overflow rather than rendered.
 OVERFLOW_LIMIT = 1e30
 
-NORM_LIMIT = 0.95
 AMPLITUDE_BOUNDS = (-15.0, 15.0)
 EXPONENT_BOUNDS = (0.05, 20.0)
 
@@ -64,7 +63,7 @@ def default_bounds() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DsbrdfMaterial:
-    """108 raw spline control points plus their normalization bounds."""
+    """108 raw spline control points plus their per-parameter bounds."""
 
     raw: np.ndarray
     lo: np.ndarray
@@ -97,21 +96,3 @@ def material_from_raw(raw, name: str | None = None) -> DsbrdfMaterial:
     lo, hi = default_bounds()
     return DsbrdfMaterial(np.asarray(raw, dtype=np.float64), lo, hi, name)
 
-
-def normalize_params(material: DsbrdfMaterial) -> np.ndarray:
-    """Map raw parameters into [-0.95, 0.95] (clipping to the bounds first)."""
-    raw = np.clip(material.raw, material.lo, material.hi)
-    return -NORM_LIMIT + 2.0 * NORM_LIMIT * (raw - material.lo) / (material.hi - material.lo)
-
-
-def denormalize_params(values, lo=None, hi=None, name: str | None = None) -> DsbrdfMaterial:
-    """Inverse of :func:`normalize_params`; values are clipped to [-0.95, 0.95]."""
-    if lo is None or hi is None:
-        dlo, dhi = default_bounds()
-        lo = dlo if lo is None else lo
-        hi = dhi if hi is None else hi
-    values = np.clip(np.asarray(values, dtype=np.float64), -NORM_LIMIT, NORM_LIMIT)
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    raw = lo + (values + NORM_LIMIT) / (2.0 * NORM_LIMIT) * (hi - lo)
-    return DsbrdfMaterial(raw, lo, hi, name)

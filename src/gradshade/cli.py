@@ -14,6 +14,7 @@ Exit codes: 0 on success, 2 for bad usage or unreadable/inconsistent inputs,
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -41,6 +42,7 @@ from .metrics import auto_exposure, check_exposure, l2_metric, ssim, tone_map
 from .render import RenderScene, render
 
 FD_TOLERANCES = {"light": 1e-9, "normal": 1e-4, "material": 1e-4}
+_FD_DEFAULTS = inspect.signature(fd_check).parameters
 
 
 def _parse_camera(spec: str, width: int, height: int) -> Camera:
@@ -120,7 +122,6 @@ def _cmd_invert(args) -> int:
         free_groups=frozenset(free) if free else frozenset(),
     )
     config = OptimizerConfig(
-        memory_pairs=args.memory,
         inner_iters_per_group=args.inner_iters,
         max_cycles=args.cycles,
         rel_tol=args.rel_tol,
@@ -237,20 +238,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-material", action="append", required=True)
     p.add_argument("--segmentation")
     p.add_argument("--camera", default="ortho")
-    p.add_argument("--free", default="normal,light,material", help="comma-separated groups to optimize")
-    p.add_argument("--a", type=float, default=1.0, help="normal prior weight")
-    p.add_argument("--b", type=float, default=10.0, help="illumination prior weight")
-    p.add_argument("--cycles", type=int, default=50)
-    p.add_argument("--inner-iters", type=int, default=20)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--memory", type=int, default=8)
+    free = ",".join(sorted(InverseProblem.free_groups))
+    p.add_argument("--free", default=free, help="comma-separated groups to optimize")
+    p.add_argument("--a", type=float, default=InverseProblem.a, help="normal prior weight")
+    p.add_argument("--b", type=float, default=InverseProblem.b, help="illumination prior weight")
+    p.add_argument("--cycles", type=int, default=OptimizerConfig.max_cycles)
+    p.add_argument("--inner-iters", type=int, default=OptimizerConfig.inner_iters_per_group)
+    p.add_argument("--rel-tol", type=float, default=OptimizerConfig.rel_tol)
     p.add_argument("--trace", help="write one line per accepted step")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_invert)
 
     p = cmds.add_parser("gradcheck", help="finite-difference audit of the analytic gradients")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=16, help="probed coordinates per group")
+    p.add_argument("--seed", type=int, default=_FD_DEFAULTS["seed"].default)
+    p.add_argument("--trials", type=int, default=_FD_DEFAULTS["trials"].default, help="probed coordinates per group")
     p.add_argument("--group", action="append", choices=["light", "normal", "material"])
     p.set_defaults(func=_cmd_gradcheck)
 

@@ -81,7 +81,7 @@ def backward(scene: RenderScene, upstream: np.ndarray, groups=ALL_GROUPS, *, thr
     mask = scene.normal_map.mask
     dn, denv, dms = _shading.backward(
         prepare_problem(scene), scene.normal_map.normals[mask], scene.materials, scene.env.radiance.reshape(-1, 3),
-        upstream[mask], frozenset(groups), threads=max(1, threads),
+        upstream[mask], frozenset(groups), threads=threads,
     )
     d_normals = d_env = d_materials = None
     if dn is not None:

@@ -6,11 +6,11 @@ The solver minimizes
                + a sum_fg || n - n' ||^2  +  b sum || L - L' ||^2
 
 by cycling through the free parameter groups (normals, light, material), each
-getting a short run while the other two stay frozen. Feasibility is kept by
-projection (unit normals, non-negative radiance, material coordinates inside
-[-0.95, 0.95] normalized) and runs accept only on the post-projection
-objective, so the objective trace is non-increasing. Each evaluation is one
-shading pass, the engine's residual-mode backward.
+getting a short run while the other two stay frozen. Every state a group run
+evaluates is feasible (unit normals, non-negative radiance, raw material
+parameters inside each material's [lo, hi] bounds) and runs accept only on the
+objective of that state, so the objective trace is non-increasing. Each
+evaluation is one shading pass, the engine's residual-mode backward.
 
 The light group gets a projected L-BFGS run, whose memory carries over from
 one cycle to the next. A run whose line search finds no step at its first
@@ -21,10 +21,11 @@ depends on n_p alone, and channel k of region r on that region's 36 channel-k
 control points alone. Each block, a pixel or a (region, channel), takes its
 own damped Gauss-Newton (Levenberg-Marquardt) step from the residual pass's
 Jacobian rows: a 2x2 solve on the tangent plane with a I from the prior,
-retracted to the sphere, or a 36x36 solve in normalized coordinates, clipped
-to the box. A trial pass shades only the pixels of the blocks whose predicted
-decrease is above rel_tol max(1, |E|) / blocks. A block keeps its step iff its
-own term of E fell; E is the sum of these terms, so it never rises.
+retracted to the sphere, or a 36x36 solve in coordinates that map [lo, hi] to
+[-NORM_LIMIT, NORM_LIMIT], clipped to the box. A trial pass shades only the
+pixels of the blocks whose predicted decrease is above rel_tol max(1, |E|) /
+blocks. A block keeps its step iff its own term of E fell; E is the sum of
+these terms, so it never rises.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _shading
-from .brdf import NORM_LIMIT, DsbrdfMaterial
+from .brdf import DsbrdfMaterial
 from .core import EnvironmentMap, NormalMap, RadianceImage, SegmentationMask, Camera
 from .render import RenderScene, prepare_problem, render
 
@@ -63,7 +64,7 @@ def loss_normal(pred: NormalMap, gt: NormalMap) -> float:
 
 
 def loss_material(pred, gt) -> float:
-    """Sum of squared differences over the 108 normalized parameters."""
+    """Sum of squared differences between two parameter vectors of equal length."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
@@ -80,6 +81,13 @@ def loss_combined(weights: LossWeights, l_normal: float, l_material: float, l_im
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
 BACKTRACK_FACTOR = 0.5  # step shrink per rejected line-search trial
 MAX_BACKTRACKS = 25  # rejected trials per line search before it fails
+MEMORY_PAIRS = 8  # curvature pairs an L-BFGS memory keeps
+GRAD_TOL = 1e-12  # a run stops once its gradient max-norm is below this
+# The light group shades through a transfer cache, f * cmax per shaded (pixel, light) pair and
+# channel, when its dense size F * I * 24 bytes, known before it is built, is at most this;
+# otherwise uncached, with bit-identical results.
+TRANSFER_BUDGET_BYTES = 256 * 2**20
+NORM_LIMIT = 0.95  # a material block steps in coordinates that map [lo, hi] to [-NORM_LIMIT, NORM_LIMIT]
 DAMPING_INIT = 0.1  # a Gauss-Newton block's damping lambda before its first step
 DAMPING_DOWN = 0.3  # lambda factor after a block's step is kept
 DAMPING_UP = 10.0  # lambda factor after a block's step is refused
@@ -92,31 +100,22 @@ class OptimizerConfig:
     """Settings of :func:`solve` and :func:`lbfgs_minimize`.
 
     ``inner_iters_per_group`` caps each run: its L-BFGS iterations, or its
-    Gauss-Newton trial passes. ``memory_pairs`` caps the L-BFGS memory, in
-    ``solve`` the light group's. ``rel_tol`` (relative decrease of a step, of
-    the predicted decreases of all blocks, and of a cycle in ``solve``) and
-    ``grad_tol`` (gradient max-norm) must be finite and positive.
-
-    ``cache_budget_bytes`` gates the one cache the solver builds: the transfer
-    cache, f * cmax per shaded (pixel, light) pair and channel, that the light
-    group shades through. The gate takes its dense size, F * I * 24 bytes, an
-    upper bound known before the cache is built. A problem over the budget, or
-    a budget of 0, shades the light group uncached, with bit-identical results.
+    Gauss-Newton trial passes. ``rel_tol`` (relative decrease of a step, of
+    the predicted decreases of all blocks, and of a cycle in ``solve``) must be
+    finite and positive. ``threads`` caps the shading workers; outputs do not
+    depend on it.
     """
 
-    memory_pairs: int = 8
     inner_iters_per_group: int = 20
     max_cycles: int = 50
     rel_tol: float = 1e-6
-    grad_tol: float = 1e-12
     threads: int = 1
-    cache_budget_bytes: int = 256 * 2**20
 
     def __post_init__(self):
-        if min(self.memory_pairs, self.inner_iters_per_group, self.max_cycles) < 1:
+        if min(self.inner_iters_per_group, self.max_cycles) < 1:
             raise ValueError("iteration counts must be positive")
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.grad_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -251,7 +250,7 @@ def lbfgs_minimize(
     the first iterate.
 
     ``memory`` is a list of ``(s, y, rho)`` curvature pairs to start from; the
-    run extends it in place, keeps at most ``config.memory_pairs`` of them and
+    run extends it in place, keeps at most ``MEMORY_PAIRS`` of them and
     clears it when its direction is not a descent direction or its line search
     fails at the first iterate, so a later run on the same problem can pass it
     on. With empty memory the first trial step is min(1, 1/||d||) along d (as
@@ -264,12 +263,12 @@ def lbfgs_minimize(
     f, g = fun(x)
     ginf = float(np.abs(g).max(initial=0.0))
     pairs = [] if memory is None else memory
-    del pairs[: -config.memory_pairs]
+    del pairs[:-MEMORY_PAIRS]
     trace: list = []
     result = LbfgsResult(x=x, value=f, iterations=0, stop_reason="iteration_cap", trace=trace, evaluations=1)
 
     for it in range(1, config.inner_iters_per_group + 1):
-        if ginf < config.grad_tol:
+        if ginf < GRAD_TOL:
             result.stop_reason = "gradient"
             break
 
@@ -300,7 +299,7 @@ def lbfgs_minimize(
         sy = float(s @ y)
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             pairs.append((s, y, 1.0 / sy))
-            if len(pairs) > config.memory_pairs:
+            if len(pairs) > MEMORY_PAIRS:
                 pairs.pop(0)
 
         f_prev, x, f, g = f, x_t, f_t, g_t
@@ -444,8 +443,8 @@ def _gauss_newton(obj, state, group, damping, config):
         steps = _damped_steps(h, g, damping)
         predicted = -2.0 * np.einsum("bi,bi->b", g, steps) - np.einsum("bi,bij,bj->b", steps, h, steps)
         active = predicted > config.rel_tol * max(1.0, abs(f)) / damping.size
-        if gnorm < config.grad_tol or not active.any():
-            result.stop_reason = "gradient" if gnorm < config.grad_tol else "rel_tol"
+        if gnorm < GRAD_TOL or not active.any():
+            result.stop_reason = "gradient" if gnorm < GRAD_TOL else "rel_tol"
             break
         pixels = cells_of(active).any(axis=1)
         trial = np.where(active[:, None], move(x, steps), x)
@@ -471,7 +470,7 @@ def _gauss_newton(obj, state, group, damping, config):
 def _light_run(obj, state, memory, config):
     """A projected L-BFGS run of the light group, through a transfer cache that fits the budget: (result, pixel rows)."""
     sh = obj.shading
-    fits = sh.pixel_count * sh.light_count * 24 <= config.cache_budget_bytes
+    fits = sh.pixel_count * sh.light_count * 24 <= TRANSFER_BUDGET_BYTES
     transfer = _shading.build_transfer(sh, state["normal"], state["material"], threads=obj.threads) if fits else None
 
     def fun(x):
@@ -495,7 +494,7 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
     carries one entry per accepted step and ``runs`` one record per group run.
     """
     mask = problem.normal_map.mask
-    obj = _Objective.of(problem, max(1, config.threads))
+    obj = _Objective.of(problem, config.threads)
     state = {"normal": obj.n_prior.copy(), "light": obj.env_prior.copy(), "material": list(problem.materials)}
 
     initial = current = obj.value(obj(state["normal"], state["material"], state["light"])[0], state["normal"], state["light"])
@@ -528,11 +527,10 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
 
     normals_img = np.zeros_like(problem.normal_map.normals)
     normals_img[mask] = state["normal"]
-    result_env = EnvironmentMap(np.maximum(state["light"], 0.0).reshape(problem.env.radiance.shape))
     return SolveResult(
         normal_map=NormalMap(normals_img, mask),
         materials=tuple(state["material"]),
-        env=result_env,
+        env=EnvironmentMap(state["light"].reshape(problem.env.radiance.shape)),
         initial_objective=initial,
         final_objective=current,
         trace=tuple(trace),
@@ -545,11 +543,8 @@ def edit_material(scene: RenderScene, materials, *, threads: int = 1) -> Radianc
     """Re-render ``scene`` with its materials swapped for ``materials``.
 
     Accepts a single material for unsegmented scenes or a per-region sequence
-    matching the segmentation's region count.
+    matching the segmentation's region count; ``RenderScene`` rejects any other.
     """
     if isinstance(materials, DsbrdfMaterial):
         materials = (materials,)
-    materials = tuple(materials)
-    if len(materials) != scene.region_count:
-        raise ValueError(f"expected {scene.region_count} materials, got {len(materials)}")
     return render(dataclasses.replace(scene, materials=materials), threads=threads)

@@ -133,7 +133,7 @@ def render_linear(scene: RenderScene, *, threads: int = 1) -> np.ndarray:
     mask = scene.normal_map.mask
     fg = _shading.forward(
         prepare_problem(scene), scene.normal_map.normals[mask], scene.materials, scene.env.radiance.reshape(-1, 3),
-        threads=max(1, threads),
+        threads=threads,
     )
     out = np.zeros((scene.normal_map.height, scene.normal_map.width, 3))
     out[mask] = fg

@@ -23,7 +23,7 @@ from gradshade.metrics import auto_exposure
 from gradshade.render import render_linear
 from gradshade.spline import QuadBSpline, basis_matrix, fit, greville_thetas
 
-TIGHT = OptimizerConfig(rel_tol=1e-18, grad_tol=1e-13)
+TIGHT = OptimizerConfig(rel_tol=1e-18)
 
 
 def _line(num, ok, detail):

@@ -1,4 +1,4 @@
-"""Reflectance model: the DSBRDF lobes as the tile engine shades them, coefficient curves, parameter codec.
+"""Reflectance model: the DSBRDF lobes as the tile engine shades them, coefficient curves, parameter bounds.
 
 The lobe and half-angle tests shade one pixel under one light through
 ``_shading.forward``: with unit radiance the image is f * max(0, n . omega) * w,
@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import oracles
 from conftest import random_material
@@ -23,10 +23,8 @@ from gradshade.brdf import (
     DsbrdfMaterial,
     ShadingOverflowError,
     default_bounds,
-    denormalize_params,
     flat_index,
     material_from_raw,
-    normalize_params,
 )
 from gradshade.core import normalize
 from gradshade.spline import basis_matrix
@@ -177,6 +175,13 @@ def test_invalid_geometry_shades_to_zero(rng):
             omega = normalize(-v + tilt * np.roll(v, 1))
             assert oracles.half_angles(omega, v, omega) is None
             assert np.array_equal(shade(mat, omega, omega, v), np.zeros(3))
+    # Off-axis unit views: v . v rounds, so at omega = -v exactly the engine's
+    # |omega + v| reads up to a few times 1e-8, not 0. Each lobe of this
+    # material is 1 whatever the geometry, so a kept pair would shade non-zero.
+    ones = constant_material(math.log(2.0), 0.0)
+    for _ in range(1000):
+        v = normalize(rng.standard_normal(3))
+        assert np.array_equal(shade(ones, -v, -v, v), np.zeros(3)), v
 
 
 def test_log_two_constant_material_gives_three():
@@ -251,31 +256,7 @@ def test_overflow_past_the_float_range_raises_without_a_warning_first(call):
 
 
 # ---------------------------------------------------------------------------
-# parameter codec
-
-def test_normalize_endpoints_and_midpoint():
-    lo, hi = default_bounds()
-    assert np.allclose(normalize_params(DsbrdfMaterial(lo, lo, hi)), -0.95)
-    assert np.allclose(normalize_params(DsbrdfMaterial(hi, lo, hi)), 0.95)
-    assert np.allclose(normalize_params(DsbrdfMaterial((lo + hi) / 2.0, lo, hi)), 0.0)
-
-
-def test_denormalize_endpoints_and_midpoint():
-    lo, hi = default_bounds()
-    assert np.allclose(denormalize_params(np.full(PARAM_COUNT, -0.95)).raw, lo)
-    assert np.allclose(denormalize_params(np.full(PARAM_COUNT, 0.95)).raw, hi)
-    assert np.allclose(denormalize_params(np.zeros(PARAM_COUNT)).raw, (lo + hi) / 2.0)
-
-
-@settings(max_examples=30)
-@given(st.integers(0, 2**32 - 1))
-def test_codec_round_trip(seed):
-    r = np.random.default_rng(seed)
-    lo, hi = default_bounds()
-    raw = r.uniform(lo, hi)
-    back = denormalize_params(normalize_params(material_from_raw(raw))).raw
-    assert np.abs(back - raw).max() < 1e-12
-
+# parameter bounds
 
 def test_default_bounds_follow_parameter_roles():
     lo, hi = default_bounds()

@@ -1,13 +1,18 @@
 """End-to-end command line tests driving main(argv) in-process."""
 
+import dataclasses
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import ihdr_edit, json_value_edit, mutants, pfm_token_edit, refilter_png16, write_png_bomb
+from gradshade import cli
 from gradshade.cli import main
 from gradshade.core import BACKGROUND_REGION, SegmentationMask
+from gradshade.grad import fd_check
+from gradshade.invert import InverseProblem, OptimizerConfig
 from gradshade.io import (
     MalformedFileError,
     read_material,
@@ -296,6 +301,43 @@ def test_invert_rejects_unknown_group(fixture_dir, tmp_path, capsys):
     assert "free groups" in capsys.readouterr().err
 
 
+class _Called(Exception):
+    """Stops a command at its library call."""
+
+
+def test_invert_and_gradcheck_defaults_are_the_library_defaults(fixture_dir, tmp_path, monkeypatch):
+    """A flag left out means what leaving its argument out of the library call means."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Called
+
+    monkeypatch.setattr(cli, "solve", record)
+    monkeypatch.setattr(cli, "fd_check", record)
+    target = tmp_path / "target.pfm"
+    assert main(["render", *scene_args(fixture_dir), "--out", str(target)]) == 0
+    argv = [
+        "--threads", "1", "invert",
+        "--target", str(target),
+        "--init-normals", str(fixture_dir / "sphere_normals.png"),
+        "--init-env", str(fixture_dir / "env.pfm"),
+        "--init-material", str(fixture_dir / "material_matte.json"),
+        "--out-prefix", str(tmp_path / "sol_"),
+    ]  # fmt: skip
+    with pytest.raises(_Called):
+        main(argv)
+    (problem, config), _ = calls.pop()
+    assert config == OptimizerConfig(threads=1)
+    fields = [f for f in dataclasses.fields(InverseProblem) if f.default is not dataclasses.MISSING]
+    assert {f.name: getattr(problem, f.name) for f in fields} == {f.name: f.default for f in fields}
+    with pytest.raises(_Called):
+        main(["gradcheck"])
+    _, kwargs = calls.pop()
+    params = inspect.signature(fd_check).parameters
+    assert kwargs == {"trials": params["trials"].default, "seed": params["seed"].default}
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--trials", "4", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -392,6 +434,15 @@ def test_invert_non_finite_weight_or_tolerance_exits_2_before_writing(fixture_di
     assert not list(tmp_path.glob("sol_*"))
     captured = capsys.readouterr()
     assert "finite" in captured.err and "objective" not in captured.out
+
+
+def test_invert_memory_flag_is_gone(fixture_dir, tmp_path, capsys):
+    argv = invert_argv(fixture_dir, tmp_path, fixture_dir / "sphere_segmentation.png", ["matte"])
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--memory", "4"])
+    assert exc.value.code == 2
+    assert not list(tmp_path.glob("sol_*"))
+    assert "unrecognized arguments: --memory" in capsys.readouterr().err
 
 
 def test_invert_region_id_past_material_count_exits_2(fixture_dir, tmp_path, capsys):

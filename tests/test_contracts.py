@@ -1,8 +1,8 @@
 """Bit-identity contracts: caches, worker counts and fused passes never change an output bit.
 
-The solver shades the light group through a transfer cache when it fits its
-byte budget; a zero budget takes the uncached path. Worker threads only trade
-whole pixel chunks (screen tiles). Each solver evaluation takes its value and
+The solver shades the light group through a transfer cache when it fits
+``invert.TRANSFER_BUDGET_BYTES``; a zero budget takes the uncached path.
+Worker threads only trade whole pixel chunks (screen tiles). Each solver evaluation takes its value and
 gradient from one residual-mode backward pass. Either way every output must
 come out bit-for-bit the same.
 """
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gradshade as gs
-from gradshade import _shading
+from gradshade import _shading, invert
 from gradshade.invert import _Objective
 from gradshade.render import prepare_problem
 
@@ -74,11 +74,12 @@ def solved(request):
     return problem, gs.solve(problem, config())
 
 
-def test_solve_is_bit_identical_without_caches(solved):
+def test_solve_is_bit_identical_without_caches(solved, monkeypatch):
     problem, cached = solved
     assert cached.final_objective < cached.initial_objective
     assert {t.group for t in cached.trace} == {"normal", "light", "material"}
-    uncached = gs.solve(problem, config(cache_budget_bytes=0))
+    monkeypatch.setattr(invert, "TRANSFER_BUDGET_BYTES", 0)
+    uncached = gs.solve(problem, config())
     assert solve_bytes(uncached) == solve_bytes(cached)
 
 
@@ -111,16 +112,18 @@ def test_backward_is_bit_identical_across_thread_counts_with_several_light_block
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_solve_is_bit_identical_with_several_light_blocks(mode):
+def test_solve_is_bit_identical_with_several_light_blocks(mode, monkeypatch):
     problem = two_region_problem(mode, 16, (48, 96))  # every chunk lists several light blocks
 
-    def short(**kw):
-        return gs.OptimizerConfig(max_cycles=1, inner_iters_per_group=2, **kw)
+    def short(threads=1):
+        return gs.OptimizerConfig(max_cycles=1, inner_iters_per_group=2, threads=threads)
 
     single = gs.solve(problem, short())
     assert {t.group for t in single.trace} == {"normal", "light", "material"}
-    for kw in ({"threads": 2}, {"threads": 3}, {"cache_budget_bytes": 0}):
-        assert solve_bytes(gs.solve(problem, short(**kw))) == solve_bytes(single), kw
+    for threads in (2, 3):
+        assert solve_bytes(gs.solve(problem, short(threads))) == solve_bytes(single), threads
+    monkeypatch.setattr(invert, "TRANSFER_BUDGET_BYTES", 0)
+    assert solve_bytes(gs.solve(problem, short())) == solve_bytes(single)
 
 
 # (side, env): one-tile chunks only; several-tile chunks only; 6 of 12 chunks of each kind
@@ -231,7 +234,7 @@ def test_residual_backward_shades_each_tile_once(monkeypatch, mode, groups):
 
 @pytest.mark.parametrize("cpus", [4, 64, None])
 def test_worker_count_is_clamped(monkeypatch, cpus):
-    """min(threads, chunks, cpu count) workers: a huge ``threads`` never asks for a huge pool."""
+    """min(threads, chunks, cpu count) workers: a huge ``threads`` asks for no huge pool; 0 or fewer runs serially."""
     sizes = []
 
     class RecordingExecutor:  # records the pool size and runs the chunks in this thread
@@ -256,3 +259,20 @@ def test_worker_count_is_clamped(monkeypatch, cpus):
     assert sizes == []
     assert gs.render(scene, threads=10**6).pixels.tobytes() == base.tobytes()
     assert sizes == ([] if cpus is None else [min(cpus, chunks)])  # an unknown cpu count runs serially
+
+    sizes.clear()
+    upstream = np.random.default_rng(3).standard_normal(scene.normal_map.normals.shape)
+    problem = two_region_problem("orthographic")
+
+    def outputs(threads):
+        grads = gs.backward(scene, upstream, threads=threads)
+        return (
+            gs.render(scene, threads=threads).pixels.tobytes(),
+            [grads.d_normals.tobytes(), grads.d_env.tobytes(), grads.d_materials.tobytes()],
+            solve_bytes(gs.solve(problem, gs.OptimizerConfig(max_cycles=1, inner_iters_per_group=2, threads=threads))),
+        )
+
+    single = outputs(1)
+    for threads in (0, -2):
+        assert outputs(threads) == single, threads
+    assert sizes == []
