@@ -1,4 +1,4 @@
-"""Inverse rendering: losses, projected L-BFGS, and the alternating solver.
+"""Inverse rendering: projected L-BFGS, per-block Gauss-Newton, and the alternating solver.
 
 The solver minimizes
 
@@ -6,11 +6,14 @@ The solver minimizes
                + a sum_fg || n - n' ||^2  +  b sum || L - L' ||^2
 
 by cycling through the free parameter groups (normals, light, material), each
-getting a short run while the other two stay frozen. Every state a group run
-evaluates is feasible (unit normals, non-negative radiance, raw material
-parameters inside each material's [lo, hi] bounds) and runs accept only on the
-objective of that state, so the objective trace is non-increasing. Each
-evaluation is one shading pass, the engine's residual-mode backward.
+getting a short run while the other two stay frozen. A solve starts from the
+problem's initial state with each free material's raw parameters clipped into
+its [lo, hi] bounds; its initial objective is E there, read from the first
+run's first pass. Every state a group run evaluates is feasible (unit normals,
+non-negative radiance, raw material parameters inside their bounds) and runs
+accept only on the objective of that state, so the objective trace, starting
+from the initial objective, never rises. Each evaluation is one shading pass,
+the engine's residual-mode backward.
 
 The light group gets a projected L-BFGS run, whose memory carries over from
 one cycle to the next. A run whose line search finds no step at its first
@@ -40,42 +43,6 @@ from . import _shading
 from .brdf import DsbrdfMaterial
 from .core import EnvironmentMap, NormalMap, RadianceImage, SegmentationMask, Camera
 from .render import RenderScene, prepare_problem, render
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the combined training-style loss."""
-
-    w_normal: float = 1e4
-    w_material: float = 1e3
-    w_image: float = 1.0
-
-    def __post_init__(self):
-        if not all(0.0 < w < math.inf for w in (self.w_normal, self.w_material, self.w_image)):
-            raise ValueError("loss weights must be positive and finite")
-
-
-def loss_normal(pred: NormalMap, gt: NormalMap) -> float:
-    """Sum over foreground pixels of ||n - n'||^2 (= 2 - 2 n.n' for unit inputs)."""
-    if pred.normals.shape != gt.normals.shape or not np.array_equal(pred.mask, gt.mask):
-        raise ValueError("normal maps must share shape and mask")
-    diff = pred.normals[pred.mask] - gt.normals[gt.mask]
-    return float(np.sum(diff * diff))
-
-
-def loss_material(pred, gt) -> float:
-    """Sum of squared differences between two parameter vectors of equal length."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise ValueError("material parameter vectors must have equal length")
-    d = pred - gt
-    return float(np.sum(d * d))
-
-
-def loss_combined(weights: LossWeights, l_normal: float, l_material: float, l_image: float) -> float:
-    """w_n * l_normal + w_m * l_material + w_image * l_image."""
-    return weights.w_normal * l_normal + weights.w_material * l_material + weights.w_image * l_image
 
 
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
@@ -122,7 +89,10 @@ class OptimizerConfig:
 class InverseProblem:
     """Eq.-of-interest bundle: observed image, initial state, regularizers.
 
-    The initial normals and environment double as the priors n' and L'.
+    The initial normals and environment double as the priors n' and L'. When
+    ``"material"`` is free, :func:`solve` starts from each material clipped
+    into its [lo, hi] bounds, and ``SolveResult.initial_objective`` is E at
+    that start.
     """
 
     target: RadianceImage
@@ -184,15 +154,13 @@ class _Objective:
         env_diff = env - self.env_prior
         return float(np.sum(r * r)) + self.a * float(np.sum(n_diff * n_diff)) + self.b * float(np.sum(env_diff * env_diff))
 
-    def __call__(self, normals, materials, env, group=None, *, transfer=None, pixels=None):
-        """One shading pass: (image, None) for a forward, else the residual pass's image and the group's output.
+    def __call__(self, normals, materials, env, group, *, transfer=None, pixels=None):
+        """One residual pass of ``group``: the foreground image and the group's output.
 
         The output is the light gradient of E, shaded through ``transfer`` when
         given, or the Jacobian rows J_n (F, 3, 3) or J_m (F, 3, 36), over the
         (F,) bool ``pixels`` alone when given (image and rows are 0 elsewhere).
         """
-        if group is None:
-            return _shading.forward(self.shading, normals, materials, env, threads=self.threads), None
         shading = self.shading if pixels is None else _shading.restrict(self.shading, pixels)
         image, jn, denv, jm = _shading.backward(
             shading, normals, materials, env, None, {group}, threads=self.threads, transfer=transfer, target=self.target,
@@ -401,7 +369,7 @@ def _material_blocks(obj, materials):
         return terms(x, r), h, g, 2.0 * float(np.abs(g).max(initial=0.0))
 
     return (
-        lambda ms: np.clip(np.concatenate([m.raw for m in ms]).reshape(-1, 36), lo, hi),
+        lambda ms: np.concatenate([m.raw for m in ms]).reshape(-1, 36),
         lambda x: [m.with_raw(row) for m, row in zip(materials, x.reshape(len(materials), -1))],
         lambda on: on.reshape(-1, 3)[region_of], terms, model, lambda x, steps: np.clip(x + scale * steps, lo, hi),
     )
@@ -419,7 +387,7 @@ def _damped_steps(h, g, damping):
 
 
 def _gauss_newton(obj, state, group, damping, config):
-    """A Gauss-Newton run of the normal or material group: (LbfgsResult whose x is its state, shaded pixel rows).
+    """A Gauss-Newton run of the normal or material group: (LbfgsResult whose x is its state, shaded pixel rows, E at x0).
 
     ``damping`` holds each block's lambda and is updated in place. x has a row per block; the group's helpers
     are pack (state -> x), unpack (x -> state), cells (blocks -> the (F, 3) image cells they own), terms
@@ -438,7 +406,7 @@ def _gauss_newton(obj, state, group, damping, config):
     f = obj.value(image, at["normal"], at["light"])
     terms, h, g, gnorm = model(x, image - obj.target, jac)
     result = LbfgsResult(x=at[group], value=f, iterations=0, stop_reason="iteration_cap", evaluations=1)
-    shaded = obj.shading.pixel_count
+    start, shaded = f, obj.shading.pixel_count
     for _ in range(config.inner_iters_per_group):
         steps = _damped_steps(h, g, damping)
         predicted = -2.0 * np.einsum("bi,bi->b", g, steps) - np.einsum("bi,bij,bj->b", steps, h, steps)
@@ -464,23 +432,25 @@ def _gauss_newton(obj, state, group, damping, config):
         else:
             kept[:] = False
         damping[:] = np.maximum(damping * np.where(kept, DAMPING_DOWN, np.where(active, DAMPING_UP, 1.0)), DAMPING_MIN)
-    return result, shaded
+    return result, shaded, start
 
 
 def _light_run(obj, state, memory, config):
-    """A projected L-BFGS run of the light group, through a transfer cache that fits the budget: (result, pixel rows)."""
+    """A projected L-BFGS run of the light group, through a transfer cache that fits the budget: (result, pixel rows, E at x0)."""
     sh = obj.shading
     fits = sh.pixel_count * sh.light_count * 24 <= TRANSFER_BUDGET_BYTES
     transfer = _shading.build_transfer(sh, state["normal"], state["material"], threads=obj.threads) if fits else None
+    values = []  # E at each evaluation, x0 first
 
     def fun(x):
         env = x.reshape(-1, 3)
         image, grad = obj(state["normal"], state["material"], env, "light", transfer=transfer)
-        return obj.value(image, state["normal"], env), grad.ravel()
+        values.append(obj.value(image, state["normal"], env))
+        return values[-1], grad.ravel()
 
     res = lbfgs_minimize(fun, state["light"].ravel(), config, project=lambda x: np.maximum(x, 0.0), memory=memory)
     res.x = res.x.reshape(-1, 3)
-    return res, res.evaluations * sh.pixel_count
+    return res, res.evaluations * sh.pixel_count, values[0]
 
 
 def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) -> SolveResult:
@@ -495,9 +465,12 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
     """
     mask = problem.normal_map.mask
     obj = _Objective.of(problem, config.threads)
-    state = {"normal": obj.n_prior.copy(), "light": obj.env_prior.copy(), "material": list(problem.materials)}
+    materials = list(problem.materials)
+    if "material" in problem.free_groups:  # the start is feasible, and every material step stays in the box
+        materials = [m.with_raw(np.clip(m.raw, m.lo, m.hi)) for m in materials]
+    state = {"normal": obj.n_prior.copy(), "light": obj.env_prior.copy(), "material": materials}
 
-    initial = current = obj.value(obj(state["normal"], state["material"], state["light"])[0], state["normal"], state["light"])
+    current = None  # E at the state reached, first read from the first run's x0 pass
     trace: list = []
     runs: list = []
     order = [grp for grp in _shading.GROUPS if grp in problem.free_groups]
@@ -512,9 +485,11 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
 
         for group in order:
             if group == "light":
-                res, shaded = _light_run(obj, state, memory, config)
+                res, shaded, start = _light_run(obj, state, memory, config)
             else:
-                res, shaded = _gauss_newton(obj, state, group, dampings[group], config)
+                res, shaded, start = _gauss_newton(obj, state, group, dampings[group], config)
+            if current is None:
+                initial = cycle_start = current = start
             trace.extend(TraceEntry(cycle, group, it, val, gnorm) for it, (val, gnorm) in enumerate(res.trace, 1))
             runs.append(RunRecord(cycle, group, res.iterations, res.evaluations, shaded, res.stop_reason))
             if res.iterations == 0:

@@ -1,4 +1,4 @@
-"""Inverse rendering: losses, the L-BFGS core, the Gauss-Newton blocks and the alternating solver."""
+"""Inverse rendering: the L-BFGS core, the Gauss-Newton blocks and the alternating solver."""
 
 import gc
 import math
@@ -12,83 +12,12 @@ from conftest import random_material
 from test_contracts import two_region_problem
 import gradshade as gs
 from gradshade import _shading, invert
-from gradshade.brdf import PARAM_COUNT, material_from_raw
+from gradshade.brdf import PARAM_COUNT, flat_index, material_from_raw
 from gradshade.core import NormalMap
-from gradshade.invert import (
-    InverseProblem,
-    LossWeights,
-    OptimizerConfig,
-    _Objective,
-    lbfgs_minimize,
-    loss_combined,
-    loss_material,
-    loss_normal,
-    solve,
-)
+from gradshade.invert import InverseProblem, OptimizerConfig, _Objective, lbfgs_minimize, solve
 from gradshade.render import build_light_table
 
 TIGHT = OptimizerConfig(rel_tol=1e-18)
-
-
-def single_pixel_map(n):
-    arr = np.asarray(n, dtype=float).reshape(1, 1, 3)
-    return NormalMap(arr, np.ones((1, 1), dtype=bool))
-
-
-# ---------------------------------------------------------------------------
-# losses
-
-def test_loss_normal_identity(sphere_scene):
-    nm = sphere_scene.normal_map
-    assert loss_normal(nm, nm) == 0.0
-
-
-def test_loss_normal_antipodal():
-    a = single_pixel_map([0.0, 0.0, 1.0])
-    b = single_pixel_map([0.0, 0.0, -1.0])
-    assert loss_normal(a, b) == pytest.approx(4.0, abs=1e-15)
-
-
-def test_loss_normal_orthogonal_is_two():
-    # ||a-b||^2 = 2 - 2 cos(angle) for unit vectors
-    a = single_pixel_map([0.0, 0.0, 1.0])
-    b = single_pixel_map([1.0, 0.0, 0.0])
-    assert loss_normal(a, b) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_loss_normal_mask_mismatch():
-    a = single_pixel_map([0.0, 0.0, 1.0])
-    n = np.zeros((1, 1, 3))
-    b = NormalMap(n, np.zeros((1, 1), dtype=bool))
-    with pytest.raises(ValueError):
-        loss_normal(a, b)
-
-
-def test_loss_material_basics():
-    x = np.zeros(PARAM_COUNT)
-    assert loss_material(x, x) == 0.0
-    y = x.copy()
-    y[17] = 0.25
-    assert loss_material(x, y) == pytest.approx(0.0625, abs=1e-15)
-    lo = np.full(PARAM_COUNT, -0.95)
-    hi = np.full(PARAM_COUNT, 0.95)
-    assert loss_material(lo, hi) == pytest.approx(108 * 1.9**2, rel=1e-12)
-    assert loss_material(lo, hi) == pytest.approx(389.88, abs=1e-10)
-
-
-def test_loss_combined_weights():
-    assert loss_combined(LossWeights(), 0.0, 0.0, 0.0) == 0.0
-    assert loss_combined(LossWeights(), 1.0, 1.0, 1.0) == pytest.approx(11001.0)
-    assert loss_combined(LossWeights(1.0, 1.0, 1.0), 2.0, 3.0, 4.0) == pytest.approx(9.0)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("slot", range(3))
-def test_loss_weights_must_be_positive_and_finite(slot, bad):
-    weights = [1.0, 1.0, 1.0]
-    weights[slot] = bad
-    with pytest.raises(ValueError):
-        LossWeights(*weights)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +199,16 @@ def test_tolerances_must_be_positive_and_finite(name, bad):
 
 
 def objective_at(prob, env, group=None):
-    """The solver's objective at the problem's normals and materials under ``env``: value, and the group's pass output."""
+    """The solver's objective at the problem's normals and materials under ``env``: value, and the group's pass output.
+
+    Without a group the image comes from a plain forward and the output is None.
+    """
     obj = _Objective.of(prob, 1)
     env = env.reshape(-1, 3)
-    image, out = obj(obj.n_prior, prob.materials, env, group)
+    if group is None:
+        image, out = _shading.forward(obj.shading, obj.n_prior, prob.materials, env), None
+    else:
+        image, out = obj(obj.n_prior, prob.materials, env, group)
     return obj.value(image, obj.n_prior, env), out
 
 
@@ -409,10 +344,10 @@ def test_solve_shades_each_evaluation_once(monkeypatch):
     monkeypatch.setattr(_shading, "backward", counting("backward", _shading.backward))
     res = solve(prob, OptimizerConfig(max_cycles=3, inner_iters_per_group=8))
     assert len(res.trace) > 0
-    # a plain forward for the initial objective only; every later evaluation is
-    # one residual-mode backward that yields the image with the light gradient
-    # or with the Jacobian rows of the normals or materials
-    assert counts["forward"] == 1
+    # no plain forward: the initial objective comes from the first run's x0 pass, and
+    # every evaluation is one residual-mode backward that yields the image with the
+    # light gradient or with the Jacobian rows of the normals or materials
+    assert counts["forward"] == 0
     order = ("normal", "light", "material")
     assert [(r.cycle, r.group) for r in res.runs] == [(c, g) for c in range(res.cycles) for g in order]
     assert counts["backward"] == sum(r.evaluations for r in res.runs)
@@ -617,6 +552,44 @@ def test_normal_runs_shade_only_the_moving_pixels_on_the_benchmark_solve():
     assert all(r.shaded_pixels == r.evaluations * pixels for r in res.runs if r.group == "light")
     assert all(pixels <= r.shaded_pixels <= r.evaluations * pixels for r in res.runs)
     assert any(r.shaded_pixels < r.evaluations * pixels for r in res.runs if r.group == "normal")
+
+
+def test_solve_starts_from_the_free_materials_clipped_into_their_box(monkeypatch):
+    """A free material outside its box: every pass shades a feasible state, and E never rises from the initial objective."""
+    nm = gs.sphere_normal_map(12)
+    env = gs.default_blob_env(6, 12)
+    glossy = gs.preset_materials()["glossy"]
+    raw = glossy.raw.copy()
+    raw[[flat_index(k, 1, 1, j) for k in range(3) for j in range(6)]] = 30.0  # sharp-lobe exponents above hi = 20
+    mat = glossy.with_raw(raw)
+    cam = gs.Camera("orthographic", 12, 12)
+    target = gs.render(gs.RenderScene(nm, cam, env, (mat,)))
+    n = nm.normals + np.random.default_rng(5).uniform(-0.02, 0.02, nm.normals.shape)
+    n[nm.mask] /= np.linalg.norm(n[nm.mask], axis=1, keepdims=True)
+    n[~nm.mask] = 0.0
+    prob = InverseProblem(target=target, normal_map=NormalMap(n, nm.mask), env=env, materials=(mat,), camera=cam)
+    clipped = mat.with_raw(np.clip(raw, mat.lo, mat.hi))
+    assert not np.array_equal(clipped.raw, raw)
+
+    real = _shading.backward
+    shaded = []  # the materials of every pass
+
+    def checked(problem, normals, materials, *args, **kwargs):
+        shaded.append(materials)
+        assert all((m.lo <= m.raw).all() and (m.raw <= m.hi).all() for m in materials)
+        return real(problem, normals, materials, *args, **kwargs)
+
+    monkeypatch.setattr(_shading, "backward", checked)
+    res = solve(prob, OptimizerConfig(max_cycles=2, inner_iters_per_group=3))
+    assert res.cycles == 2 and len(shaded) == sum(r.evaluations for r in res.runs)
+    objs = [res.initial_objective] + [t.objective for t in res.trace]
+    assert all(b <= a for a, b in zip(objs, objs[1:]))
+    assert res.final_objective == objs[-1] < res.initial_objective
+    # the initial objective is E at the clipped start, the state the first run continues from
+    monkeypatch.setattr(_shading, "backward", real)
+    obj = _Objective.of(prob, 1)
+    image, _ = obj(obj.n_prior, (clipped,), obj.env_prior, "normal")
+    assert res.initial_objective == obj.value(image, obj.n_prior, obj.env_prior)
 
 
 def test_solve_respects_free_groups():
