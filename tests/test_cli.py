@@ -10,6 +10,7 @@ import pytest
 from conftest import ihdr_edit, json_value_edit, mutants, pfm_token_edit, refilter_png16, write_png_bomb
 from gradshade import cli
 from gradshade.cli import main
+from gradshade.brdf import DsbrdfMaterial
 from gradshade.core import BACKGROUND_REGION, SegmentationMask
 from gradshade.grad import fd_check
 from gradshade.invert import InverseProblem, OptimizerConfig
@@ -19,6 +20,7 @@ from gradshade.io import (
     read_normal_png16,
     read_pfm,
     read_segmentation_png16,
+    write_material,
     write_pfm,
     write_segmentation_png16,
 )
@@ -453,3 +455,25 @@ def test_invert_region_id_past_material_count_exits_2(fixture_dir, tmp_path, cap
     write_segmentation_png16(seg, SegmentationMask(ids, 2))
     assert main(invert_argv(fixture_dir, tmp_path, seg, ["matte"])) == 2
     assert "expected 2 materials, got 1" in capsys.readouterr().err
+
+
+def test_render_overflowing_material_exits_3_and_writes_nothing(fixture_dir, tmp_path, capsys):
+    """A material whose own bounds allow amplitude 100 overflows its lobe: a numerical failure."""
+    mat = read_material(fixture_dir / "material_glossy.json")
+    lo, hi = mat.lo.copy(), mat.hi.copy()
+    raw = mat.raw.copy()
+    for arr, value in ((hi, 200.0), (raw, 100.0)):
+        arr.reshape(3, 3, 2, 6)[:, :, 0, :] = value
+    path = tmp_path / "hot.json"
+    write_material(path, DsbrdfMaterial(raw, lo, hi))
+    argv = ["render", *scene_args(fixture_dir), "--out", str(tmp_path / "x.pfm")]
+    argv[argv.index("--material") + 1] = str(path)
+    assert main(argv) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "x.pfm").exists()
+
+
+def test_gradcheck_beyond_tolerance_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "FD_TOLERANCES", dict.fromkeys(cli.FD_TOLERANCES, 0.0))
+    assert main(["gradcheck", "--trials", "2", "--group", "light"]) == 3
+    assert capsys.readouterr().out.rstrip().endswith("FAIL")

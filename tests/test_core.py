@@ -122,3 +122,46 @@ def test_environment_map_rejects_negative_and_nan():
     for empty in ((0, 4, 3), (4, 0, 3)):
         with pytest.raises(ValueError):
             gs.EnvironmentMap(np.zeros(empty))
+
+
+def _payloads():
+    """Each frozen type's array payloads: name -> (build from the payload, a valid payload, its out-of-range values)."""
+    up = np.zeros((2, 2, 3))
+    up[:, :, 2] = 1.0
+    mask = np.ones((2, 2), dtype=bool)
+    lo, hi = gs.default_bounds()
+    mid = (lo + hi) / 2.0
+    table = gs.build_light_table(2, 4)
+    return {
+        "NormalMap.normals": (lambda v: NormalMap(v, mask), up, ()),
+        "EnvironmentMap.radiance": (gs.EnvironmentMap, np.ones((2, 4, 3)), (-1.0,)),
+        "RadianceImage.pixels": (gs.RadianceImage, np.ones((2, 2, 3)), (-1.0,)),
+        "LdrImage.pixels": (gs.LdrImage, np.ones((2, 2, 3)), (-1.0, 256.0)),
+        "DsbrdfMaterial.raw": (lambda v: gs.DsbrdfMaterial(v, lo, hi), mid, ()),
+        "DsbrdfMaterial.lo": (lambda v: gs.DsbrdfMaterial(mid, v, hi), lo, ()),
+        "DsbrdfMaterial.hi": (lambda v: gs.DsbrdfMaterial(mid, lo, v), hi, ()),
+        "QuadBSpline.control_points": (gs.QuadBSpline, np.zeros(6), ()),
+        "LightTable.directions": (lambda v: gs.LightTable(v, table.weights), table.directions, ()),
+        "LightTable.weights": (lambda v: gs.LightTable(table.directions, v), table.weights, ()),
+    }
+
+
+def _rejections():
+    """(payload, bad value) pairs; a bad value of None stands for a wrong shape."""
+    for name, (_, _, out_of_range) in _payloads().items():
+        non_finite = () if name.startswith("LightTable") else (np.nan, np.inf)
+        for bad in (None, *non_finite, *out_of_range):
+            yield pytest.param(name, bad, id=f"{name}-{'shape' if bad is None else bad}")
+
+
+@pytest.mark.parametrize("name, bad", list(_rejections()))
+def test_every_array_payload_rejects_a_bad_value(name, bad):
+    build, good, _ = _payloads()[name]
+    build(good.copy())  # the valid payload passes
+    if bad is None:
+        value = good[..., :-1].copy()
+    else:
+        value = good.copy()
+        value.flat[0] = bad
+    with pytest.raises(ValueError):
+        build(value)
