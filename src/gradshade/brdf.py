@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spline
+from .core import _checked_array
 
 CHANNELS = 3
 LOBES = 3
@@ -72,13 +73,7 @@ class DsbrdfMaterial:
 
     def __post_init__(self):
         for field in ("raw", "lo", "hi"):
-            arr = np.ascontiguousarray(getattr(self, field), dtype=np.float64)
-            if arr.shape != (PARAM_COUNT,):
-                raise ValueError(f"{field} must have shape ({PARAM_COUNT},), got {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{field} contains non-finite values")
-            arr.flags.writeable = False
-            object.__setattr__(self, field, arr)
+            object.__setattr__(self, field, _checked_array(field, getattr(self, field), (PARAM_COUNT,)))
         if not (self.lo < self.hi).all():
             raise ValueError("each lo bound must be strictly below its hi bound")
 

@@ -10,7 +10,7 @@ so scenes can be shared freely across worker threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,33 @@ class DegenerateVectorError(ValueError):
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _checked_array(name: str, value, shape: tuple, lo: float = -math.inf, hi: float = math.inf) -> np.ndarray:
+    """``value`` as a read-only contiguous float64 array, once its shape, finiteness and range [lo, hi] hold.
+
+    A None in ``shape`` matches any size. An array that is already contiguous float64 is frozen in place.
+    """
+    arr = np.ascontiguousarray(value, dtype=np.float64)
+    if arr.ndim != len(shape) or any(want not in (None, have) for want, have in zip(shape, arr.shape)):
+        raise ValueError(f"{name} must have shape {str(shape).replace('None', '*')}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-finite values in {name}")
+    if arr.min(initial=lo) < lo or arr.max(initial=hi) > hi:
+        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}]")
+    return _freeze(arr)
+
+
+class _Raster:
+    """``height`` and ``width`` of a frozen image type: the first two axes of its first field."""
+
+    @property
+    def height(self) -> int:
+        return getattr(self, fields(self)[0].name).shape[0]
+
+    @property
+    def width(self) -> int:
+        return getattr(self, fields(self)[0].name).shape[1]
 
 
 def normalize(v) -> np.ndarray:
@@ -81,7 +108,7 @@ def view_direction_grid(camera: Camera) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NormalMap:
+class NormalMap(_Raster):
     """Per-pixel unit normals plus a foreground mask.
 
     Background normals are stored as exact zeros. Foreground normals must be
@@ -92,85 +119,43 @@ class NormalMap:
     mask: np.ndarray
 
     def __post_init__(self):
-        normals = np.ascontiguousarray(self.normals, dtype=np.float64)
+        # checked on a copy: the stored normals have their background zeroed
+        normals = _checked_array("normals", np.array(self.normals, dtype=np.float64), (None, None, 3))
         mask = np.ascontiguousarray(self.mask, dtype=bool)
-        if normals.ndim != 3 or normals.shape[2] != 3:
-            raise ValueError(f"normals must have shape (H, W, 3), got {normals.shape}")
         if mask.shape != normals.shape[:2]:
             raise ValueError("mask shape does not match normals")
-        if not np.isfinite(normals).all():
-            raise ValueError("normals contain non-finite values")
         norms = np.linalg.norm(normals, axis=-1)
         if np.abs(norms[mask] - 1.0).max(initial=0.0) > UNIT_TOLERANCE:
             raise ValueError("foreground normals must be unit length within 1e-6")
-        normals = normals.copy()
-        normals[~mask] = 0.0
-        object.__setattr__(self, "normals", _freeze(normals))
+        object.__setattr__(self, "normals", _freeze(np.where(mask[:, :, None], normals, 0.0)))
         object.__setattr__(self, "mask", _freeze(mask))
-
-    @property
-    def height(self) -> int:
-        return self.normals.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.normals.shape[1]
 
 
 @dataclass(frozen=True)
-class EnvironmentMap:
+class EnvironmentMap(_Raster):
     """Equirectangular radiance map, shape (H_L, W_L, 3), non-negative."""
 
     radiance: np.ndarray
 
     def __post_init__(self):
-        rad = np.ascontiguousarray(self.radiance, dtype=np.float64)
-        if rad.ndim != 3 or rad.shape[2] != 3:
-            raise ValueError(f"radiance must have shape (H, W, 3), got {rad.shape}")
+        rad = _checked_array("radiance", self.radiance, (None, None, 3), lo=0.0)
         if rad.size == 0:
             raise ValueError(f"radiance must have at least one texel, got shape {rad.shape}")
-        if not np.isfinite(rad).all():
-            raise ValueError("radiance contains non-finite values")
-        if rad.min(initial=0.0) < 0.0:
-            raise ValueError("radiance must be non-negative")
-        object.__setattr__(self, "radiance", _freeze(rad))
-
-    @property
-    def height(self) -> int:
-        return self.radiance.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.radiance.shape[1]
+        object.__setattr__(self, "radiance", rad)
 
 
 @dataclass(frozen=True)
-class RadianceImage:
+class RadianceImage(_Raster):
     """Linear HDR image, shape (H, W, 3), finite and non-negative."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.ascontiguousarray(self.pixels, dtype=np.float64)
-        if px.ndim != 3 or px.shape[2] != 3:
-            raise ValueError(f"pixels must have shape (H, W, 3), got {px.shape}")
-        if not np.isfinite(px).all():
-            raise ValueError("pixels contain non-finite values")
-        if px.min(initial=0.0) < 0.0:
-            raise ValueError("pixels must be non-negative")
-        object.__setattr__(self, "pixels", _freeze(px))
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
+        object.__setattr__(self, "pixels", _checked_array("pixels", self.pixels, (None, None, 3), lo=0.0))
 
 
 @dataclass(frozen=True)
-class SegmentationMask:
+class SegmentationMask(_Raster):
     """Integer region id per pixel; background pixels carry BACKGROUND_REGION."""
 
     region_ids: np.ndarray
@@ -186,11 +171,3 @@ class SegmentationMask:
         if not valid.all():
             raise ValueError("region ids must be -1 (background) or in [0, region_count)")
         object.__setattr__(self, "region_ids", _freeze(ids))
-
-    @property
-    def height(self) -> int:
-        return self.region_ids.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.region_ids.shape[1]

@@ -408,11 +408,14 @@ def _gauss_newton(obj, state, group, damping, config):
     result = LbfgsResult(x=at[group], value=f, iterations=0, stop_reason="iteration_cap", evaluations=1)
     start, shaded = f, obj.shading.pixel_count
     for _ in range(config.inner_iters_per_group):
+        if gnorm < GRAD_TOL:  # also a run with no blocks, such as the normals of an empty foreground
+            result.stop_reason = "gradient"
+            break
         steps = _damped_steps(h, g, damping)
         predicted = -2.0 * np.einsum("bi,bi->b", g, steps) - np.einsum("bi,bij,bj->b", steps, h, steps)
         active = predicted > config.rel_tol * max(1.0, abs(f)) / damping.size
-        if gnorm < GRAD_TOL or not active.any():
-            result.stop_reason = "gradient" if gnorm < GRAD_TOL else "rel_tol"
+        if not active.any():
+            result.stop_reason = "rel_tol"
             break
         pixels = cells_of(active).any(axis=1)
         trial = np.where(active[:, None], move(x, steps), x)

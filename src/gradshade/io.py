@@ -32,14 +32,18 @@ class MalformedFileError(ValueError):
 # PFM
 
 def write_pfm(path, image) -> None:
-    """Write an (H, W, 3) float array as color PFM (little-endian, scale -1)."""
-    image = np.asarray(image, dtype=np.float32)
+    """Write an (H, W, 3) float array as color PFM (little-endian, scale -1); refuse what float32 cannot hold."""
+    image = np.asarray(image)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"PFM payload must have shape (H, W, 3), got {image.shape}")
+    with np.errstate(over="ignore"):
+        single = image.astype(np.float32)
+    if not np.isfinite(single).all():
+        raise ValueError(f"PFM payload does not fit float32: largest magnitude {np.abs(image).max():.3e}")
     h, w = image.shape[:2]
     header = f"PF\n{w} {h}\n-1.0\n".encode("ascii")
     # PFM stores rows bottom-to-top.
-    payload = np.flipud(image).astype("<f4").tobytes()
+    payload = np.flipud(single).astype("<f4").tobytes()
     Path(path).write_bytes(header + payload)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RadianceImage, _freeze
+from .core import RadianceImage, _checked_array, _Raster
 
 GAMMA = 2.2
 AUTO_EXPOSURE_PERCENTILE = 99.0
@@ -19,26 +19,13 @@ SSIM_C2 = (0.03 * 255.0) ** 2
 
 
 @dataclass(frozen=True)
-class LdrImage:
+class LdrImage(_Raster):
     """Displayable image, (H, W, 3) float with every component in [0, 255]."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.ascontiguousarray(self.pixels, dtype=np.float64)
-        if px.ndim != 3 or px.shape[2] != 3:
-            raise ValueError(f"pixels must have shape (H, W, 3), got {px.shape}")
-        if not np.isfinite(px).all() or px.min(initial=0.0) < 0.0 or px.max(initial=0.0) > 255.0:
-            raise ValueError("LDR components must lie in [0, 255]")
-        object.__setattr__(self, "pixels", _freeze(px))
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
+        object.__setattr__(self, "pixels", _checked_array("LDR pixels", self.pixels, (None, None, 3), 0.0, 255.0))
 
 
 def auto_exposure(image: RadianceImage) -> float:

@@ -26,7 +26,7 @@ from .core import (
     NormalMap,
     RadianceImage,
     SegmentationMask,
-    _freeze,
+    _checked_array,
     view_direction_grid,
 )
 
@@ -39,12 +39,8 @@ class LightTable:
     weights: np.ndarray  # (H_L, W_L) positive
 
     def __post_init__(self):
-        d = np.ascontiguousarray(self.directions, dtype=np.float64)
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if d.ndim != 3 or d.shape[2] != 3 or w.shape != d.shape[:2]:
-            raise ValueError("directions must be (H, W, 3) with matching (H, W) weights")
-        object.__setattr__(self, "directions", _freeze(d))
-        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "directions", _checked_array("light directions", self.directions, (None, None, 3)))
+        object.__setattr__(self, "weights", _checked_array("light weights", self.weights, self.directions.shape[:2]))
 
 
 def build_light_table(height: int, width: int) -> LightTable:

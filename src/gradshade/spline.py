@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _checked_array
+
 DEGREE = 2
 CONTROL_COUNT = 6
 THETA_MAX = math.pi / 2.0
@@ -64,13 +66,7 @@ class QuadBSpline:
     control_points: np.ndarray
 
     def __post_init__(self):
-        cp = np.ascontiguousarray(self.control_points, dtype=np.float64)
-        if cp.shape != (CONTROL_COUNT,):
-            raise ValueError(f"expected {CONTROL_COUNT} control points, got shape {cp.shape}")
-        if not np.isfinite(cp).all():
-            raise ValueError("control points must be finite")
-        cp.flags.writeable = False
-        object.__setattr__(self, "control_points", cp)
+        object.__setattr__(self, "control_points", _checked_array("control points", self.control_points, (CONTROL_COUNT,)))
 
     def evaluate(self, theta):
         """Spline value at ``theta`` (scalar or array, radians)."""

@@ -11,7 +11,7 @@ from conftest import ihdr_edit, json_value_edit, mutants, pfm_token_edit, refilt
 from gradshade import cli
 from gradshade.cli import main
 from gradshade.brdf import DsbrdfMaterial
-from gradshade.core import BACKGROUND_REGION, SegmentationMask
+from gradshade.core import BACKGROUND_REGION, NormalMap, SegmentationMask
 from gradshade.grad import fd_check
 from gradshade.invert import InverseProblem, OptimizerConfig
 from gradshade.io import (
@@ -21,6 +21,7 @@ from gradshade.io import (
     read_pfm,
     read_segmentation_png16,
     write_material,
+    write_normal_png16,
     write_pfm,
     write_segmentation_png16,
 )
@@ -477,3 +478,42 @@ def test_gradcheck_beyond_tolerance_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "FD_TOLERANCES", dict.fromkeys(cli.FD_TOLERANCES, 0.0))
     assert main(["gradcheck", "--trials", "2", "--group", "light"]) == 3
     assert capsys.readouterr().out.rstrip().endswith("FAIL")
+
+
+@pytest.mark.parametrize("command", ["render", "edit"])
+def test_radiance_past_float32_range_exits_2_and_writes_nothing(fixture_dir, tmp_path, capsys, command):
+    """An amplitude-15 lobe under an env of 1e36: finite in float64, past what the PFM's float32 holds."""
+    mat = read_material(fixture_dir / "material_glossy.json")
+    raw = mat.raw.copy()
+    raw.reshape(3, 3, 2, 6)[:, :, 0, :] = 15.0
+    hot, bright = tmp_path / "hot.json", tmp_path / "bright.pfm"
+    write_material(hot, mat.with_raw(raw))
+    write_pfm(bright, np.full((4, 8, 3), 1e36))
+    argv = [command, *scene_args(fixture_dir), "--out", str(tmp_path / "x.pfm"), "--preview", str(tmp_path / "x.png")]
+    argv[argv.index("--env") + 1] = str(bright)
+    if command == "render":
+        argv[argv.index("--material") + 1] = str(hot)
+    else:
+        argv += ["--target-material", str(hot)]
+    assert main(argv) == 2
+    assert "float32" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_invert_on_an_empty_foreground_exits_0(fixture_dir, tmp_path, capsys):
+    empty, target = tmp_path / "empty.png", tmp_path / "black.pfm"
+    write_normal_png16(empty, NormalMap(np.zeros((16, 16, 3)), np.zeros((16, 16), dtype=bool)))
+    write_pfm(target, np.zeros((16, 16, 3)))
+    argv = [
+        "invert",
+        "--target", str(target),
+        "--init-normals", str(empty),
+        "--init-env", str(fixture_dir / "env.pfm"),
+        "--init-material", str(fixture_dir / "material_matte.json"),
+        "--out-prefix", str(tmp_path / "sol_"),
+    ]  # fmt: skip
+    assert main(argv) == 0
+    assert "objective 0 -> 0" in capsys.readouterr().out
+    assert read_pfm(tmp_path / "sol_env.pfm").tobytes() == read_pfm(fixture_dir / "env.pfm").tobytes()
+    assert not read_normal_png16(tmp_path / "sol_normals.png").mask.any()
+    assert (tmp_path / "sol_material_0.json").exists()

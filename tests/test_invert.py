@@ -279,6 +279,23 @@ def test_solve_at_ground_truth_stays_at_ground_truth():
     assert res.normal_map.normals.tobytes() == prob.normal_map.normals.tobytes()
 
 
+def test_solve_on_an_empty_foreground_stops_at_its_first_pass():
+    """An all-background map leaves the normal and material groups no block: each run stops at x0."""
+    cam = gs.Camera("orthographic", 8, 8)
+    prob = InverseProblem(
+        target=gs.RadianceImage(np.zeros((8, 8, 3))),
+        normal_map=NormalMap(np.zeros((8, 8, 3)), np.zeros((8, 8), dtype=bool)),
+        env=gs.default_blob_env(4, 8),
+        materials=(gs.preset_materials()["matte"],),
+        camera=cam,
+    )
+    res = solve(prob, OptimizerConfig(max_cycles=2))
+    assert res.initial_objective == res.final_objective == 0.0
+    assert [(r.group, r.iterations, r.stop_reason) for r in res.runs] == [
+        ("normal", 0, "gradient"), ("light", 0, "gradient"), ("material", 0, "gradient")
+    ]
+
+
 def test_solve_material_only_recovery_small():
     prob_gt = make_problem()
     zero = material_from_raw(np.zeros(PARAM_COUNT))

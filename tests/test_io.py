@@ -87,6 +87,20 @@ def test_pfm_row_order_is_bottom_up(tmp_path):
     assert np.all(first_stored_row == 0.0)
 
 
+@pytest.mark.parametrize("big", [1e39, -1e39])
+def test_pfm_writer_refuses_what_float32_cannot_hold(tmp_path, big):
+    """Cast to float32 it would be written as inf, which the reader rejects; nothing is written, with no warning."""
+    image = np.ones((2, 2, 3))
+    image[1, 0, 2] = big
+    p = tmp_path / "big.pfm"
+    with pytest.raises(ValueError, match=r"largest magnitude 1\.000e\+39"):
+        write_pfm(p, image)
+    assert not p.exists()
+    image[1, 0, 2] = np.finfo(np.float32).max  # the largest float32 still fits
+    write_pfm(p, image)
+    assert read_pfm(p).max() == np.finfo(np.float32).max
+
+
 def test_pfm_rejects_grayscale_tag(tmp_path):
     p = tmp_path / "gray.pfm"
     p.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\x00" * 16)
