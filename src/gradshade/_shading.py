@@ -31,6 +31,11 @@ camera see such a texel lit (n . omega > 0 needs n . v < 0), and pairs with
 A ShadingProblem holds only the scene geometry; normals and materials are
 arguments of every call. Its chunks are the foreground pixels of one region
 in one PIXEL_TILE x PIXEL_TILE screen tile, whose normals lie close together.
+``restrict`` cuts a problem to some of its pixels, for a sparse upstream or
+the solver's active blocks. It joins consecutive thinned chunks of one region
+while the joined chunk holds at most PIXEL_TILE**2 pixels, in stream order,
+so a sparse cut shades a few full chunks rather than many of a few pixels
+each, whose per-chunk numpy calls would cost more than their pairs.
 Every term of the image and of each adjoint carries max(0, n . omega) or its
 indicator, so a pair whose light is dark for its pixel adds exactly 0. One
 producer, ``_tiles``, first lists the lights that some pixel of the chunk
@@ -137,7 +142,7 @@ class ShadingProblem:
     """Scene geometry over the foreground stream (row-major)."""
 
     pixel_xy: np.ndarray  # (F, 2) int32, (px, py) for error reports
-    chunks: tuple  # ((region, stream-index array), ...), one per region and screen tile
+    chunks: tuple  # ((region, stream-index array), ...), one per region and screen tile, or joined by ``restrict``
     dirs: np.ndarray  # (I, 3)
     weights: np.ndarray  # (I,)
     view: np.ndarray  # (1, 3) when ortho else (F, 3)
@@ -195,13 +200,25 @@ def prepare(mask, view, dirs, weights, region_ids=None) -> ShadingProblem:
 
 
 def restrict(problem, pixels) -> ShadingProblem:
-    """``problem`` cut to the stream pixels where the (F,) bool ``pixels`` is set: chunk order kept, empty chunks gone.
+    """``problem`` cut to the stream pixels where the (F,) bool ``pixels`` is set, in chunk order.
 
-    Outputs keep their shapes, 0 at the other pixels. Kept pixels agree with
-    the full problem up to rounding: their chunk may list fewer lights.
+    Each chunk keeps its set pixels and an emptied chunk goes. Consecutive
+    thinned chunks of one region are joined while the joined chunk holds at
+    most PIXEL_TILE**2 pixels, so stream order is kept and no chunk grows
+    past a screen tile's size. Outputs keep their shapes, 0 at the other
+    pixels. Kept pixels agree with the full problem up to rounding: their
+    chunk may list other lights.
     """
-    kept = ((region, ci[pixels[ci]]) for region, ci in problem.chunks)
-    return dataclasses.replace(problem, chunks=tuple((region, ci) for region, ci in kept if ci.size))
+    chunks = []
+    for region, ci in problem.chunks:
+        ci = ci[pixels[ci]]
+        if not ci.size:
+            continue
+        if chunks and chunks[-1][0] == region and chunks[-1][1].size + ci.size <= PIXEL_TILE**2:
+            chunks[-1] = (region, np.concatenate([chunks[-1][1], ci]))
+        else:
+            chunks.append((region, ci))
+    return dataclasses.replace(problem, chunks=tuple(chunks))
 
 
 class _Tile(NamedTuple):

@@ -70,7 +70,13 @@ def _check_finite(name, arr, what):
 def backward(scene: RenderScene, upstream: np.ndarray, groups=ALL_GROUPS, *, threads: int = 1) -> SceneGradients:
     """Gradients of loss = sum(upstream * render(scene)) for the given groups.
 
-    Raises NonFiniteGradientError on the first NaN or infinite entry.
+    Only the weighted pixels, those with a nonzero upstream entry, are
+    shaded, so the cost scales with the weighted pixels times the lights they
+    see; the others get a zero normal gradient. When every foreground pixel is
+    weighted the pass is the full one, bit for bit. Raises
+    ShadingOverflowError iff an evaluated pair of a weighted pixel overflows
+    (every lit pair of a weighted pixel is evaluated), and
+    NonFiniteGradientError on the first NaN or infinite entry.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     shape = scene.normal_map.normals.shape
@@ -79,9 +85,13 @@ def backward(scene: RenderScene, upstream: np.ndarray, groups=ALL_GROUPS, *, thr
     if not np.isfinite(upstream).all():
         raise ValueError("upstream contains non-finite values")
     mask = scene.normal_map.mask
+    problem, u = prepare_problem(scene), upstream[mask]
+    weighted = (u != 0.0).any(axis=1)
+    if not weighted.all():  # an unweighted pixel adds exactly 0 to every gradient
+        problem = _shading.restrict(problem, weighted)
     dn, denv, dms = _shading.backward(
-        prepare_problem(scene), scene.normal_map.normals[mask], scene.materials, scene.env.radiance.reshape(-1, 3),
-        upstream[mask], frozenset(groups), threads=threads,
+        problem, scene.normal_map.normals[mask], scene.materials, scene.env.radiance.reshape(-1, 3),
+        u, frozenset(groups), threads=threads,
     )
     d_normals = d_env = d_materials = None
     if dn is not None:

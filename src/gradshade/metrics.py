@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,16 @@ class LdrImage(_Raster):
 
 
 def auto_exposure(image: RadianceImage) -> float:
-    """1 / (99th percentile of nonzero-pixel luminance); 1.0 for black images."""
+    """1 / (99th percentile of nonzero-pixel luminance); 1.0 for black images.
+
+    Capped at the largest finite float, which 1 / p passes for a subnormal p.
+    """
     lum = image.pixels.mean(axis=2)
     lit = lum[lum > 0.0]
     if lit.size == 0:
         return 1.0
     p = float(np.percentile(lit, AUTO_EXPOSURE_PERCENTILE))
-    return 1.0 / p if p > 0.0 else 1.0
+    return min(1.0 / p, sys.float_info.max) if p > 0.0 else 1.0
 
 
 def check_exposure(exposure: float) -> None:
@@ -52,7 +56,8 @@ def tone_map(image: RadianceImage, exposure: float | None = None) -> LdrImage:
     if exposure is None:
         exposure = auto_exposure(image)
     check_exposure(exposure)
-    scaled = np.clip(exposure * image.pixels, 0.0, None)
+    with np.errstate(over="ignore"):  # an overflow is inf, which maps to 255
+        scaled = np.clip(exposure * image.pixels, 0.0, None)
     return LdrImage(np.clip(255.0 * scaled ** (1.0 / GAMMA), 0.0, 255.0))
 
 

@@ -111,6 +111,40 @@ def test_backward_is_bit_identical_across_thread_counts_with_several_light_block
             assert getattr(g, name).tobytes() == getattr(runs[0], name).tobytes()
 
 
+def sparse_upstream(scene, seed=3):
+    """Standard-normal weights on a seeded 10% of the pixels, 0 elsewhere, as a sampled-pixel loss has."""
+    rng = np.random.default_rng(seed)
+    weighted = rng.random(scene.normal_map.mask.shape) < 0.1
+    return np.where(weighted[:, :, None], rng.standard_normal(scene.normal_map.normals.shape), 0.0)
+
+
+@pytest.mark.parametrize("env_shape", [ENV_SHAPE, (48, 96)], ids=["few-lights", "several-light-blocks"])
+@pytest.mark.parametrize("mode", MODES)
+def test_sparse_backward_is_bit_identical_across_thread_counts(mode, env_shape):
+    scene = two_region_scene(40, mode, env_shape)
+    upstream = sparse_upstream(scene)
+    runs = [gs.backward(scene, upstream, threads=t) for t in (1, 2, 3)]
+    for g in runs[1:]:
+        for name in ("d_normals", "d_env", "d_materials"):
+            assert getattr(g, name).tobytes() == getattr(runs[0], name).tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_restrict_joins_thinned_chunks_of_one_region_up_to_a_tile(mode):
+    """Every chunk of a 10% cut lies in one region and holds at most PIXEL_TILE**2 pixels, in stream order,
+    and joining leaves fewer chunks than thinning alone."""
+    problem = prepare_problem(two_region_scene(40, mode))
+    region_of = np.empty(problem.pixel_count, dtype=np.int64)
+    for region, ci in problem.chunks:
+        region_of[ci] = region
+    pixels = np.random.default_rng(2).random(problem.pixel_count) < 0.1
+    cut = _shading.restrict(problem, pixels)
+    assert all(0 < ci.size <= _shading.PIXEL_TILE**2 and (region_of[ci] == region).all() for region, ci in cut.chunks)
+    stream = np.concatenate([ci for _, ci in problem.chunks])
+    assert np.concatenate([ci for _, ci in cut.chunks]).tolist() == stream[pixels[stream]].tolist()
+    assert len(cut.chunks) < sum(bool(pixels[ci].any()) for _, ci in problem.chunks)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_solve_is_bit_identical_with_several_light_blocks(mode, monkeypatch):
     problem = two_region_problem(mode, 16, (48, 96))  # every chunk lists several light blocks

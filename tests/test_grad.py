@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import plane_normal_map, random_material, random_normal_map, random_scene
+from test_render import hot_scene
 from test_several_tiles import noised_scene
 import gradshade as gs
 from gradshade import _shading
@@ -415,3 +416,68 @@ def test_jacobian_rows_are_bit_identical_across_thread_counts(name):
     runs = [jacobian_rows(scene, threads)[1:] for threads in (1, 2, 3)]
     for jn, jm in runs[1:]:
         assert jn.tobytes() == runs[0][0].tobytes() and jm.tobytes() == runs[0][1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# A sparse upstream: gs.backward shades only the pixels it weights
+
+SPARSE_SCENES = {  # 24² two-region scenes: 128 texels give each chunk one light tile, 4608 give it several
+    "ortho-one-tile": lambda: random_two_region_scene(np.random.default_rng(43), 24, 8, 16, "orthographic"),
+    "pinhole-one-tile": lambda: random_two_region_scene(np.random.default_rng(43), 24, 8, 16, "pinhole"),
+    "ortho-several-tiles": lambda: random_two_region_scene(np.random.default_rng(43), 24, 48, 96, "orthographic"),
+    "pinhole-several-tiles": lambda: random_two_region_scene(np.random.default_rng(43), 24, 48, 96, "pinhole"),
+}
+
+
+def sampled_upstream(scene, share=0.1, seed=5):
+    """Standard-normal weights on a seeded ``share`` of the foreground pixels, 0 elsewhere."""
+    mask = scene.normal_map.mask
+    rng = np.random.default_rng(seed)
+    weighted = mask & (rng.random(mask.shape) < share)
+    return np.where(weighted[:, :, None], rng.standard_normal(mask.shape + (3,)), 0.0)
+
+
+@pytest.mark.parametrize("name", SPARSE_SCENES)
+def test_sparse_upstream_matches_the_unrestricted_engine(name, monkeypatch):
+    """Each gradient within 1e-13 of its largest value of the full engine pass, and 0 normal gradient where u is 0.
+
+    Not bit for bit: a chunk of weighted pixels may list other lights than the screen tiles they came from.
+    """
+    scene = SPARSE_SCENES[name]()
+    mask = scene.normal_map.mask
+    u_image = sampled_upstream(scene)
+    u = u_image[mask]
+    weighted = u.any(axis=1)
+    assert 0 < weighted.sum() < 0.2 * weighted.size
+    shaded = []
+    real = _shading._tiles
+
+    def counting(problem, normals, ci, *args, **kw):
+        shaded.append(ci.size)
+        return real(problem, normals, ci, *args, **kw)
+
+    monkeypatch.setattr(_shading, "_tiles", counting)
+    grads = gs.backward(scene, u_image)
+    assert sum(shaded) == weighted.sum()  # each chunk of weighted pixels shaded once, no other pixel
+    monkeypatch.undo()
+    full = _shading.backward(
+        prepare_problem(scene), scene.normal_map.normals[mask], scene.materials, scene.env.radiance.reshape(-1, 3), u,
+        _shading.GROUPS,
+    )
+    d_normals = grads.d_normals[mask]
+    pairs = zip((d_normals, grads.d_env.reshape(-1, 3), grads.d_materials), (full[0], full[1], full[2].reshape(2, -1)))
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert not d_normals[~weighted].any() and d_normals[weighted].any()
+
+
+def test_all_zero_upstream_shades_no_tile(monkeypatch):
+    """Nothing is weighted, so nothing is shaded: the overflowing scene gives zero gradients and does not raise."""
+
+    def refuse(*args, **kw):
+        raise AssertionError("a tile was shaded")
+
+    monkeypatch.setattr(_shading, "_tiles", refuse)
+    grads = gs.backward(hot_scene(), np.zeros((8, 8, 3)))
+    assert not grads.d_normals.any() and not grads.d_env.any() and not grads.d_materials.any()
+

@@ -82,6 +82,21 @@ def test_auto_exposure_all_black_falls_back_to_one():
     assert auto_exposure(radiance(np.zeros((4, 4, 3)))) == 1.0
 
 
+@pytest.mark.parametrize("value", [1e-310, 5e-324])
+def test_auto_exposure_of_a_subnormal_image_is_finite(value):
+    """1 / p overflows for a subnormal percentile; the exposure is capped at the largest finite float."""
+    img = radiance(np.full((2, 2, 3), value))
+    exposure = auto_exposure(img)
+    assert 0.0 < exposure < math.inf
+    out = tone_map(img).pixels
+    assert np.isfinite(out).all() and out.min() >= 0.0
+
+
+def test_tone_map_overflowing_exposure_clips_to_white_without_a_warning():
+    """exposure * c past the float range is inf, which maps to 255; the suite turns any warning into an error."""
+    assert np.array_equal(tone_map(radiance(np.full((2, 2, 3), 1e10)), exposure=1e300).pixels, np.full((2, 2, 3), 255.0))
+
+
 def test_l2_identity_is_zero(rng):
     a = LdrImage(rng.uniform(0, 255, (5, 7, 3)))
     assert l2_metric(a, a) == 0.0
