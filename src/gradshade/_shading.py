@@ -32,10 +32,11 @@ A ShadingProblem holds only the scene geometry; normals and materials are
 arguments of every call. Its chunks are the foreground pixels of one region
 in one PIXEL_TILE x PIXEL_TILE screen tile, whose normals lie close together.
 ``restrict`` cuts a problem to some of its pixels, for a sparse upstream or
-the solver's active blocks. It joins consecutive thinned chunks of one region
-while the joined chunk holds at most PIXEL_TILE**2 pixels, in stream order,
-so a sparse cut shades a few full chunks rather than many of a few pixels
-each, whose per-chunk numpy calls would cost more than their pairs.
+the solver's active blocks. It joins consecutive chunks of one region that
+lost pixels while the joined chunk holds at most PIXEL_TILE**2 pixels, in
+stream order, so a sparse cut shades a few full chunks rather than many of a
+few pixels each, whose per-chunk numpy calls would cost more than their
+pairs. A joined chunk may hold pixels of distant screen tiles of its region.
 Every term of the image and of each adjoint carries max(0, n . omega) or its
 indicator, so a pair whose light is dark for its pixel adds exactly 0. One
 producer, ``_tiles``, first lists the lights that some pixel of the chunk
@@ -76,8 +77,12 @@ vectorized exp, a few ulp from the exact power with nothing to cancel, and
 uniformly fast where np.power is not. The lobe values exp(a * t) - 1 use
 expm1, which keeps small values exact to a few ulp where exp(...) - 1 would
 cancel. Every consumer evaluates the lobes through ``_lobes``, so forward,
-backward and the transfer cache raise ShadingOverflowError on the same scenes,
-and no floating-point warning comes before it.
+backward and the transfer cache raise ShadingOverflowError iff a pair they
+evaluate overflows, and no floating-point warning comes before it. Over the
+same chunks they evaluate the same pairs, so they raise on the same scenes.
+A pass over ``restrict``'s joined chunks evaluates a kept pixel against the
+lights that any pixel of its joined chunk sees lit; it can raise at a pair,
+unlit for its pixel, that the full problem's chunks never evaluate.
 """
 
 from __future__ import annotations
@@ -202,22 +207,26 @@ def prepare(mask, view, dirs, weights, region_ids=None) -> ShadingProblem:
 def restrict(problem, pixels) -> ShadingProblem:
     """``problem`` cut to the stream pixels where the (F,) bool ``pixels`` is set, in chunk order.
 
-    Each chunk keeps its set pixels and an emptied chunk goes. Consecutive
-    thinned chunks of one region are joined while the joined chunk holds at
-    most PIXEL_TILE**2 pixels, so stream order is kept and no chunk grows
-    past a screen tile's size. Outputs keep their shapes, 0 at the other
-    pixels. Kept pixels agree with the full problem up to rounding: their
-    chunk may list other lights.
+    Each chunk keeps its set pixels and an emptied chunk goes. A chunk that
+    lost pixels joins the previous one if that one lost pixels too and lies
+    in the same region, while the joined chunk holds at most PIXEL_TILE**2
+    pixels; so stream order is kept and a chunk that kept every pixel stays
+    as it is. Outputs keep their shapes, 0 at the other pixels. A joined
+    chunk lists the lights that any of its pixels sees lit, so a kept pixel
+    agrees with the full problem up to rounding and can raise
+    ShadingOverflowError at a pair the full problem does not shade.
     """
-    chunks = []
+    chunks, joinable = [], False
     for region, ci in problem.chunks:
-        ci = ci[pixels[ci]]
-        if not ci.size:
+        kept = ci[pixels[ci]]
+        if not kept.size:
             continue
-        if chunks and chunks[-1][0] == region and chunks[-1][1].size + ci.size <= PIXEL_TILE**2:
-            chunks[-1] = (region, np.concatenate([chunks[-1][1], ci]))
+        thinned = kept.size < ci.size
+        if thinned and joinable and chunks[-1][0] == region and chunks[-1][1].size + kept.size <= PIXEL_TILE**2:
+            chunks[-1] = (region, np.concatenate([chunks[-1][1], kept]))
         else:
-            chunks.append((region, ci))
+            chunks.append((region, kept))
+        joinable = thinned
     return dataclasses.replace(problem, chunks=tuple(chunks))
 
 

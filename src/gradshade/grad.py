@@ -71,12 +71,15 @@ def backward(scene: RenderScene, upstream: np.ndarray, groups=ALL_GROUPS, *, thr
     """Gradients of loss = sum(upstream * render(scene)) for the given groups.
 
     Only the weighted pixels, those with a nonzero upstream entry, are
-    shaded, so the cost scales with the weighted pixels times the lights they
-    see; the others get a zero normal gradient. When every foreground pixel is
-    weighted the pass is the full one, bit for bit. Raises
-    ShadingOverflowError iff an evaluated pair of a weighted pixel overflows
-    (every lit pair of a weighted pixel is evaluated), and
-    NonFiniteGradientError on the first NaN or infinite entry.
+    shaded (``_shading.restrict``), so the cost scales with the weighted
+    pixels times the lights they see; the others get a zero normal gradient.
+    When every foreground pixel is weighted the pass is the full one, bit for
+    bit. Raises ShadingOverflowError iff an evaluated pair of a weighted pixel
+    overflows. Every lit pair of a weighted pixel is evaluated; where several
+    screen tiles' weighted pixels share one joined chunk, each is also
+    evaluated against the lights the others see lit, so a sparse upstream can
+    raise at a pair unlit for its pixel that the dense pass never evaluates.
+    Raises NonFiniteGradientError on the first NaN or infinite entry.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     shape = scene.normal_map.normals.shape
@@ -85,10 +88,8 @@ def backward(scene: RenderScene, upstream: np.ndarray, groups=ALL_GROUPS, *, thr
     if not np.isfinite(upstream).all():
         raise ValueError("upstream contains non-finite values")
     mask = scene.normal_map.mask
-    problem, u = prepare_problem(scene), upstream[mask]
-    weighted = (u != 0.0).any(axis=1)
-    if not weighted.all():  # an unweighted pixel adds exactly 0 to every gradient
-        problem = _shading.restrict(problem, weighted)
+    u = upstream[mask]
+    problem = _shading.restrict(prepare_problem(scene), (u != 0.0).any(axis=1))  # u = 0 adds exactly 0
     dn, denv, dms = _shading.backward(
         problem, scene.normal_map.normals[mask], scene.materials, scene.env.radiance.reshape(-1, 3),
         u, frozenset(groups), threads=threads,

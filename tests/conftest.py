@@ -57,6 +57,14 @@ def random_scene(rng, height, width, env_h, env_w, mode="orthographic", fov=63.0
     return gs.RenderScene(nm, cam, env, (mat,))
 
 
+def sampled_upstream(scene, seed, share=0.1):
+    """Standard-normal weights on a seeded ``share`` of the foreground pixels, 0 elsewhere."""
+    mask = scene.normal_map.mask
+    rng = np.random.default_rng(seed)
+    weighted = mask & (rng.random(mask.shape) < share)
+    return np.where(weighted[:, :, None], rng.standard_normal(mask.shape + (3,)), 0.0)
+
+
 @pytest.fixture
 def sphere_scene():
     """16x16 orthographic sphere under the default blob lighting."""

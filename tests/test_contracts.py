@@ -10,6 +10,7 @@ come out bit-for-bit the same.
 import numpy as np
 import pytest
 
+from conftest import sampled_upstream
 import gradshade as gs
 from gradshade import _shading, invert
 from gradshade.invert import _Objective
@@ -111,18 +112,11 @@ def test_backward_is_bit_identical_across_thread_counts_with_several_light_block
             assert getattr(g, name).tobytes() == getattr(runs[0], name).tobytes()
 
 
-def sparse_upstream(scene, seed=3):
-    """Standard-normal weights on a seeded 10% of the pixels, 0 elsewhere, as a sampled-pixel loss has."""
-    rng = np.random.default_rng(seed)
-    weighted = rng.random(scene.normal_map.mask.shape) < 0.1
-    return np.where(weighted[:, :, None], rng.standard_normal(scene.normal_map.normals.shape), 0.0)
-
-
 @pytest.mark.parametrize("env_shape", [ENV_SHAPE, (48, 96)], ids=["few-lights", "several-light-blocks"])
 @pytest.mark.parametrize("mode", MODES)
 def test_sparse_backward_is_bit_identical_across_thread_counts(mode, env_shape):
     scene = two_region_scene(40, mode, env_shape)
-    upstream = sparse_upstream(scene)
+    upstream = sampled_upstream(scene, seed=3)
     runs = [gs.backward(scene, upstream, threads=t) for t in (1, 2, 3)]
     for g in runs[1:]:
         for name in ("d_normals", "d_env", "d_materials"):
@@ -143,6 +137,19 @@ def test_restrict_joins_thinned_chunks_of_one_region_up_to_a_tile(mode):
     stream = np.concatenate([ci for _, ci in problem.chunks])
     assert np.concatenate([ci for _, ci in cut.chunks]).tolist() == stream[pixels[stream]].tolist()
     assert len(cut.chunks) < sum(bool(pixels[ci].any()) for _, ci in problem.chunks)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_restrict_keeps_a_chunk_that_lost_no_pixels(mode):
+    """Only chunks that lost pixels are joined: every pixel set gives the problem's own chunks, and a fully kept
+    chunk amid a 10% cut stays as it is."""
+    problem = prepare_problem(two_region_scene(40, mode))
+    whole = _shading.restrict(problem, np.ones(problem.pixel_count, dtype=bool))
+    assert [(r, ci.tolist()) for r, ci in whole.chunks] == [(r, ci.tolist()) for r, ci in problem.chunks]
+    pixels = np.random.default_rng(2).random(problem.pixel_count) < 0.1
+    middle = problem.chunks[len(problem.chunks) // 2][1]
+    pixels[middle] = True
+    assert any(ci.tolist() == middle.tolist() for _, ci in _shading.restrict(problem, pixels).chunks)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -5,12 +5,14 @@ is essentially exact; normal and material groups carry the usual central
 difference truncation error and get a looser gate.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import plane_normal_map, random_material, random_normal_map, random_scene
+from conftest import plane_normal_map, random_material, random_normal_map, random_scene, sampled_upstream
+from test_brdf import constant_material
 from test_render import hot_scene
 from test_several_tiles import noised_scene
 import gradshade as gs
@@ -429,14 +431,6 @@ SPARSE_SCENES = {  # 24² two-region scenes: 128 texels give each chunk one ligh
 }
 
 
-def sampled_upstream(scene, share=0.1, seed=5):
-    """Standard-normal weights on a seeded ``share`` of the foreground pixels, 0 elsewhere."""
-    mask = scene.normal_map.mask
-    rng = np.random.default_rng(seed)
-    weighted = mask & (rng.random(mask.shape) < share)
-    return np.where(weighted[:, :, None], rng.standard_normal(mask.shape + (3,)), 0.0)
-
-
 @pytest.mark.parametrize("name", SPARSE_SCENES)
 def test_sparse_upstream_matches_the_unrestricted_engine(name, monkeypatch):
     """Each gradient within 1e-13 of its largest value of the full engine pass, and 0 normal gradient where u is 0.
@@ -445,7 +439,7 @@ def test_sparse_upstream_matches_the_unrestricted_engine(name, monkeypatch):
     """
     scene = SPARSE_SCENES[name]()
     mask = scene.normal_map.mask
-    u_image = sampled_upstream(scene)
+    u_image = sampled_upstream(scene, seed=5)
     u = u_image[mask]
     weighted = u.any(axis=1)
     assert 0 < weighted.sum() < 0.2 * weighted.size
@@ -481,3 +475,37 @@ def test_all_zero_upstream_shades_no_tile(monkeypatch):
     grads = gs.backward(hot_scene(), np.zeros((8, 8, 3)))
     assert not grads.d_normals.any() and not grads.d_env.any() and not grads.d_materials.any()
 
+
+@pytest.mark.parametrize("call", ["upstream", "residual"])
+def test_a_joined_chunk_shades_its_pixels_against_every_light_it_lists(call):
+    """Pins the overflow contract of a restricted pass: a kept pixel is shaded against the lights that any pixel
+    of its joined chunk sees lit, so the pass can raise at a pair unlit for its pixel that the full pass never shades.
+
+    Two screen tiles of one row, each of one normal, under two lights: tile 0 sees only the light along the view
+    lit, tile 1 sees both. The lobes 3 (e^(80 base) - 1) pass OVERFLOW_LIMIT iff base > 0.85, which no lit pair
+    reaches; tile 0's normal has base 0.97 against the second light, which it sees unlit.
+    """
+    view, omega = np.array([0.0, 0.0, 1.0]), np.array([math.sin(math.radians(160)), 0.0, math.cos(math.radians(160))])
+    problem = _shading.prepare(np.ones((1, 16), dtype=bool), view, np.stack([view, omega]), np.array([0.5, 0.5]))
+    n_p = np.array([math.cos(math.radians(25)), 0.0, math.sin(math.radians(25))])
+    n_q = np.array([0.5, 0.86, 0.1]) / np.linalg.norm([0.5, 0.86, 0.1])
+    assert n_p @ omega < 0.0 < n_q @ omega and n_p @ view > 0.0 and n_q @ view > 0.0
+    normals = np.repeat(np.stack([n_p, n_q]), 8, axis=0)
+    materials, env = (constant_material(80.0, 1.0),), np.ones((2, 3))
+
+    def run(shading):
+        if call == "upstream":
+            return _shading.backward(shading, normals, materials, env, np.ones((16, 3)), _shading.GROUPS)
+        return _shading.backward(shading, normals, materials, env, None, _shading.GROUPS, target=np.ones((16, 3)))
+
+    assert np.isfinite(_shading.forward(problem, normals, materials, env)).all()
+    assert all(np.isfinite(out).all() for out in run(problem))
+    one_tile = np.zeros(16, dtype=bool)
+    one_tile[[0, 1]] = True
+    assert all(np.isfinite(out).all() for out in run(_shading.restrict(problem, one_tile)))
+    two_tiles = np.zeros(16, dtype=bool)
+    two_tiles[[0, 8]] = True
+    joined = _shading.restrict(problem, two_tiles)
+    assert [ci.tolist() for _, ci in joined.chunks] == [[0, 8]]
+    with pytest.raises(gs.ShadingOverflowError, match=r"pixel \(0, 0\), light texel 1"):
+        run(joined)
