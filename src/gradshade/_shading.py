@@ -43,13 +43,15 @@ producer, ``_tiles``, first lists the lights that some pixel of the chunk
 sees lit (max_c n_c . omega > 0), then yields the pair geometry of the chunk
 against blocks of up to LIGHT_BLOCK listed lights: cmax = max(0, n . omega),
 ell = log(base), the spline basis and coefficient curves at theta_d and, for
-normal gradients, the clamp gate. Its consumers are ``forward`` (reduces
-f * cmax against the environment), ``build_transfer`` (stores f * cmax) and
-``backward`` (the three adjoints).
+normal gradients, the clamp gate. One lobe loop, ``_shaded``, runs the
+lobes on those tiles and yields f * cmax per tile and channel, adding the
+u-free rows of the normal and material adjoints when asked. Its consumers
+are ``forward`` (reduces f * cmax against the environment),
+``build_transfer`` (stores it) and ``_backward_chunk`` (the three adjoints).
 Pair geometry is recomputed on every call: a per-pair cache of it saved no
 solve time. A TransferCache, the one cache, stores f * cmax of the shaded
-pairs only, per chunk as (lights, (3, C, B)) blocks; the light adjoint and
-the residual-mode image reduce those blocks exactly as freshly shaded ones.
+pairs only, per chunk as (lights, (3, C, B)) blocks, which
+``_backward_chunk`` reduces with the code that reduces fresh ones.
 
 ``backward``'s residual mode is the solver's objective pass: given the target
 instead of an upstream, it takes u = 2 (I - target) for the image I of the
@@ -59,13 +61,12 @@ tiles, so their chunks shade once whatever the number of tiles. An upstream
 pass contracts those rows with u at the end of each chunk; a residual pass
 returns them, the per-pixel Jacobian rows of the solver's Gauss-Newton steps.
 The light adjoint needs u per light. A one-tile chunk has it right after the
-channel's lobes, from the f * cmax the light adjoint also reads; a chunk
+channel's block, from the f * cmax the light adjoint also reads; a chunk
 listing more than LIGHT_BLOCK lights has several tiles and, for the light
-group alone, reduces I through ``_shaded`` first, over the one light list it
-made. A TransferCache serves only this mode, for the light group: it reduces
-I from its blocks first, then the light adjoint from the same blocks. Either
-way I and the light adjoint equal ``forward`` and ``backward`` against
-2 (I - target) bit for bit.
+group, sweeps its blocks twice, the image first, over the one light list it
+made. A TransferCache serves only this mode, for the light group alone; its
+blocks take the same path, so I and the light adjoint equal ``forward`` and
+``backward`` against 2 (I - target) bit for bit, cached or not.
 
 The traversal order (region, then tile row-major, then light block), the
 light lists and all reduction orders are fixed, so outputs are bit-identical
@@ -76,10 +77,10 @@ Pixel powers t = base ** b are exp(b * log(base)): one pass of numpy's
 vectorized exp, a few ulp from the exact power with nothing to cancel, and
 uniformly fast where np.power is not. The lobe values exp(a * t) - 1 use
 expm1, which keeps small values exact to a few ulp where exp(...) - 1 would
-cancel. Every consumer evaluates the lobes through ``_lobes``, so forward,
-backward and the transfer cache raise ShadingOverflowError iff a pair they
-evaluate overflows, and no floating-point warning comes before it. Over the
-same chunks they evaluate the same pairs, so they raise on the same scenes.
+cancel. Every pass evaluates the lobes through ``_lobes``, in ``_shaded``, so
+forward, backward and the transfer cache raise ShadingOverflowError iff a
+pair they evaluate overflows, with no floating-point warning before it. Over
+the same chunks they evaluate the same pairs, so they raise on the same scenes.
 A pass over ``restrict``'s joined chunks evaluates a kept pixel against the
 lights that any pixel of its joined chunk sees lit; it can raise at a pair,
 unlit for its pixel, that the full problem's chunks never evaluate.
@@ -344,34 +345,77 @@ def _lobes(problem, ci, tile, k, f, t, x_next):
         )
 
 
-def _shaded(problem, normals, materials, j, store, listed=None):
-    """Yield (lights, k, f_k * cmax) per tile and channel of chunk j, freshly shaded.
+def _shaded(problem, normals, materials, j, store, listed=None, env_lw=None, rows_n=None, rows_m=None):
+    """Yield (lights, k, f_k * cmax) per tile and channel of chunk j, freshly shaded: the one lobe loop.
 
-    The values are a contiguous (C, B) array, as the channels of a TransferCache
-    block are, so reductions over either agree bit for bit. ``listed`` is as in ``_tiles``.
+    The values are a contiguous (C, B) scratch array, valid until the next
+    step, as the channels of a TransferCache block are, so reductions over
+    either agree bit for bit. ``listed`` is as in ``_tiles``. Given ``env_lw``
+    (I, 3) = L w, the u-free rows of the normal and material adjoints are
+    added into ``rows_n`` (3, C, 3) and ``rows_m`` (3, C, 3, 2, 6) where given,
+    per channel before its values are yielded (see ``_backward_chunk``).
+
+    Factors of a whole tile, channel or (V, B) row are applied once there, not
+    once per lobe: a * b is one row, ``tile.gate`` already holds cmax / base,
+    and L_k w goes into the light directions and an orthographic basis.
     """
+    want_n, want_m = rows_n is not None, rows_m is not None
+    rows = want_n or want_m
     region, ci = problem.chunks[j]
-    for tile in _tiles(problem, normals, ci, store, materials[region].control_points, listed=listed):
-        f = _buf(store, "f", tile.ell.shape)
-        t = _buf(store, "lobe_t", tile.ell.shape)
+    view_c = problem.view_rows(ci)
+    for tile in _tiles(problem, normals, ci, store, materials[region].control_points, geometry=want_n, listed=listed):
+        lights, cmaxv, basis = tile.lights, tile.cmaxv, tile.basis
+        shape = cmaxv.shape
+        f = _buf(store, "f", shape)
+        t = _buf(store, "lobe_t", shape)
+        x = _buf(store, "bw_x", shape) if rows else t  # each lobe's x, then its e * t = (x + 1) * t
+        dacc = _buf(store, "bw_d", shape) if want_n else None
         for k in range(3):
-            for _ in _lobes(problem, ci, tile, k, f, t, t):
-                pass
-            f *= tile.cmaxv
-            yield tile.lights, k, f
+            lw_k = env_lw[lights, k] if rows else None
+            if want_m and basis.shape[0] == 1:
+                basis_lw = lw_k[:, None] * basis[0]
+            for s, (a_row, b_row, _, x_s) in enumerate(_lobes(problem, ci, tile, k, f, t, x)):
+                if not rows:
+                    continue
+                et = np.add(x_s, 1.0, out=x)
+                et *= t  # e * t with e = exp(a * t); t is free from here on
+                if want_n:
+                    np.multiply(et, a_row * b_row, out=dacc if s == 0 else t)
+                    if s > 0:
+                        dacc += t
+                if want_m:  # the second coefficient adds a * ln(base)
+                    et *= cmaxv
+                    rows_ks = rows_m[k, :, s]
+                    if basis.shape[0] == 1:  # one basis row per light, shared by every pixel
+                        rows_ks[:, 0] += et @ basis_lw
+                        et *= tile.ell
+                        rows_ks[:, 1] += et @ (a_row[0][:, None] * basis_lw)
+                    else:
+                        et *= lw_k
+                        rows_ks[:, 0] += np.einsum("cb,cbj->cj", et, basis)
+                        et *= a_row
+                        et *= tile.ell
+                        rows_ks[:, 1] += np.einsum("cb,cbj->cj", et, basis)
+            if want_n:
+                lw_dirs = lw_k[:, None] * problem.dirs[lights]
+                np.greater(cmaxv, 0.0, out=t)  # 1 on the lit pairs, the only ones where cmax > 0
+                t *= f
+                g = t @ lw_dirs
+                # sum_b m h = sum_b (m / |omega + v|) (omega + v); the gate holds the 1 / |omega + v|
+                dacc *= tile.gate
+                g += dacc @ lw_dirs
+                g += (dacc @ lw_k)[:, None] * view_c
+                rows_n[k] += g
+            np.multiply(f, cmaxv, out=t)
+            yield lights, k, t
 
 
 def _image_rows(shaded, env_lw, count):
-    """A chunk's (count, 3) image from its ``_shaded`` blocks: zeros, then each block reduced against L w."""
+    """A chunk's (count, 3) image from its (lights, k, f * cmax) blocks: zeros, then each block reduced against L w."""
     out = np.zeros((count, 3))
     for lights, k, fc in shaded:
         out[:, k] += np.einsum("cb,b->c", fc, env_lw[lights, k])
     return out
-
-
-def _light_values(fc, u_k, weights):
-    """One channel's light adjoint from a contiguous (C, B) f * cmax; cached and fresh blocks share it, bit for bit."""
-    return np.einsum("cb,c->b", fc, u_k) * weights
 
 
 def _run_tasks(fn, problem, threads):
@@ -431,7 +475,7 @@ def build_transfer(problem, normals, materials, *, threads=1) -> TransferCache:
     return TransferCache(blocks=tuple(_run_tasks(run, problem, threads)))
 
 
-def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_c=None):
+def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_c=None, cached=None):
     """Adjoints for chunk j against its upstream rows ``u_c``, or in residual mode against its own image.
 
     Returns (image, dn_block, light_partials, dm_partial). dn_block is (C, 3);
@@ -441,94 +485,52 @@ def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_
     chunk order. image is the chunk's (C, 3) image in residual mode (``u_c``
     None, ``target_c`` its target rows; see the module docstring), else None.
 
-    The normal and material adjoints sum u-free rows per pixel over the tiles,
-    rows_n[k] (C, 3) and rows_m[k] (C, 3, 2, 6). With an upstream they are
-    contracted with u once, at the end: dn = sum_k u_k rows_n[k] and
-    dm[k] = u_k @ rows_m[k]. In residual mode the rows are returned instead,
-    as dn_block (C, 3, 3) with [c, k] = dI_k(c)/dn_c and dm_partial
-    (C, 3, 36) with [c, k] = dI_k(c)/d(channel k's control points). Only the
-    light adjoint needs u per light: for it a residual chunk with several tiles
-    reduces its image through ``_shaded`` first.
-
-    Factors of a whole tile, channel or (V, B) row are applied once there, not
-    once per lobe: a * b is one row, ``tile.gate`` already holds cmax / base,
-    and L_k w goes into the light directions and an orthographic basis.
+    The (lights, k, f * cmax) blocks come freshly shaded from ``_shaded`` or,
+    given ``cached``, from the chunk's TransferCache blocks; the same code
+    reduces either. The normal and material adjoints sum u-free rows per pixel
+    over the tiles, rows_n[k] (C, 3) and rows_m[k] (C, 3, 2, 6). With an
+    upstream they are contracted with u once, at the end: dn = sum_k u_k
+    rows_n[k] and dm[k] = u_k @ rows_m[k]. In residual mode the rows are
+    returned instead, as dn_block (C, 3, 3) with [c, k] = dI_k(c)/dn_c and
+    dm_partial (C, 3, 36) with [c, k] = dI_k(c)/d(channel k's control points).
+    Only the light adjoint needs u per light: for it a residual chunk with
+    several tiles reduces its image from one sweep of its blocks first.
     """
     want_n = "normal" in groups
     want_l = "light" in groups
     want_m = "material" in groups
     region, ci = problem.chunks[j]
     count = ci.shape[0]
-    view_c = problem.view_rows(ci)
     rows_n = np.zeros((3, count, 3)) if want_n else None
     rows_m = np.zeros((3, count, 3, 2, 6)) if want_m else None
     dlight = [] if want_l else None
 
     with _POOL.lease() as store:
-        listed = _listed(problem, normals[ci], store)
-        image = None
-        if target_c is not None:
-            if want_l and listed.size > LIGHT_BLOCK:  # several tiles: the light adjoint's u comes first
-                image = _image_rows(_shaded(problem, normals, materials, j, store, listed), env_lw, count)
-                u_c = 2.0 * (image - target_c)
-            else:
-                image = np.zeros((count, 3))
-        reduce_image = u_c is None
-        ctrl = materials[region].control_points
-        for tile in _tiles(problem, normals, ci, store, ctrl, geometry=want_n, listed=listed):
-            lights, cmaxv, basis = tile.lights, tile.cmaxv, tile.basis
-            shape = cmaxv.shape
-            f = _buf(store, "f", shape)
-            t = _buf(store, "lobe_t", shape)
-            x = _buf(store, "bw_x", shape)  # each lobe's x, then its e * t = (x + 1) * t
-            dacc = _buf(store, "bw_d", shape) if want_n else None
-            if want_l:
-                values = np.empty((lights.size, 3))
-                dlight.append((lights, values))
+        if cached is None:
+            listed = _listed(problem, normals[ci], store)
+            several = listed.size > LIGHT_BLOCK
+        else:
+            several = len(cached) > 1
 
-            for k in range(3):
-                lw_k = env_lw[lights, k]
-                if want_m and basis.shape[0] == 1:
-                    basis_lw = lw_k[:, None] * basis[0]
-                for s, (a_row, b_row, _, x_s) in enumerate(_lobes(problem, ci, tile, k, f, t, x)):
-                    if not (want_n or want_m):
-                        continue
-                    et = np.add(x_s, 1.0, out=x)
-                    et *= t  # e * t with e = exp(a * t); t is free from here on
-                    if want_n:
-                        np.multiply(et, a_row * b_row, out=dacc if s == 0 else t)
-                        if s > 0:
-                            dacc += t
-                    if want_m:  # the second coefficient adds a * ln(base)
-                        et *= cmaxv
-                        rows_ks = rows_m[k, :, s]
-                        if basis.shape[0] == 1:  # one basis row per light, shared by every pixel
-                            rows_ks[:, 0] += et @ basis_lw
-                            et *= tile.ell
-                            rows_ks[:, 1] += et @ (a_row[0][:, None] * basis_lw)
-                        else:
-                            et *= lw_k
-                            rows_ks[:, 0] += np.einsum("cb,cbj->cj", et, basis)
-                            et *= a_row
-                            et *= tile.ell
-                            rows_ks[:, 1] += np.einsum("cb,cbj->cj", et, basis)
-                if reduce_image or want_l:
-                    np.multiply(f, cmaxv, out=t)
-                if reduce_image:
-                    image[:, k] += np.einsum("cb,b->c", t, lw_k)
-                if want_l:  # with one tile, channel k of the image is complete here
-                    u_k = 2.0 * (image[:, k] - target_c[:, k]) if reduce_image else u_c[:, k]
-                    values[:, k] = _light_values(t, u_k, problem.weights[lights])
-                if want_n:
-                    lw_dirs = lw_k[:, None] * problem.dirs[lights]
-                    np.greater(cmaxv, 0.0, out=t)  # 1 on the lit pairs, the only ones where cmax > 0
-                    t *= f
-                    g = t @ lw_dirs
-                    # sum_b m h = sum_b (m / |omega + v|) (omega + v); the gate holds the 1 / |omega + v|
-                    dacc *= tile.gate
-                    g += dacc @ lw_dirs
-                    g += (dacc @ lw_k)[:, None] * view_c
-                    rows_n[k] += g
+        def blocks(*rows):  # (lights, k, f * cmax) per tile and channel, with the rows added into ``rows``
+            if cached is not None:
+                return ((lights, k, block[k]) for lights, block in cached for k in range(3))
+            return _shaded(problem, normals, materials, j, store, listed, env_lw, *rows)
+
+        image = None if target_c is None else np.zeros((count, 3))
+        if target_c is not None and want_l and several:  # the light adjoint's u comes first
+            image = _image_rows(blocks(), env_lw, count)
+            u_c = 2.0 * (image - target_c)
+        reduce_image = u_c is None
+        for lights, k, fc in blocks(rows_n, rows_m):
+            if reduce_image:
+                image[:, k] += np.einsum("cb,b->c", fc, env_lw[lights, k])
+            if want_l:  # with one tile, channel k of the image is complete here
+                if k == 0:
+                    values = np.empty((lights.size, 3))
+                    dlight.append((lights, values))
+                u_k = 2.0 * (image[:, k] - target_c[:, k]) if reduce_image else u_c[:, k]
+                values[:, k] = np.einsum("cb,c->b", fc, u_k) * problem.weights[lights]
     if target_c is not None:  # the rows themselves, pixel-major: (C, 3, 3) and (C, 3, 36)
         jn = None if rows_n is None else rows_n.transpose(1, 0, 2)
         jm = None if rows_m is None else rows_m.reshape(3, count, 36).transpose(1, 0, 2)
@@ -566,20 +568,9 @@ def backward(problem, normals, materials, env_flat, upstream, groups, *, threads
 
     def run(j):
         region, ci = problem.chunks[j]
-        if transfer is None:
-            u_c, target_c = (upstream[ci], None) if target is None else (None, target[ci])
-            return ci, region, _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_c)
-        # Two passes over the frozen blocks: the image, then the light adjoint against its residual.
-        shaded = [(lights, k, block[k]) for lights, block in transfer.blocks[j] for k in range(3)]
-        image = _image_rows(shaded, env_lw, ci.shape[0])
-        u_c = 2.0 * (image - target[ci])
-        dlight = []
-        for lights, k, fc in shaded:
-            if k == 0:
-                values = np.empty((lights.size, 3))
-                dlight.append((lights, values))
-            values[:, k] = _light_values(fc, u_c[:, k], problem.weights[lights])
-        return ci, region, (image, None, dlight, None)
+        u_c, target_c = (upstream[ci], None) if target is None else (None, target[ci])
+        cached = None if transfer is None else transfer.blocks[j]
+        return ci, region, _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_c, cached)
 
     pixels = problem.pixel_count
     residual = target is not None

@@ -41,6 +41,7 @@ from .io import (
 from .metrics import auto_exposure, check_exposure, l2_metric, ssim, tone_map
 from .render import RenderScene, render
 
+# gradcheck's groups and gates, in the order it checks them: a group's seed follows from its place
 FD_TOLERANCES = {"light": 1e-9, "normal": 1e-4, "material": 1e-4}
 _FD_DEFAULTS = inspect.signature(fd_check).parameters
 
@@ -158,7 +159,7 @@ def _default_check_scene() -> RenderScene:
 
 def _cmd_gradcheck(args) -> int:
     scene = _default_check_scene()
-    groups = args.group or ["light", "normal", "material"]
+    groups = args.group or list(FD_TOLERANCES)
     failed = False
     for i, group in enumerate(groups):
         report = fd_check(scene, group, trials=args.trials, seed=args.seed + 101 * i)
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmds.add_parser("gradcheck", help="finite-difference audit of the analytic gradients")
     p.add_argument("--seed", type=int, default=_FD_DEFAULTS["seed"].default)
     p.add_argument("--trials", type=int, default=_FD_DEFAULTS["trials"].default, help="probed coordinates per group")
-    p.add_argument("--group", action="append", choices=["light", "normal", "material"])
+    p.add_argument("--group", action="append", choices=list(FD_TOLERANCES))
     p.set_defaults(func=_cmd_gradcheck)
 
     p = cmds.add_parser("metrics", help="tone-mapped L2 and SSIM between two PFMs")

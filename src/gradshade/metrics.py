@@ -34,7 +34,10 @@ def auto_exposure(image: RadianceImage) -> float:
 
     Capped at the largest finite float, which 1 / p passes for a subnormal p.
     """
-    lum = image.pixels.mean(axis=2)
+    with np.errstate(over="ignore"):
+        lum = image.pixels.mean(axis=2)
+    summed_past_range = np.isinf(lum)  # the pixels are finite, so their quarters sum within the range
+    lum[summed_past_range] = (0.25 * image.pixels[summed_past_range]).mean(axis=1) * 4.0
     lit = lum[lum > 0.0]
     if lit.size == 0:
         return 1.0

@@ -251,16 +251,36 @@ def test_residual_backward_lists_each_chunks_lights_once(monkeypatch, mode):
     assert len(calls) == len(sh.chunks)
 
 
-@pytest.mark.parametrize("groups", [{"normal"}, {"material"}, {"normal", "material"}], ids=["normal", "material", "both"])
+ONE_TILE_ENV, SEVERAL_TILES_ENV = (16, 32), (48, 96)  # every chunk of the 16² problem lists one tile; several
+# id: (pass, groups, env, sweeps of a one-tile chunk, sweeps of a several-tile chunk); a sweep runs _lobes once per tile and channel
+SWEEP_CASES = {
+    "normal": ("residual", {"normal"}, SEVERAL_TILES_ENV, 1, 1),
+    "material": ("residual", {"material"}, SEVERAL_TILES_ENV, 1, 1),
+    "both": ("residual", {"normal", "material"}, SEVERAL_TILES_ENV, 1, 1),
+    "light-one-tile": ("residual", {"light"}, ONE_TILE_ENV, 1, 2),
+    "light-several-tiles": ("residual", {"light"}, SEVERAL_TILES_ENV, 1, 2),  # the image comes first
+    "light-transfer-one-tile": ("transfer", {"light"}, ONE_TILE_ENV, 0, 0),
+    "light-transfer-several-tiles": ("transfer", {"light"}, SEVERAL_TILES_ENV, 0, 0),
+    "upstream-one-tile": ("upstream", _shading.GROUPS, ONE_TILE_ENV, 1, 1),
+    "upstream-several-tiles": ("upstream", _shading.GROUPS, SEVERAL_TILES_ENV, 1, 1),
+    "forward-one-tile": ("forward", (), ONE_TILE_ENV, 1, 1),
+    "forward-several-tiles": ("forward", (), SEVERAL_TILES_ENV, 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
 @pytest.mark.parametrize("mode", MODES)
-def test_residual_backward_shades_each_tile_once(monkeypatch, mode, groups):
-    """The normal and material adjoints take u only after the sum over lights, so each tile runs its lobes once."""
-    problem = two_region_problem(mode, 16, (48, 96))
+def test_residual_backward_shades_each_tile_once(monkeypatch, mode, case):
+    """Lobe sweeps per pass: the normal and material adjoints take u only after the sum over lights, so each tile
+    runs its lobes once; the residual light adjoint needs u per light, so a several-tile chunk reduces its image
+    first; a transfer cache runs none."""
+    kind, groups, env_shape, one, several = SWEEP_CASES[case]
+    problem = two_region_problem(mode, 16, env_shape)
     obj = _Objective.of(problem, 1)
-    sh, normals = obj.shading, obj.n_prior
-    listed = [_shading._listed(sh, normals[ci], {}).size for _, ci in sh.chunks]
-    assert min(listed) > _shading.LIGHT_BLOCK
-    tiles = sum(-(-n // _shading.LIGHT_BLOCK) for n in listed)
+    sh, normals, materials, env = obj.shading, obj.n_prior, problem.materials, obj.env_prior
+    tiles = [-(-_shading._listed(sh, normals[ci], {}).size // _shading.LIGHT_BLOCK) for _, ci in sh.chunks]
+    assert {t > 1 for t in tiles} == {env_shape == SEVERAL_TILES_ENV}
+    transfer = _shading.build_transfer(sh, normals, materials) if kind == "transfer" else None
     calls = []
     real = _shading._lobes
 
@@ -269,8 +289,13 @@ def test_residual_backward_shades_each_tile_once(monkeypatch, mode, groups):
         return real(*args)
 
     monkeypatch.setattr(_shading, "_lobes", counting)
-    _shading.backward(sh, normals, problem.materials, obj.env_prior, None, groups, target=obj.target)
-    assert len(calls) == 3 * tiles  # one call per channel
+    if kind == "forward":
+        _shading.forward(sh, normals, materials, env)
+    elif kind == "upstream":
+        _shading.backward(sh, normals, materials, env, obj.target, groups)
+    else:
+        _shading.backward(sh, normals, materials, env, None, groups, transfer=transfer, target=obj.target)
+    assert len(calls) == 3 * sum(t * (several if t > 1 else one) for t in tiles)  # one call per channel
 
 
 @pytest.mark.parametrize("cpus", [4, 64, None])

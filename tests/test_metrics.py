@@ -92,6 +92,17 @@ def test_auto_exposure_of_a_subnormal_image_is_finite(value):
     assert np.isfinite(out).all() and out.min() >= 0.0
 
 
+def test_auto_exposure_of_an_image_whose_channel_sum_overflows_is_finite(rng):
+    """Three channels near the largest float sum past it; the luminance is still their mean, with no warning.
+    Where the sums stay finite the exposure is 1 / p of the plain channel mean, bit for bit."""
+    exposure = auto_exposure(radiance(np.full((2, 2, 3), 1.7e308)))
+    assert exposure == pytest.approx(1.0 / 1.7e308, rel=1e-12)
+    assert tone_map(radiance(np.full((2, 2, 3), 1.7e308))).pixels.max() == 255.0
+    pixels = rng.gamma(1.0, 1.0, (8, 8, 3))
+    lum = pixels.mean(axis=2)
+    assert auto_exposure(radiance(pixels)) == 1.0 / float(np.percentile(lum, 99.0))
+
+
 def test_tone_map_overflowing_exposure_clips_to_white_without_a_warning():
     """exposure * c past the float range is inf, which maps to 255; the suite turns any warning into an error."""
     assert np.array_equal(tone_map(radiance(np.full((2, 2, 3), 1e10)), exposure=1e300).pixels, np.full((2, 2, 3), 255.0))
