@@ -54,19 +54,21 @@ pairs only, per chunk as (lights, (3, C, B)) blocks, which
 ``_backward_chunk`` reduces with the code that reduces fresh ones.
 
 ``backward``'s residual mode is the solver's objective pass: given the target
-instead of an upstream, it takes u = 2 (I - target) for the image I of the
-same pass and returns I too. The normal and material adjoints need u only
-after the sum over lights: they sum u-free rows per pixel over the chunk's
-tiles, so their chunks shade once whatever the number of tiles. An upstream
-pass contracts those rows with u at the end of each chunk; a residual pass
-returns them, the per-pixel Jacobian rows of the solver's Gauss-Newton steps.
-The light adjoint needs u per light. A one-tile chunk has it right after the
-channel's block, from the f * cmax the light adjoint also reads; a chunk
-listing more than LIGHT_BLOCK lights has several tiles and, for the light
-group, sweeps its blocks twice, the image first, over the one light list it
-made. A TransferCache serves only this mode, for the light group alone; its
-blocks take the same path, so I and the light adjoint equal ``forward`` and
-``backward`` against 2 (I - target) bit for bit, cached or not.
+instead of an upstream, it is the upstream pass against u = 2 (I - target) for
+the image I of the same pass, and returns I too. The normal and material
+adjoints need u only after the sum over lights: they sum u-free rows per pixel
+over the chunk's tiles, so their chunks shade once whatever the number of
+tiles, and contract the rows with u at the end of each chunk. The rows are the
+image's Jacobian rows; a residual pass also returns their Gram matrices J^T J
+per Gauss-Newton block of the solver, a pixel's normal or a (region,
+channel)'s control points, so no row leaves its chunk. The light adjoint needs
+u per light. A one-tile chunk has it right after the channel's block, from the
+f * cmax the light adjoint also reads; a chunk listing more than LIGHT_BLOCK
+lights has several tiles and, for the light group, sweeps its blocks twice,
+the image first, over the one light list it made. A TransferCache serves only
+this mode, for the light group alone; its blocks take the same path, so I and
+the gradients equal ``forward`` and ``backward`` against 2 (I - target) bit
+for bit, cached or not.
 
 The traversal order (region, then tile row-major, then light block), the
 light lists and all reduction orders are fixed, so outputs are bit-identical
@@ -478,31 +480,30 @@ def build_transfer(problem, normals, materials, *, threads=1) -> TransferCache:
 def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_c=None, cached=None):
     """Adjoints for chunk j against its upstream rows ``u_c``, or in residual mode against its own image.
 
-    Returns (image, dn_block, light_partials, dm_partial). dn_block is (C, 3);
-    light_partials holds one (lights, (B, 3) values) pair per tile, so it
-    covers only the chunk's listed lights, which are unique across its tiles;
-    dm_partial covers the material vector. The caller adds both partials in
-    chunk order. image is the chunk's (C, 3) image in residual mode (``u_c``
-    None, ``target_c`` its target rows; see the module docstring), else None.
+    Returns (image, dn_block, light_partials, dm_partial, (G_n, G_m)).
+    dn_block is (C, 3); light_partials holds one (lights, (B, 3) values) pair
+    per tile, so it covers only the chunk's listed lights, which are unique
+    across its tiles; dm_partial covers the material vector. The caller adds
+    both partials in chunk order. In residual mode (``u_c`` None, ``target_c``
+    its target rows; see the module docstring) u = 2 (image - target_c), and
+    image (C, 3), G_n (C, 3, 3) and G_m (3, 36, 36) are set; else all None.
 
     The (lights, k, f * cmax) blocks come freshly shaded from ``_shaded`` or,
     given ``cached``, from the chunk's TransferCache blocks; the same code
     reduces either. The normal and material adjoints sum u-free rows per pixel
-    over the tiles, rows_n[k] (C, 3) and rows_m[k] (C, 3, 2, 6). With an
-    upstream they are contracted with u once, at the end: dn = sum_k u_k
-    rows_n[k] and dm[k] = u_k @ rows_m[k]. In residual mode the rows are
-    returned instead, as dn_block (C, 3, 3) with [c, k] = dI_k(c)/dn_c and
-    dm_partial (C, 3, 36) with [c, k] = dI_k(c)/d(channel k's control points).
-    Only the light adjoint needs u per light: for it a residual chunk with
-    several tiles reduces its image from one sweep of its blocks first.
+    over the tiles, rows_n[k] (C, 3) and rows_m[k] (C, 3, 2, 6), channel k's
+    Jacobian rows, and contract them with u once, at the end: dn = sum_k u_k
+    rows_n[k] and dm[k] = u_k @ rows_m[k]. The rows never leave the chunk; a
+    residual pass returns their Grams G_n[c] = sum_k rows_n[k, c]^T
+    rows_n[k, c] and G_m[k] = rows_m[k]^T rows_m[k]. Only the light adjoint
+    needs u per light: for it a residual chunk with several tiles reduces its
+    image from one sweep of its blocks first.
     """
-    want_n = "normal" in groups
     want_l = "light" in groups
-    want_m = "material" in groups
     region, ci = problem.chunks[j]
     count = ci.shape[0]
-    rows_n = np.zeros((3, count, 3)) if want_n else None
-    rows_m = np.zeros((3, count, 3, 2, 6)) if want_m else None
+    rows_n = np.zeros((3, count, 3)) if "normal" in groups else None
+    rows_m = np.zeros((3, count, 3, 2, 6)) if "material" in groups else None
     dlight = [] if want_l else None
 
     with _POOL.lease() as store:
@@ -531,13 +532,14 @@ def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_
                     dlight.append((lights, values))
                 u_k = 2.0 * (image[:, k] - target_c[:, k]) if reduce_image else u_c[:, k]
                 values[:, k] = np.einsum("cb,c->b", fc, u_k) * problem.weights[lights]
-    if target_c is not None:  # the rows themselves, pixel-major: (C, 3, 3) and (C, 3, 36)
-        jn = None if rows_n is None else rows_n.transpose(1, 0, 2)
-        jm = None if rows_m is None else rows_m.reshape(3, count, 36).transpose(1, 0, 2)
-        return image, jn, dlight, jm
+    if reduce_image:
+        u_c = 2.0 * (image - target_c)
+    flat_m = None if rows_m is None else rows_m.reshape(3, count, 36)
     dn = None if rows_n is None else sum(u_c[:, k, None] * rows_n[k] for k in range(3))
-    dm = None if rows_m is None else np.stack([u_c[:, k] @ rows_m[k].reshape(count, 36) for k in range(3)])
-    return image, dn, dlight, None if dm is None else dm.reshape(3, 3, 2, 6)
+    dm = None if flat_m is None else np.stack([u_c[:, k] @ flat_m[k] for k in range(3)]).reshape(3, 3, 2, 6)
+    gn = None if image is None or rows_n is None else np.einsum("kci,kcj->cij", rows_n, rows_n)
+    gm = None if image is None or flat_m is None else flat_m.transpose(0, 2, 1) @ flat_m
+    return image, dn, dlight, dm, (gn, gm)
 
 
 def backward(problem, normals, materials, env_flat, upstream, groups, *, threads=1, transfer=None, target=None):
@@ -545,23 +547,22 @@ def backward(problem, normals, materials, env_flat, upstream, groups, *, threads
 
     ``normals`` and ``materials`` are as in :func:`forward`. Returns
     (d_normals (F,3) | None, d_env (I,3) | None, d_materials (R,3,3,2,6) |
-    None) for the requested parameter groups.
+    None) for the requested parameter groups, one or more.
 
     Residual mode: with ``upstream`` None and a (F, 3) ``target``, the
     upstream is 2 (I - target) for the image I of this same pass, and the
-    result is (I, J_n, d_env, J_m): I and d_env equal bit for bit ``forward``
-    and ``backward`` against 2 (forward - target), and the Jacobian rows
-    J_n[p, k] = dI_k(p)/dn_p (F, 3, 3) and J_m[p, k] = dI_k(p)/d(channel k's
-    36 control points of p's region) (F, 3, 36) are what upstream mode
-    contracts with u.
+    result is (I, gradients, (G_n, G_m)): I and the gradients equal bit for
+    bit ``forward`` and ``backward`` against 2 (forward - target). G_n[p]
+    (F, 3, 3) is J^T J for J[k] = dI_k(p)/dn_p, and G_m[r, k] (R, 3, 36, 36)
+    the sum of J^T J over region r's pixels p for J = dI_k(p)/d(channel k's 36
+    control points), None for a group not asked.
 
     A ``transfer`` cache serves only the residual light pass (a ``target``
     and groups {"light"}): the cache freezes normals and materials.
     """
     groups = frozenset(groups)
-    unknown = groups.difference(GROUPS)
-    if unknown:
-        raise ValueError(f"unknown gradient groups: {sorted(unknown)}")
+    if not groups or groups.difference(GROUPS):
+        raise ValueError(f"gradient groups must be a non-empty subset of {GROUPS}, got {sorted(groups)}")
     if transfer is not None and (target is None or groups != {"light"}):
         raise ValueError("a transfer cache serves only the residual light pass: a target and light gradients alone")
     env_lw = env_flat * problem.weights[:, None]
@@ -572,20 +573,21 @@ def backward(problem, normals, materials, env_flat, upstream, groups, *, threads
         cached = None if transfer is None else transfer.blocks[j]
         return ci, region, _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_c, cached)
 
-    pixels = problem.pixel_count
-    residual = target is not None
-    image_all = np.zeros((pixels, 3)) if residual else None
-    dn_all = np.zeros((pixels, 3, 3) if residual else (pixels, 3)) if "normal" in groups else None
+    pixels, regions = problem.pixel_count, len(materials)
+    image_all = None if target is None else np.zeros((pixels, 3))
+    dn_all = np.zeros((pixels, 3)) if "normal" in groups else None
     denv_all = np.zeros((problem.light_count, 3)) if "light" in groups else None
-    dm_all = np.zeros((pixels, 3, 36) if residual else (len(materials), 3, 3, 2, 6)) if "material" in groups else None
-    for ci, region, (image, dn, dlight, dm) in _run_tasks(run, problem, threads):
-        if image is not None:
-            image_all[ci] = image
-        if dn is not None:
-            dn_all[ci] = dn
+    dm_all = np.zeros((regions, 3, 3, 2, 6)) if "material" in groups else None
+    gn_all = None if image_all is None or dn_all is None else np.zeros((pixels, 3, 3))
+    gm_all = None if image_all is None or dm_all is None else np.zeros((regions, 3, 36, 36))
+    for ci, region, (image, dn, dlight, dm, (gn, gm)) in _run_tasks(run, problem, threads):
+        for out, part in ((image_all, image), (dn_all, dn), (gn_all, gn)):  # per pixel
+            if part is not None:
+                out[ci] = part
+        for out, part in ((dm_all, dm), (gm_all, gm)):  # per region, added in chunk order
+            if part is not None:
+                out[region] += part
         for lights, values in dlight or ():
             denv_all[lights] += values
-        if dm is not None:
-            dm_all[ci if residual else region] += dm
     grads = (dn_all, denv_all, dm_all)
-    return grads if target is None else (image_all, *grads)
+    return grads if target is None else (image_all, grads, (gn_all, gm_all))

@@ -19,16 +19,16 @@ The light group gets a projected L-BFGS run, whose memory carries over from
 one cycle to the next. A run whose line search finds no step at its first
 iterate is a recorded stop: it leaves the light as it was and clears the memory.
 
-The normal and material groups are block-separable least squares: I(p)
-depends on n_p alone, and channel k of region r on that region's 36 channel-k
-control points alone. Each block, a pixel or a (region, channel), takes its
-own damped Gauss-Newton (Levenberg-Marquardt) step from the residual pass's
-Jacobian rows: a 2x2 solve on the tangent plane with a I from the prior,
+The normal and material groups are block-separable least squares: I(p) depends
+on n_p alone, and channel k of region r on that region's 36 channel-k control
+points alone. Each block, a pixel or a (region, channel), takes its own damped
+Gauss-Newton (Levenberg-Marquardt) step from its 2 J^T r and J^T J, summed by
+the residual pass: a 2x2 solve on the tangent plane with a I from the prior,
 retracted to the sphere, or a 36x36 solve in coordinates that map [lo, hi] to
-[-NORM_LIMIT, NORM_LIMIT], clipped to the box. A trial pass shades only the
-pixels of the blocks whose predicted decrease is above rel_tol max(1, |E|) /
-blocks. A block keeps its step iff its own term of E fell; E is the sum of
-these terms, so it never rises.
+[-NORM_LIMIT, NORM_LIMIT], clipped to the box. A trial pass shades every pixel
+of the blocks whose predicted decrease is above rel_tol max(1, |E|) / blocks,
+and only those. A block keeps its step iff its own term of E fell; E is the
+sum of these terms, so it never rises.
 """
 
 from __future__ import annotations
@@ -158,16 +158,18 @@ class _Objective:
         """One residual pass of ``group``: the foreground image and the group's output.
 
         The output is the light gradient of E, shaded through ``transfer`` when
-        given, or the Jacobian rows J_n (F, 3, 3) or J_m (F, 3, 36), over the
-        (F,) bool ``pixels`` alone when given (image and rows are 0 elsewhere).
+        given, or (2 J^T r, J^T J) per Gauss-Newton block of the data term's
+        Jacobian J: (F, 3), (F, 3, 3) per pixel, or (3R, 36), (3R, 36, 36) per
+        (region, channel). Over the (F,) bool ``pixels`` alone when given: the
+        image and a pixel's blocks are 0 elsewhere, a region's sum its pixels.
         """
         shading = self.shading if pixels is None else _shading.restrict(self.shading, pixels)
-        image, jn, denv, jm = _shading.backward(
+        image, (dn, denv, dm), (gn, gm) = _shading.backward(
             shading, normals, materials, env, None, {group}, threads=self.threads, transfer=transfer, target=self.target,
         )
         if group == "light":
             return image, denv + 2.0 * self.b * (env - self.env_prior)
-        return image, jn if group == "normal" else jm
+        return image, (dn, gn) if group == "normal" else (dm.reshape(-1, 36), gm.reshape(-1, 36, 36))
 
 
 @dataclass
@@ -329,11 +331,10 @@ def _normal_blocks(obj):
         d = n - prior
         return np.einsum("pk,pk->p", r, r) + a * np.einsum("pc,pc->p", d, d)
 
-    def model(n, r, jac):
+    def model(n, r, grad, gram):
         basis = _tangent_bases(n)
-        jt = jac @ basis
-        g = np.einsum("pki,pk->pi", jt, r) + a * np.einsum("pci,pc->pi", basis, n - prior)
-        h = np.einsum("pki,pkj->pij", jt, jt) + a * np.eye(2)
+        g = np.einsum("pci,pc->pi", basis, 0.5 * grad + a * (n - prior))
+        h = basis.transpose(0, 2, 1) @ gram @ basis + a * np.eye(2)
         return terms(n, r), h, g, 2.0 * float(np.abs(basis @ g[:, :, None]).max(initial=0.0))
 
     def move(n, steps):  # a tangent step only lengthens n, so the retraction never divides by 0
@@ -348,21 +349,16 @@ def _material_blocks(obj, materials):
     region_of = np.empty(obj.shading.pixel_count, dtype=np.int64)
     for region, ci in obj.shading.chunks:
         region_of[ci] = region
-    members = [np.flatnonzero(region_of == q) for q in range(len(materials))]
     lo = np.concatenate([m.lo for m in materials]).reshape(-1, 36)
     hi = np.concatenate([m.hi for m in materials]).reshape(-1, 36)
     scale = (hi - lo) / (2.0 * NORM_LIMIT)  # d raw / d normalized
 
     def terms(x, r):
-        return np.concatenate([np.einsum("pk,pk->k", r[idx], r[idx]) for idx in members])
+        return np.stack([np.bincount(region_of, r[:, k] * r[:, k], len(materials)) for k in range(3)], axis=1).ravel()
 
-    def model(x, r, jac):
-        h, g = [], []
-        for q, idx in enumerate(members):
-            jq = jac[idx].transpose(1, 0, 2) * scale[3 * q : 3 * q + 3, None, :]  # (3, P, 36)
-            h.append(jq.transpose(0, 2, 1) @ jq)
-            g.append(np.einsum("kpi,pk->ki", jq, r[idx]))
-        h, g = np.concatenate(h), np.concatenate(g)
+    def model(x, r, grad, gram):
+        g = 0.5 * scale * grad
+        h = scale[:, :, None] * gram * scale[:, None, :]
         held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))  # on the box, and descent would leave it
         g[held] = 0.0
         h *= ~held[:, :, None] & ~held[:, None, :]
@@ -391,8 +387,9 @@ def _gauss_newton(obj, state, group, damping, config):
 
     ``damping`` holds each block's lambda and is updated in place. x has a row per block; the group's helpers
     are pack (state -> x), unpack (x -> state), cells (blocks -> the (F, 3) image cells they own), terms
-    ((x, r) -> each block's term of E), model ((x, r, J) -> (terms, H, g, gradient max-norm), a term along
-    a step d being modelled as term + 2 g.d + d.H.d) and move ((x, steps) -> feasible trial x).
+    ((x, r) -> each block's term of E), model ((x, r, 2 J^T r, J^T J per block) -> (terms, H, g, gradient
+    max-norm), a term along a step d being modelled as term + 2 g.d + d.H.d) and move ((x, steps) -> feasible
+    trial x). A trial pass shades every pixel of a moving block, so a kept block's (2 J^T r, J^T J) is whole.
     """
     group_blocks = _normal_blocks(obj) if group == "normal" else _material_blocks(obj, state["material"])
     pack, unpack, cells_of, terms_of, model, move = group_blocks
@@ -402,9 +399,9 @@ def _gauss_newton(obj, state, group, damping, config):
         return (at, *obj(at["normal"], at["material"], at["light"], group, pixels=pixels))
 
     x = pack(state[group])
-    at, image, jac = shade(x)
+    at, image, blocks = shade(x)
     f = obj.value(image, at["normal"], at["light"])
-    terms, h, g, gnorm = model(x, image - obj.target, jac)
+    terms, h, g, gnorm = model(x, image - obj.target, *blocks)
     result = LbfgsResult(x=at[group], value=f, iterations=0, stop_reason="iteration_cap", evaluations=1)
     start, shaded = f, obj.shading.pixel_count
     for _ in range(config.inner_iters_per_group):
@@ -419,7 +416,7 @@ def _gauss_newton(obj, state, group, damping, config):
             break
         pixels = cells_of(active).any(axis=1)
         trial = np.where(active[:, None], move(x, steps), x)
-        _, image_t, jac_t = shade(trial, pixels)
+        _, image_t, blocks_t = shade(trial, pixels)
         result.evaluations += 1
         shaded += int(pixels.sum())
         kept = active & (terms_of(trial, image_t - obj.target) < terms)
@@ -428,8 +425,9 @@ def _gauss_newton(obj, state, group, damping, config):
         at_new = {**state, group: unpack(x_new)}
         f_new = obj.value(image_new, at_new["normal"], at_new["light"])
         if f_new < f:  # no kept block, or (by rounding) kept terms that fell by a few ulp, leave f as it was
-            x, image, f, at, jac = x_new, image_new, f_new, at_new, np.where(cells[:, :, None], jac_t, jac)
-            terms, h, g, gnorm = model(x, image - obj.target, jac)
+            x, image, f, at = x_new, image_new, f_new, at_new
+            blocks = [np.where(kept.reshape((-1,) + (1,) * (b.ndim - 1)), b_t, b) for b_t, b in zip(blocks_t, blocks)]
+            terms, h, g, gnorm = model(x, image - obj.target, *blocks)
             result.x, result.value, result.iterations = at[group], f, result.iterations + 1
             result.trace.append((f, gnorm))
         else:

@@ -65,13 +65,13 @@ def tone_map(image: RadianceImage, exposure: float | None = None) -> LdrImage:
 
 
 def l2_metric(a: LdrImage, b: LdrImage, mask: np.ndarray | None = None) -> float:
-    """Mean over (masked) pixels of the channel-mean squared difference."""
+    """Mean over (masked) pixels of the channel-mean squared difference; ``mask`` is a bool (H, W) array."""
     if a.pixels.shape != b.pixels.shape:
         raise ValueError("images must share a shape")
     per_pixel = np.mean((a.pixels - b.pixels) ** 2, axis=2)
     if mask is not None:
-        if mask.shape != per_pixel.shape:
-            raise ValueError("mask shape must match the images")
+        if mask.dtype != bool or mask.shape != per_pixel.shape:
+            raise ValueError("mask must be a bool array the shape of the images")
         per_pixel = per_pixel[mask]
         if per_pixel.size == 0:
             raise ValueError("mask selects no pixels")

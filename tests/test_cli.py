@@ -427,7 +427,9 @@ def invert_argv(fixture_dir, tmp_path, segmentation, materials):
 def test_invert_empty_last_region_runs(fixture_dir, tmp_path):
     seg = fixture_dir / "sphere_segmentation.png"  # region 0 only
     assert main(invert_argv(fixture_dir, tmp_path, seg, ["matte", "glossy"])) == 0
-    assert (tmp_path / "sol_material_1.json").exists()
+    # no pixel sees region 1, so its gradient and Gram are 0, and so is its step
+    kept = read_material(tmp_path / "sol_material_1.json").raw
+    assert kept.tobytes() == read_material(fixture_dir / "material_glossy.json").raw.tobytes()
 
 
 @pytest.mark.parametrize("flag, value", [("--a", "nan"), ("--b", "nan"), ("--a", "inf"), ("--b", "inf"), ("--rel-tol", "nan")])

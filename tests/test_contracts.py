@@ -178,18 +178,6 @@ FUSED_GROUPS = [  # (groups, cached); a transfer cache serves the light group on
 ]
 
 
-def contracted(problem, u, jn, jm, region_count):
-    """The residual pass's Jacobian rows contracted with u as an upstream pass contracts them, in the same order."""
-    dn = None if jn is None else sum(u[:, k, None] * jn[:, k] for k in range(3))
-    if jm is None:
-        return dn, None
-    dm = np.zeros((region_count, 3, 36))
-    for region, ci in problem.chunks:
-        u_c, j_c = u[ci], jm[ci]
-        dm[region] += np.stack([u_c[:, k] @ j_c[:, k] for k in range(3)])
-    return dn, list(dm.reshape(region_count, 3, 3, 2, 6))
-
-
 def _bytes_or_none(grads):
     return [None if g is None else np.asarray(g).tobytes() for g in grads]
 
@@ -198,7 +186,7 @@ def _bytes_or_none(grads):
 @pytest.mark.parametrize("kind", FUSED_SCENES)
 @pytest.mark.parametrize("mode", MODES)
 def test_objective_pass_equals_forward_then_backward(mode, kind, groups, cached):
-    """One residual pass gives forward's image, backward(2 r)'s light adjoint, and rows that contract to its other adjoints, bit for bit."""
+    """One residual pass gives forward's image and backward(2 r)'s adjoints of every group bit for bit, and the Grams of its groups."""
     side, env_shape = FUSED_SCENES[kind]
     problem = two_region_problem(mode, side, env_shape)
     obj = _Objective.of(problem, 1)
@@ -216,20 +204,23 @@ def test_objective_pass_equals_forward_then_backward(mode, kind, groups, cached)
     n_diff, env_diff = normals - obj.n_prior, env - obj.env_prior
     want_value = float(np.sum(r * r)) + obj.a * float(np.sum(n_diff * n_diff))
     want_value += obj.b * float(np.sum(env_diff * env_diff))
-    dn, denv, dms = _shading.backward(sh, normals, materials, env, 2.0 * r, groups)  # uncached reference
-    fused_image, jn, fused_denv, jm = _shading.backward(
+    grads = _shading.backward(sh, normals, materials, env, 2.0 * r, groups)  # uncached reference
+    fused_image, fused, (gn, gm) = _shading.backward(
         sh, normals, materials, env, None, groups, transfer=transfer, target=obj.target
     )
     assert fused_image.tobytes() == image.tobytes()
     assert np.float64(obj.value(fused_image, normals, env)).tobytes() == np.float64(want_value).tobytes()
-    assert _bytes_or_none([fused_denv]) == _bytes_or_none([denv])
-    assert [jn is None, jm is None] == [dn is None, dms is None]
-    assert _bytes_or_none(contracted(sh, 2.0 * r, jn, jm, len(materials))) == _bytes_or_none((dn, dms))
+    assert _bytes_or_none(fused) == _bytes_or_none(grads)
+    assert [gn is None, gm is None] == [grads[0] is None, grads[2] is None]
     if len(groups) == 1:  # the objective's pass for one group
         got_image, out = obj(normals, materials, env, groups[0], transfer=transfer)
         assert got_image.tobytes() == image.tobytes()
-        want = denv + 2.0 * obj.b * env_diff if groups == ("light",) else jn if groups == ("normal",) else jm
-        assert out.tobytes() == want.tobytes()
+        if groups == ("light",):
+            assert out.tobytes() == (grads[1] + 2.0 * obj.b * env_diff).tobytes()
+        else:
+            gram = gn if groups == ("normal",) else gm.reshape(-1, 36, 36)
+            grad = grads[0] if groups == ("normal",) else grads[2].reshape(-1, 36)
+            assert _bytes_or_none(out) == _bytes_or_none((grad, gram))
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -196,6 +196,22 @@ def test_unknown_group_rejected(sphere_scene):
         fd_check(sphere_scene, "albedo")
 
 
+@pytest.mark.parametrize("residual", [False, True], ids=["upstream", "residual"])
+def test_empty_group_set_rejected_before_shading(sphere_scene, monkeypatch, residual):
+    """No group asks for no gradient: the pass raises rather than shade every pixel for three Nones."""
+
+    def refuse(*args, **kw):
+        raise AssertionError("a tile was shaded")
+
+    monkeypatch.setattr(_shading, "_tiles", refuse)
+    with pytest.raises(ValueError, match="non-empty"):
+        if residual:
+            problem, normals, env, upstream = _engine_args(sphere_scene, np.random.default_rng(1))
+            _shading.backward(problem, normals, sphere_scene.materials, env, None, (), target=upstream)
+        else:
+            gs.backward(sphere_scene, np.ones((16, 16, 3)), groups=())
+
+
 @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
 def test_fd_check_rejects_bad_step(sphere_scene, step):
     with pytest.raises(ValueError, match="step"):
@@ -242,8 +258,8 @@ def test_light_adjoint_is_bit_identical_across_paths(rng, mode):
     fresh = _shading.backward(problem, normals, mats, env, None, {"light"}, target=target)
     transfer = _shading.build_transfer(problem, normals, mats)
     cached = _shading.backward(problem, normals, mats, env, None, {"light"}, transfer=transfer, target=target)
-    assert fresh[2].any()
-    assert [cached[0].tobytes(), cached[2].tobytes()] == [fresh[0].tobytes(), fresh[2].tobytes()]
+    assert fresh[1][1].any()
+    assert [cached[0].tobytes(), cached[1][1].tobytes()] == [fresh[0].tobytes(), fresh[1][1].tobytes()]
 
 
 @pytest.mark.parametrize("groups", [{"light"}, {"light", "normal"}, {"material"}], ids=["light", "light+normal", "material"])
@@ -291,7 +307,7 @@ def test_backward_chunk_memory_does_not_grow_with_the_env(monkeypatch):
         _shading._backward_chunk(*args)
         tracemalloc.start()
         try:
-            _, _, partials, _ = _shading._backward_chunk(*args)
+            _, _, partials, _, _ = _shading._backward_chunk(*args)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -329,7 +345,7 @@ def test_backward_scratch_holds_one_lobe_buffer_per_role(monkeypatch, mode):
 
 
 # ---------------------------------------------------------------------------
-# Jacobian rows of the residual pass, which the solver's Gauss-Newton steps use
+# Gram matrices of the residual pass's Jacobian rows, which the solver's Gauss-Newton steps use
 
 JACOBIAN_SCENES = {  # the several-tile scenes: a 24² two-region sphere under 48×96, every chunk listing several tiles
     "ortho-two-region": lambda: random_two_region_scene(np.random.default_rng(41), 8, 8, 16, "orthographic"),
@@ -339,15 +355,15 @@ JACOBIAN_SCENES = {  # the several-tile scenes: a 24² two-region sphere under 4
 }
 
 
-def jacobian_rows(scene, threads=1):
-    """(problem, J_n (F, 3, 3), J_m (F, 3, 36)) of the residual pass at the scene's state."""
+def residual_pass(scene, threads=1):
+    """(problem, (d_n, d_env, d_m), (G_n (F, 3, 3), G_m (R, 3, 36, 36))) of the residual pass at the scene's state."""
     mask = scene.normal_map.mask
     problem = prepare_problem(scene)
-    _, jn, _, jm = _shading.backward(
+    _, grads, grams = _shading.backward(
         problem, scene.normal_map.normals[mask], scene.materials, scene.env.radiance.reshape(-1, 3), None,
         {"normal", "material"}, threads=threads, target=np.zeros((int(mask.sum()), 3)),
     )
-    return problem, jn, jm
+    return problem, grads, grams
 
 
 def region_of(problem):
@@ -360,14 +376,15 @@ def region_of(problem):
 @pytest.mark.parametrize("group", ["normal", "material"])
 @pytest.mark.parametrize("name", JACOBIAN_SCENES)
 def test_jacobian_rows_match_central_differences(name, group):
-    """Every pixel's rows along a seeded direction per pixel (normals) or per region (materials), at the criterion-1 gates.
+    """Each block's Gram along a seeded direction, d^T G d, against |J d|^2 from central differences, at the criterion-1 gates.
 
-    I(p) depends on n_p alone and channel k on channel k's control points alone, so one central difference of the
-    whole image checks every row at once. An entry's error is taken relative to the larger of the two values,
-    floored at 1e-6 of the largest, as fd_check does.
+    A block is a pixel (normals) or a (region, channel) (materials). I(p) depends on n_p alone and channel k on
+    channel k's control points alone, so one central difference of the whole image gives J d of every block at
+    once: a pixel's three channels, or the sum of squares over a region's pixels. A block's error is taken
+    relative to the larger of the two values, floored at 1e-6 of the largest, as fd_check does.
     """
     scene = JACOBIAN_SCENES[name]()
-    problem, jn, jm = jacobian_rows(scene)
+    problem, _, (gn, gm) = residual_pass(scene)
     mask = scene.normal_map.mask
     n, env, materials = scene.normal_map.normals[mask], scene.env.radiance.reshape(-1, 3), scene.materials
     rng = np.random.default_rng(29)
@@ -375,49 +392,39 @@ def test_jacobian_rows_match_central_differences(name, group):
         d = rng.standard_normal(n.shape)
         d -= np.sum(d * n, axis=1, keepdims=True) * n
         step = 1e-6
-        analytic = np.einsum("pkc,pc->pk", jn, d)
+        analytic = np.einsum("pi,pij,pj->p", d, gn, d)
 
         def image(sign):
             return _shading.forward(problem, n + sign * step * d, materials, env)
     else:
         d = rng.standard_normal((len(materials), 3, 36))
         step = 1e-5
-        analytic = np.einsum("pki,pki->pk", jm, d[region_of(problem)])
+        analytic = np.einsum("rki,rkij,rkj->rk", d, gm, d)
 
         def image(sign):
             moved = [m.with_raw(m.raw + sign * step * dm.ravel()) for m, dm in zip(materials, d)]
             return _shading.forward(problem, n, moved, env)
 
-    numeric = (image(1.0) - image(-1.0)) / (2.0 * step)
+    jd = (image(1.0) - image(-1.0)) / (2.0 * step)
+    if group == "normal":
+        numeric = np.sum(jd * jd, axis=1)
+    else:
+        numeric = np.zeros((len(materials), 3))
+        np.add.at(numeric, region_of(problem), jd * jd)
     floor = 1e-6 * np.abs(analytic).max()
     rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     assert rel.max() < FD_GATES[group], (rel.max(), np.unravel_index(int(rel.argmax()), rel.shape))
 
 
 @pytest.mark.parametrize("name", JACOBIAN_SCENES)
-def test_jacobian_rows_contract_to_the_upstream_backward_bit_for_bit(name):
-    """sum_k u_k J_k, formed in the engine's own order, is gs.backward against u."""
-    scene = JACOBIAN_SCENES[name]()
-    problem, jn, jm = jacobian_rows(scene)
-    mask = scene.normal_map.mask
-    u_image = np.zeros(scene.normal_map.normals.shape)
-    u_image[mask] = np.random.default_rng(8).standard_normal((int(mask.sum()), 3))
-    u = u_image[mask]
-    grads = gs.backward(scene, u_image, groups={"normal", "material"})
-    assert sum(u[:, k, None] * jn[:, k] for k in range(3)).tobytes() == grads.d_normals[mask].tobytes()
-    dm = np.zeros((len(scene.materials), 3, 36))
-    for region, ci in problem.chunks:  # chunk partials, added in chunk order
-        u_c, j_c = u[ci], jm[ci]
-        dm[region] += np.stack([u_c[:, k] @ j_c[:, k] for k in range(3)])
-    assert dm.reshape(-1, PARAM_COUNT).tobytes() == grads.d_materials.tobytes()
-
-
-@pytest.mark.parametrize("name", JACOBIAN_SCENES)
 def test_jacobian_rows_are_bit_identical_across_thread_counts(name):
+    """The residual pass's gradients and Grams come out the same bytes at 1, 2 and 3 workers."""
     scene = JACOBIAN_SCENES[name]()
-    runs = [jacobian_rows(scene, threads)[1:] for threads in (1, 2, 3)]
-    for jn, jm in runs[1:]:
-        assert jn.tobytes() == runs[0][0].tobytes() and jm.tobytes() == runs[0][1].tobytes()
+    runs = [residual_pass(scene, threads)[1:] for threads in (1, 2, 3)]
+    (dn, _, dm), (gn, gm) = runs[0]
+    assert dn.any() and dm.any() and gn.any() and gm.any()
+    for grads, grams in runs[1:]:
+        assert [a.tobytes() for a in (grads[0], grads[2], *grams)] == [a.tobytes() for a in (dn, dm, gn, gm)]
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +503,8 @@ def test_a_joined_chunk_shades_its_pixels_against_every_light_it_lists(call):
     def run(shading):
         if call == "upstream":
             return _shading.backward(shading, normals, materials, env, np.ones((16, 3)), _shading.GROUPS)
-        return _shading.backward(shading, normals, materials, env, None, _shading.GROUPS, target=np.ones((16, 3)))
+        image, grads, grams = _shading.backward(shading, normals, materials, env, None, _shading.GROUPS, target=np.ones((16, 3)))
+        return (image, *grads, *grams)
 
     assert np.isfinite(_shading.forward(problem, normals, materials, env)).all()
     assert all(np.isfinite(out).all() for out in run(problem))

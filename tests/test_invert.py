@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import random_material
-from test_contracts import two_region_problem
+from test_contracts import two_region_problem, two_region_scene
+from test_grad import region_of
 import gradshade as gs
 from gradshade import _shading, invert
 from gradshade.brdf import PARAM_COUNT, flat_index, material_from_raw
@@ -217,11 +219,11 @@ def test_objective_zero_at_ground_truth():
     assert objective_at(prob, prob.env.radiance)[0] == 0.0
     value, denv = objective_at(prob, prob.env.radiance, "light")
     assert value == 0.0 and np.abs(denv).max() < 1e-12
-    # the residual is 0, so the Gauss-Newton gradient J^T r is too, whatever J is
-    for group, width in (("normal", 3), ("material", 36)):
-        value, jac = objective_at(prob, prob.env.radiance, group)
-        assert value == 0.0
-        assert jac.shape == (prob.normal_map.mask.sum(), 3, width) and np.isfinite(jac).all() and jac.any()
+    # the residual is 0, so the Gauss-Newton gradient 2 J^T r is too, whatever J^T J is
+    for group, blocks, width in (("normal", prob.normal_map.mask.sum(), 3), ("material", 3, 36)):
+        value, (grad, gram) = objective_at(prob, prob.env.radiance, group)
+        assert value == 0.0 and grad.shape == (blocks, width) and not grad.any()
+        assert gram.shape == (blocks, width, width) and np.isfinite(gram).all() and gram.any()
 
 
 def test_objective_gradients_match_finite_differences(rng):
@@ -475,9 +477,10 @@ def noisy_normals_problem():
 
 @pytest.mark.parametrize("mode", ["orthographic", "pinhole"])
 def test_restricted_pass_matches_the_full_pass_at_its_pixels(mode):
-    """A pass over ~10% of the pixels: their image and rows within 1e-13 of the full pass's largest, 0 elsewhere.
+    """A pass over ~10% of the pixels: their image and normal blocks within 1e-13 of the full pass's largest, 0 elsewhere.
 
-    Not bit for bit: a chunk that keeps fewer pixels may list fewer lights.
+    Not bit for bit: a chunk that keeps fewer pixels may list fewer lights. A cut that keeps whole regions keeps
+    their chunks as they are, so its material blocks are the full pass's bytes for those regions, and 0 for the rest.
     """
     problem = two_region_problem(mode)
     obj = _Objective.of(problem, 1)
@@ -487,13 +490,74 @@ def test_restricted_pass_matches_the_full_pass_at_its_pixels(mode):
     stream = np.concatenate([ci for _, ci in sh.chunks])
     assert np.concatenate([ci for _, ci in cut.chunks]).tolist() == stream[pixels[stream]].tolist()
     assert all(ci.size for _, ci in cut.chunks) and len(cut.chunks) < len(sh.chunks)
-    for group in ("normal", "material"):
-        args = (obj.n_prior, problem.materials, obj.env_prior, group)
-        full_image, full_rows = obj(*args)
-        image, rows = obj(*args, pixels=pixels)
-        assert not image[~pixels].any() and not rows[~pixels].any()
+    args = (obj.n_prior, problem.materials, obj.env_prior)
+    full = {group: obj(*args, group) for group in ("normal", "material")}
+    for group, (full_image, full_blocks) in full.items():
+        image, blocks = obj(*args, group, pixels=pixels)
+        assert not image[~pixels].any()
         assert np.abs(image[pixels] - full_image[pixels]).max() <= 1e-13 * np.abs(full_image).max()
-        assert np.abs(rows[pixels] - full_rows[pixels]).max() <= 1e-13 * np.abs(full_rows).max()
+        if group == "normal":  # per pixel: 2 J^T r (F, 3) and J^T J (F, 3, 3)
+            for got, want in zip(blocks, full_blocks):
+                assert not got[~pixels].any()
+                assert np.abs(got[pixels] - want[pixels]).max() <= 1e-13 * np.abs(want).max()
+    first = region_of(sh) == 0
+    full_image, full_blocks = full["material"]
+    image, blocks = obj(*args, "material", pixels=first)
+    assert image[first].tobytes() == full_image[first].tobytes() and not image[~first].any()
+    for got, want in zip(blocks, full_blocks):  # per (region, channel): 2 J^T r (6, 36) and J^T J (6, 36, 36)
+        assert got[:3].tobytes() == want[:3].tobytes() and want[3:].any() and not got[3:].any()
+
+
+def test_material_trial_passes_shade_whole_regions(monkeypatch):
+    """A trial pass shades every pixel of each region with a moving channel, so a kept block's Gram is whole.
+
+    Region 1 starts at its true material under the true normals and light, so its blocks never move.
+    """
+    scene = two_region_scene(16, "orthographic", (16, 32))
+    matte = gs.preset_materials()["matte"]
+    problem = InverseProblem(
+        target=gs.render(scene), normal_map=scene.normal_map, env=scene.env, materials=(matte, matte),
+        camera=scene.camera, segmentation=scene.segmentation, free_groups=frozenset({"material"}),
+    )
+    first = region_of(_Objective.of(problem, 1).shading) == 0
+    cuts = []
+    real = _shading.restrict
+
+    def recording(shading, pixels):
+        cuts.append(pixels.copy())
+        return real(shading, pixels)
+
+    monkeypatch.setattr(_shading, "restrict", recording)
+    res = solve(problem, OptimizerConfig(max_cycles=2, inner_iters_per_group=4))
+    assert res.final_objective < res.initial_objective
+    assert len(cuts) == sum(r.evaluations - 1 for r in res.runs) > 0
+    assert all(np.array_equal(pixels, first) for pixels in cuts)
+    assert res.materials[1].raw.tobytes() == matte.raw.tobytes()
+
+
+@pytest.mark.parametrize("side", [64, 192])
+def test_material_solve_memory_per_foreground_pixel(side):
+    """A one-cycle material-only solve (its x0 pass and one trial) peaks under 1 KB per foreground pixel.
+
+    The residual pass returns a Gram matrix per (region, channel), not a Jacobian row per pixel; with the rows,
+    (F, 3, 36) per pass, the peak was about 3.6 KB per pixel at both sizes.
+    """
+    nm = gs.sphere_normal_map(side)
+    cam, env, presets = gs.Camera("orthographic", side, side), gs.default_blob_env(8, 16), gs.preset_materials()
+    problem = InverseProblem(
+        target=gs.render(gs.RenderScene(nm, cam, env, (presets["glossy"],))), normal_map=nm, env=env,
+        materials=(presets["matte"],), camera=cam, free_groups=frozenset({"material"}),
+    )
+    config = OptimizerConfig(max_cycles=1, inner_iters_per_group=1)
+    solve(problem, config)  # sizes the shading scratch, which persists across calls
+    tracemalloc.start()
+    try:
+        res = solve(problem, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(r.group, r.evaluations) for r in res.runs] == [("material", 2)]
+    assert peak / nm.mask.sum() < 1024, peak / nm.mask.sum()
 
 
 def test_normal_run_never_raises_a_pixel_term(monkeypatch):
@@ -504,8 +568,8 @@ def test_normal_run_never_raises_a_pixel_term(monkeypatch):
     def recording(obj):
         pack, unpack, cells, terms, model, move = real(obj)
 
-        def recorded(n, r, jac):
-            out = model(n, r, jac)
+        def recorded(n, r, *blocks):
+            out = model(n, r, *blocks)
             seen.append(out[0])
             return out
 
@@ -520,7 +584,7 @@ def test_normal_run_never_raises_a_pixel_term(monkeypatch):
 
 
 def test_gauss_newton_leaves_a_pixel_that_sees_no_light_where_it_was():
-    """a = 0 and a pixel whose only light is behind it: its J, H and g are 0, and its step is 0, not NaN."""
+    """a = 0 and a pixel whose only light is behind it: its J^T r, J^T J, H and g are 0, and its step is 0, not NaN."""
     table = build_light_table(6, 12)
     omega = table.directions[2, 3]
     env = np.zeros((6, 12, 3))
@@ -541,7 +605,8 @@ def test_gauss_newton_leaves_a_pixel_that_sees_no_light_where_it_was():
         camera=cam, a=0.0, free_groups=frozenset({"normal"}),
     )
     obj = _Objective.of(prob, 1)
-    assert not obj(obj.n_prior, prob.materials, obj.env_prior, "normal")[1][0].any()  # pixel (0, 0) leads the stream
+    grad, gram = obj(obj.n_prior, prob.materials, obj.env_prior, "normal")[1]
+    assert not grad[0].any() and not gram[0].any()  # pixel (0, 0) leads the stream
     res = solve(prob, OptimizerConfig(max_cycles=2, inner_iters_per_group=6))
     assert res.runs[0].iterations > 0 and res.final_objective < res.initial_objective
     assert np.isfinite(res.normal_map.normals).all()

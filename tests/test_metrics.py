@@ -143,6 +143,16 @@ def test_l2_is_symmetric(rng):
     assert l2_metric(a, b) == pytest.approx(l2_metric(b, a), rel=1e-15)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_l2_rejects_a_mask_that_is_not_bool(dtype):
+    """A 0/1 mask of another dtype would index rows, not select pixels: 0.0 here for uint8, where the bool mask gives 65025."""
+    a, b = LdrImage(np.zeros((3, 3, 3))), LdrImage(np.full((3, 3, 3), 255.0))
+    mask = np.ones((3, 3), dtype=bool)
+    assert l2_metric(a, b, mask) == pytest.approx(65025.0, rel=1e-12)
+    with pytest.raises(ValueError, match="bool"):
+        l2_metric(a, b, mask.astype(dtype))
+
+
 def test_l2_shape_mismatch():
     with pytest.raises(ValueError):
         l2_metric(LdrImage(np.zeros((2, 2, 3))), LdrImage(np.zeros((3, 2, 3))))
