@@ -74,6 +74,9 @@ The traversal order (region, then tile row-major, then light block), the
 light lists and all reduction orders are fixed, so outputs are bit-identical
 for any worker count and with or without the transfer cache: threads only
 trade whole chunks and per-chunk partial sums are combined in chunk order.
+Parallel calls share one pool per worker cap for the life of the process (a
+forked child makes its own), and each thread keeps its scratch for its next
+chunk.
 
 Pixel powers t = base ** b are exp(b * log(base)): one pass of numpy's
 vectorized exp, a few ulp from the exact power with nothing to cancel, and
@@ -91,11 +94,11 @@ unlit for its pixel, that the full problem's chunks never evaluate.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
-import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -115,25 +118,14 @@ DEGENERATE_HALF = 1e-7
 GROUPS = ("normal", "light", "material")
 
 
-class _ScratchPool:
-    """Reusable per-worker buffer stores: one flat array per name."""
+class _Scratch(threading.local):
+    """Each thread's buffer store, one flat array per name, kept for the thread's next chunk."""
 
     def __init__(self):
-        self._q: queue.SimpleQueue = queue.SimpleQueue()
-
-    @contextmanager
-    def lease(self):
-        try:
-            store = self._q.get_nowait()
-        except queue.Empty:
-            store = {}
-        try:
-            yield store
-        finally:
-            self._q.put(store)
+        self.store = {}
 
 
-_POOL = _ScratchPool()
+_SCRATCH = _Scratch()
 
 
 def _buf(store: dict, name: str, shape: tuple) -> np.ndarray:
@@ -420,14 +412,26 @@ def _image_rows(shaded, env_lw, count):
     return out
 
 
+@functools.cache
+def _pool(workers):
+    """The process's pool of at most ``workers`` threads, made on first use and kept."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _run_tasks(fn, problem, threads):
     """fn(j) for every chunk j, yielded in chunk order; callers reduce without holding every result.
 
-    At most min(threads, chunks, cpu count) workers run, and one or fewer runs serially in this
-    thread; outputs do not depend on it.
+    A cap min(threads, cpu count) of 1 or less runs serially in this thread. A larger cap maps the chunks
+    onto the process's pool for that cap, whose threads start as chunks need them, so at most
+    min(threads, chunks, cpu count) run one call. Each thread that shades keeps its own scratch: a
+    process that also shades serially holds one store more, and each further cap adds a pool.
     """
     tasks = range(len(problem.chunks))
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    workers = min(threads, os.cpu_count() or 1)
 
     def guarded(j):
         # An overflowing lobe raises ShadingOverflowError in ``_lobes``; until then its inf must not warn
@@ -435,11 +439,7 @@ def _run_tasks(fn, problem, threads):
         with np.errstate(over="ignore", invalid="ignore"):
             return fn(j)
 
-    if workers <= 1:
-        yield from map(guarded, tasks)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        yield from ex.map(guarded, tasks)
+    yield from map(guarded, tasks) if workers <= 1 else _pool(workers).map(guarded, tasks)
 
 
 def forward(problem, normals, materials, env_flat, *, threads=1) -> np.ndarray:
@@ -452,8 +452,7 @@ def forward(problem, normals, materials, env_flat, *, threads=1) -> np.ndarray:
 
     def run(j):
         ci = problem.chunks[j][1]
-        with _POOL.lease() as store:
-            return ci, _image_rows(_shaded(problem, normals, materials, j, store), env_lw, ci.shape[0])
+        return ci, _image_rows(_shaded(problem, normals, materials, j, _SCRATCH.store), env_lw, ci.shape[0])
 
     image = np.zeros((problem.pixel_count, 3))
     for ci, block in _run_tasks(run, problem, threads):
@@ -466,12 +465,11 @@ def build_transfer(problem, normals, materials, *, threads=1) -> TransferCache:
 
     def run(j):
         blocks = []
-        with _POOL.lease() as store:
-            for lights, k, fc in _shaded(problem, normals, materials, j, store):
-                if k == 0:
-                    block = np.empty((3,) + fc.shape)
-                    blocks.append((lights, block))
-                block[k] = fc
+        for lights, k, fc in _shaded(problem, normals, materials, j, _SCRATCH.store):
+            if k == 0:
+                block = np.empty((3,) + fc.shape)
+                blocks.append((lights, block))
+            block[k] = fc
         return tuple(blocks)
 
     return TransferCache(blocks=tuple(_run_tasks(run, problem, threads)))
@@ -506,32 +504,31 @@ def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_
     rows_m = np.zeros((3, count, 3, 2, 6)) if "material" in groups else None
     dlight = [] if want_l else None
 
-    with _POOL.lease() as store:
-        if cached is None:
-            listed = _listed(problem, normals[ci], store)
-            several = listed.size > LIGHT_BLOCK
-        else:
-            several = len(cached) > 1
+    if cached is None:
+        listed = _listed(problem, normals[ci], _SCRATCH.store)
+        several = listed.size > LIGHT_BLOCK
+    else:
+        several = len(cached) > 1
 
-        def blocks(*rows):  # (lights, k, f * cmax) per tile and channel, with the rows added into ``rows``
-            if cached is not None:
-                return ((lights, k, block[k]) for lights, block in cached for k in range(3))
-            return _shaded(problem, normals, materials, j, store, listed, env_lw, *rows)
+    def blocks(*rows):  # (lights, k, f * cmax) per tile and channel, with the rows added into ``rows``
+        if cached is not None:
+            return ((lights, k, block[k]) for lights, block in cached for k in range(3))
+        return _shaded(problem, normals, materials, j, _SCRATCH.store, listed, env_lw, *rows)
 
-        image = None if target_c is None else np.zeros((count, 3))
-        if target_c is not None and want_l and several:  # the light adjoint's u comes first
-            image = _image_rows(blocks(), env_lw, count)
-            u_c = 2.0 * (image - target_c)
-        reduce_image = u_c is None
-        for lights, k, fc in blocks(rows_n, rows_m):
-            if reduce_image:
-                image[:, k] += np.einsum("cb,b->c", fc, env_lw[lights, k])
-            if want_l:  # with one tile, channel k of the image is complete here
-                if k == 0:
-                    values = np.empty((lights.size, 3))
-                    dlight.append((lights, values))
-                u_k = 2.0 * (image[:, k] - target_c[:, k]) if reduce_image else u_c[:, k]
-                values[:, k] = np.einsum("cb,c->b", fc, u_k) * problem.weights[lights]
+    image = None if target_c is None else np.zeros((count, 3))
+    if target_c is not None and want_l and several:  # the light adjoint's u comes first
+        image = _image_rows(blocks(), env_lw, count)
+        u_c = 2.0 * (image - target_c)
+    reduce_image = u_c is None
+    for lights, k, fc in blocks(rows_n, rows_m):
+        if reduce_image:
+            image[:, k] += np.einsum("cb,b->c", fc, env_lw[lights, k])
+        if want_l:  # with one tile, channel k of the image is complete here
+            if k == 0:
+                values = np.empty((lights.size, 3))
+                dlight.append((lights, values))
+            u_k = 2.0 * (image[:, k] - target_c[:, k]) if reduce_image else u_c[:, k]
+            values[:, k] = np.einsum("cb,c->b", fc, u_k) * problem.weights[lights]
     if reduce_image:
         u_c = 2.0 * (image - target_c)
     flat_m = None if rows_m is None else rows_m.reshape(3, count, 36)

@@ -165,7 +165,7 @@ def _read_png(path, *, expect_bit_depth: int, expect_color_type: int) -> np.ndar
         raise MalformedFileError("not a PNG file")
     pos = 8
     ihdr = None
-    idat = b""
+    idat = []  # joined once: adding to bytes copies them, quadratic in the chunk count
     try:
         while pos < len(data):
             if pos + 8 > len(data):
@@ -182,7 +182,7 @@ def _read_png(path, *, expect_bit_depth: int, expect_color_type: int) -> np.ndar
             if kind == b"IHDR":
                 ihdr = payload
             elif kind == b"IDAT":
-                idat += payload
+                idat.append(payload)
             elif kind == b"IEND":
                 break
         if ihdr is None or len(ihdr) != 13:
@@ -202,7 +202,7 @@ def _read_png(path, *, expect_bit_depth: int, expect_color_type: int) -> np.ndar
         # Inflate no further than the scanlines IHDR declares, so that a small
         # compressed stream cannot allocate an unbounded output.
         inflater = zlib.decompressobj()
-        raw = inflater.decompress(idat, h * (w * channels * (bit_depth // 8) + 1))
+        raw = inflater.decompress(b"".join(idat), h * (w * channels * (bit_depth // 8) + 1))
         if inflater.decompress(inflater.unconsumed_tail, 1) or not inflater.eof:
             raise MalformedFileError("PNG image data does not inflate to the size IHDR declares")
         rows = _unfilter(raw, h, w, channels, bit_depth)

@@ -74,14 +74,41 @@ def sphere_scene():
     return gs.RenderScene(nm, cam, env, (gs.preset_materials()["glossy"],))
 
 
-def write_png16(path, height, width, idat):
-    """A 16-bit RGBA PNG with the given IHDR size and raw IDAT payload."""
-    def chunk(kind, payload):
-        crc = zlib.crc32(kind + payload) & 0xFFFFFFFF
-        return struct.pack(">I", len(payload)) + kind + payload + struct.pack(">I", crc)
+def png_chunk(kind, payload):
+    """One PNG chunk: length, kind, payload and CRC."""
+    crc = zlib.crc32(kind + payload) & 0xFFFFFFFF
+    return struct.pack(">I", len(payload)) + kind + payload + struct.pack(">I", crc)
 
+
+def write_png16(path, height, width, idat, *, split=False):
+    """A 16-bit RGBA PNG with the given IHDR size and raw IDAT payload, in one IDAT chunk or, ``split``, one per byte."""
     ihdr = struct.pack(">IIBBBBB", width, height, 16, 6, 0, 0, 0)
-    path.write_bytes(b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat) + chunk(b"IEND", b""))
+    if split:  # the 256 distinct one-byte chunks, each built once
+        table = [png_chunk(b"IDAT", bytes([b])) for b in range(256)]
+        body = b"".join(table[b] for b in idat)
+    else:
+        body = png_chunk(b"IDAT", idat)
+    path.write_bytes(b"\x89PNG\r\n\x1a\n" + png_chunk(b"IHDR", ihdr) + body + png_chunk(b"IEND", b""))
+
+
+def criterion_4_problem():
+    """The criterion-4 problem as the benchmark's solve_full builds it: a noisy 32² sphere under a 1.2x brighter 16x32 env."""
+    nm = gs.sphere_normal_map(32)
+    env = gs.default_blob_env(16, 32)
+    mat = gs.preset_materials()["glossy"]
+    cam = gs.Camera("orthographic", 32, 32)
+    target = gs.render(gs.RenderScene(nm, cam, env, (mat,)))
+    noisy = nm.normals + 0.1 * np.random.default_rng(140825).standard_normal(nm.normals.shape)
+    noisy[~nm.mask] = 0.0
+    norms = np.linalg.norm(noisy, axis=2, keepdims=True)
+    noisy = np.where(nm.mask[:, :, None], noisy / np.where(norms == 0, 1.0, norms), 0.0)
+    return gs.InverseProblem(
+        target=target, normal_map=NormalMap(noisy, nm.mask), env=gs.EnvironmentMap(env.radiance * 1.2),
+        materials=(mat,), camera=cam,
+    )
+
+
+CRITERION_4_CONFIG = dict(max_cycles=3, inner_iters_per_group=12, rel_tol=1e-8)
 
 
 def write_png_bomb(path, side=16, inflated=64 * 2**20):

@@ -7,10 +7,17 @@ gradient from one residual-mode backward pass. Either way every output must
 come out bit-for-bit the same.
 """
 
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from conftest import sampled_upstream
+from conftest import CRITERION_4_CONFIG, criterion_4_problem, sampled_upstream
+from test_render import hot_scene
 import gradshade as gs
 from gradshade import _shading, invert
 from gradshade.invert import _Objective
@@ -289,35 +296,55 @@ def test_residual_backward_shades_each_tile_once(monkeypatch, mode, case):
     assert len(calls) == 3 * sum(t * (several if t > 1 else one) for t in tiles)  # one call per channel
 
 
-@pytest.mark.parametrize("cpus", [4, 64, None])
-def test_worker_count_is_clamped(monkeypatch, cpus):
-    """min(threads, chunks, cpu count) workers: a huge ``threads`` asks for no huge pool; 0 or fewer runs serially."""
-    sizes = []
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of each pool the engine makes in the test, which starts with none; they are shut down after it."""
+    sizes, pools = [], []
 
-    class RecordingExecutor:  # records the pool size and runs the chunks in this thread
+    class RecordingExecutor(ThreadPoolExecutor):
         def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+            pools.append(self)
 
     monkeypatch.setattr(_shading, "ThreadPoolExecutor", RecordingExecutor)
+    _shading._pool.cache_clear()
+    yield sizes
+    _shading._pool.cache_clear()
+    for pool in pools:
+        pool.shutdown()
+
+
+@pytest.mark.parametrize("cpus", [4, 64, None])
+def test_worker_count_is_clamped(monkeypatch, pool_sizes, cpus):
+    """Pools of min(threads, cpu count) workers and at most min(threads, chunks, cpu count) threads per call.
+
+    A huge ``threads`` asks for no huge pool; 0 or fewer runs serially.
+    """
+    shading_threads = []
+    real = _shading._shaded
+
+    def recording(*args, **kw):
+        shading_threads.append(threading.get_ident())
+        return real(*args, **kw)
+
+    def render(threads):
+        shading_threads.clear()
+        return gs.render(scene, threads=threads).pixels.tobytes()
+
+    monkeypatch.setattr(_shading, "_shaded", recording)
     monkeypatch.setattr(_shading.os, "cpu_count", lambda: cpus)
     scene = two_region_scene(SIDE, "orthographic")
     chunks = len(prepare_problem(scene).chunks)
     assert 4 < chunks < 64
-    base = gs.render(scene, threads=1).pixels
-    assert sizes == []
-    assert gs.render(scene, threads=10**6).pixels.tobytes() == base.tobytes()
-    assert sizes == ([] if cpus is None else [min(cpus, chunks)])  # an unknown cpu count runs serially
+    base = render(1)
+    assert pool_sizes == [] and set(shading_threads) == {threading.get_ident()}
+    for threads in (10**6, 3, 3):
+        assert render(threads) == base
+        assert len(set(shading_threads)) <= min(threads, chunks, cpus or 1)
+    assert pool_sizes == ([] if cpus is None else [cpus, 3])  # one kept pool per cap; an unknown cpu count runs serially
 
-    sizes.clear()
+    pool_sizes.clear()
     upstream = np.random.default_rng(3).standard_normal(scene.normal_map.normals.shape)
     problem = two_region_problem("orthographic")
 
@@ -332,4 +359,71 @@ def test_worker_count_is_clamped(monkeypatch, cpus):
     single = outputs(1)
     for threads in (0, -2):
         assert outputs(threads) == single, threads
-    assert sizes == []
+    assert pool_sizes == []
+
+
+def test_a_solve_makes_at_most_one_pool(monkeypatch, pool_sizes):
+    """The criterion-4 solve at 2 threads shares one pool across its hundreds of engine calls, bit for bit as 1 thread."""
+    monkeypatch.setattr(_shading.os, "cpu_count", lambda: 2)
+    problem = criterion_4_problem()
+    single = gs.solve(problem, gs.OptimizerConfig(**CRITERION_4_CONFIG, threads=1))
+    assert pool_sizes == []
+    assert solve_bytes(gs.solve(problem, gs.OptimizerConfig(**CRITERION_4_CONFIG, threads=2))) == solve_bytes(single)
+    assert pool_sizes == [2]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")  # Python 3.12 on fork
+def test_a_forked_child_renders_on_a_pool_of_its_own(monkeypatch):
+    """A child has none of its parent's pool threads: its 2-thread render must not wait on them."""
+    monkeypatch.setattr(_shading.os, "cpu_count", lambda: 2)
+    scene = two_region_scene(SIDE, "orthographic")
+    parent = gs.render(scene, threads=2).pixels.tobytes()  # the parent's pool exists from here
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(gs.render(scene, threads=2).pixels.tobytes()))
+    child.start()
+    try:
+        assert receive.poll(20), "the forked child's 2-thread render did not finish within 20 s"
+        assert receive.recv() == parent
+        child.join(20)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+        child.join()
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    """Callers rendering at once through one 2-thread pool each get the serial bytes: a thread's store serves one chunk at a time."""
+    monkeypatch.setattr(_shading.os, "cpu_count", lambda: 2)
+    scenes = [two_region_scene(side, mode) for side in (SIDE, SIDE + 5) for mode in MODES]  # chunk shapes differ
+    expected = [gs.render(scene, threads=1).pixels.tobytes() for scene in scenes]
+    got = [None] * len(scenes)
+
+    def run(i):
+        got[i] = gs.render(scenes[i], threads=2).pixels.tobytes()
+
+    callers = [threading.Thread(target=run, args=(i,)) for i in range(len(scenes))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == expected
+
+
+def test_a_pool_that_saw_an_overflow_serves_the_next_call(monkeypatch):
+    """A chunk's ShadingOverflowError leaves the shared pool and its threads' scratch fit for the next render."""
+    monkeypatch.setattr(_shading.os, "cpu_count", lambda: 2)
+    hot = hot_scene(24)
+    assert len(prepare_problem(hot).chunks) > 2
+    with pytest.raises(gs.ShadingOverflowError):
+        gs.render(hot, threads=2)
+    scene = two_region_scene(SIDE, "orthographic")
+    assert gs.render(scene, threads=2).pixels.tobytes() == gs.render(scene, threads=1).pixels.tobytes()

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_material
+from conftest import CRITERION_4_CONFIG, criterion_4_problem, random_material
 from test_contracts import two_region_problem, two_region_scene
 from test_grad import region_of
 import gradshade as gs
@@ -616,20 +616,9 @@ def test_gauss_newton_leaves_a_pixel_that_sees_no_light_where_it_was():
 
 def test_normal_runs_shade_only_the_moving_pixels_on_the_benchmark_solve():
     """The criterion-4 problem as the benchmark's solve_full runs it: a normal run's trial passes skip settled pixels."""
-    nm = gs.sphere_normal_map(32)
-    env = gs.default_blob_env(16, 32)
-    mat = gs.preset_materials()["glossy"]
-    cam = gs.Camera("orthographic", 32, 32)
-    target = gs.render(gs.RenderScene(nm, cam, env, (mat,)))
-    noisy = nm.normals + 0.1 * np.random.default_rng(140825).standard_normal(nm.normals.shape)
-    noisy[~nm.mask] = 0.0
-    norms = np.linalg.norm(noisy, axis=2, keepdims=True)
-    noisy = np.where(nm.mask[:, :, None], noisy / np.where(norms == 0, 1.0, norms), 0.0)
-    prob = InverseProblem(
-        target=target, normal_map=NormalMap(noisy, nm.mask), env=gs.EnvironmentMap(env.radiance * 1.2),
-        materials=(mat,), camera=cam,
-    )
-    res = solve(prob, OptimizerConfig(max_cycles=3, inner_iters_per_group=12, rel_tol=1e-8))
+    prob = criterion_4_problem()
+    res = solve(prob, OptimizerConfig(**CRITERION_4_CONFIG))
+    nm = prob.normal_map
     pixels = int(nm.mask.sum())
     assert all(r.shaded_pixels == r.evaluations * pixels for r in res.runs if r.group == "light")
     assert all(pixels <= r.shaded_pixels <= r.evaluations * pixels for r in res.runs)

@@ -6,6 +6,7 @@ an uncontrolled exception — the fuzz tests at the bottom enforce that.
 
 import json
 import struct
+import time
 import tracemalloc
 import zlib
 
@@ -265,6 +266,24 @@ def test_png_inflation_is_capped_at_the_declared_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_png_of_a_million_one_byte_image_chunks_decodes_fast(tmp_path):
+    """A valid normal map re-chunked into about 1M one-byte IDAT chunks decodes as its one-chunk file, in linear time."""
+    one, split = tmp_path / "one.png", tmp_path / "split.png"
+    write_normal_png16(one, random_normal_map(np.random.default_rng(8), 420, 420))
+    rgba = _read_png(one, expect_bit_depth=16, expect_color_type=6)
+    h, w = rgba.shape[:2]
+    rows = np.frombuffer(rgba.astype(">u2").tobytes(), dtype=np.uint8).reshape(h, w * 8)
+    idat = zlib.compress(filtered_scanlines(rows, 8, [0] * h))
+    assert 10**6 < len(idat) < 1.1e6
+    write_png16(split, h, w, idat, split=True)
+    start = time.perf_counter()
+    got = read_normal_png16(split)
+    seconds = time.perf_counter() - start
+    expected = read_normal_png16(one)
+    assert np.array_equal(got.mask, expected.mask) and got.normals.tobytes() == expected.normals.tobytes()
+    assert seconds < 8.0  # joining by += took about 15 s on a 2-core host
 
 
 def test_png_short_image_data_rejected(tmp_path):

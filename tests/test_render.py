@@ -243,14 +243,14 @@ def test_reflectance_map_zero_env_is_black_disk():
     assert np.array_equal(rm.pixels, np.zeros((12, 12, 3)))
 
 
-def hot_scene():
+def hot_scene(side=8):
     raw = np.zeros(PARAM_COUNT)
     for j in range(6):
         raw[flat_index(0, 0, 0, j)] = 80.0  # e^80 explodes past the overflow guard
     hot = material_from_raw(raw)
-    nm = gs.sphere_normal_map(8)
+    nm = gs.sphere_normal_map(side)
     env = gs.EnvironmentMap(np.ones((4, 8, 3)))
-    return gs.RenderScene(nm, gs.Camera("orthographic", 8, 8), env, (hot,))
+    return gs.RenderScene(nm, gs.Camera("orthographic", side, side), env, (hot,))
 
 
 def test_overflow_error_carries_pixel_location():
@@ -286,13 +286,12 @@ def _listed_pairs(scene):
     """Pairs the tile engine shades, and the most light blocks one chunk needs."""
     problem = prepare_problem(scene)
     normals = scene.normal_map.normals[scene.normal_map.mask]
-    pairs, most_blocks = 0, 0
-    with _shading._POOL.lease() as store:
-        for region, ci in problem.chunks:
-            tiles = _shading._tiles(problem, normals, ci, store, scene.materials[region].control_points)
-            sizes = [tile.ell.size for tile in tiles]
-            pairs += sum(sizes)
-            most_blocks = max(most_blocks, len(sizes))
+    pairs, most_blocks, store = 0, 0, {}
+    for region, ci in problem.chunks:
+        tiles = _shading._tiles(problem, normals, ci, store, scene.materials[region].control_points)
+        sizes = [tile.ell.size for tile in tiles]
+        pairs += sum(sizes)
+        most_blocks = max(most_blocks, len(sizes))
     return problem, normals, pairs, most_blocks
 
 
@@ -333,8 +332,7 @@ def test_render_is_deterministic_across_thread_counts(sphere_scene):
 
 def test_scratch_pool_stops_growing_after_the_largest_tiles(monkeypatch):
     """Scratch buffers are keyed by name: scenes with new edge tiles reuse them."""
-    pool = _shading._ScratchPool()
-    monkeypatch.setattr(_shading, "_POOL", pool)
+    monkeypatch.setattr(_shading, "_SCRATCH", _shading._Scratch())  # a fresh store for each thread
     env = gs.default_blob_env(32, 64)  # 2048 texels: two full light blocks
     mat = gs.preset_materials()["glossy"]
 
@@ -342,9 +340,8 @@ def test_scratch_pool_stops_growing_after_the_largest_tiles(monkeypatch):
         cam = gs.Camera(mode, side, side, 50.0)
         gs.render(gs.RenderScene(gs.sphere_normal_map(side), cam, env, (mat,)))
 
-    def pool_bytes():
-        with pool.lease() as store:  # one worker thread leaves one store
-            return sum(a.nbytes for a in store.values())
+    def pool_bytes():  # the renders run serially, in this thread
+        return sum(a.nbytes for a in _shading._SCRATCH.store.values())
 
     for mode in ("orthographic", "pinhole"):
         render_sphere(40, mode)  # full 64-pixel tiles and full light blocks
