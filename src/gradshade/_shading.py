@@ -19,8 +19,8 @@ needs it only through h . n and theta_d, and both follow from dot products:
 
 The normal adjoint's sum over lights of m * h likewise splits into a matmul
 against the light directions plus a multiple of the view. Quantities of the
-view alone are (1, B) per light block for an orthographic camera, whose one
-view row every pixel shares, and (C, B) for a pinhole camera. They broadcast
+view alone are (1, B) per light block when every pixel shares one view row
+(an orthographic camera, or one pixel) and (C, B) otherwise. They broadcast
 against the (C, B) pair arrays, so one code path serves both cameras.
 Near omega = -v the first identity loses relative precision, since its
 square carries an absolute error of a few ulp of 2: at omega = -v exactly it
@@ -42,12 +42,12 @@ indicator, so a pair whose light is dark for its pixel adds exactly 0. One
 producer, ``_tiles``, first lists the lights that some pixel of the chunk
 sees lit (max_c n_c . omega > 0), then yields the pair geometry of the chunk
 against blocks of up to LIGHT_BLOCK listed lights: cmax = max(0, n . omega),
-ell = log(base), the spline basis and coefficient curves at theta_d and, for
-normal gradients, the clamp gate. One lobe loop, ``_shaded``, runs the
-lobes on those tiles and yields f * cmax per tile and channel, adding the
-u-free rows of the normal and material adjoints when asked. Its consumers
-are ``forward`` (reduces f * cmax against the environment),
-``build_transfer`` (stores it) and ``_backward_chunk`` (the three adjoints).
+ell = log(base), the spline basis at theta_d and, for normal gradients, the
+clamp gate; it never reads the material. One lobe loop, ``_shaded``, forms
+the material's coefficient curves per tile, runs the lobes and yields f * cmax
+per tile and channel, adding the u-free rows of the normal and material
+adjoints when asked. Its consumers are ``forward`` (reduces f * cmax against
+the environment), ``build_transfer`` (stores it) and ``_backward_chunk``.
 Pair geometry is recomputed on every call: a per-pair cache of it saved no
 solve time. A TransferCache, the one cache, stores f * cmax of the shaded
 pairs only, per chunk as (lights, (3, C, B)) blocks, which
@@ -82,10 +82,10 @@ Pixel powers t = base ** b are exp(b * log(base)): one pass of numpy's
 vectorized exp, a few ulp from the exact power with nothing to cancel, and
 uniformly fast where np.power is not. The lobe values exp(a * t) - 1 use
 expm1, which keeps small values exact to a few ulp where exp(...) - 1 would
-cancel. Every pass evaluates the lobes through ``_lobes``, in ``_shaded``, so
-forward, backward and the transfer cache raise ShadingOverflowError iff a
-pair they evaluate overflows, with no floating-point warning before it. Over
-the same chunks they evaluate the same pairs, so they raise on the same scenes.
+cancel. Every pass evaluates the lobes in ``_shaded``, so forward, backward
+and the transfer cache raise ShadingOverflowError iff a pair they evaluate
+overflows, with no floating-point warning before it. Over the same chunks
+they evaluate the same pairs, so they raise on the same scenes.
 A pass over ``restrict``'s joined chunks evaluates a kept pixel against the
 lights that any pixel of its joined chunk sees lit; it can raise at a pair,
 unlit for its pixel, that the full problem's chunks never evaluate.
@@ -145,8 +145,7 @@ class ShadingProblem:
     chunks: tuple  # ((region, stream-index array), ...), one per region and screen tile, or joined by ``restrict``
     dirs: np.ndarray  # (I, 3)
     weights: np.ndarray  # (I,)
-    view: np.ndarray  # (1, 3) when ortho else (F, 3)
-    ortho: bool
+    view: np.ndarray  # (1, 3), shared by every pixel (orthographic, or one pixel), else (F, 3)
 
     @property
     def pixel_count(self) -> int:
@@ -157,8 +156,8 @@ class ShadingProblem:
         return self.dirs.shape[0]
 
     def view_rows(self, idx) -> np.ndarray:
-        """View directions of the stream pixels ``idx``; the one shared row when ortho."""
-        return self.view if self.ortho else self.view[idx]
+        """View directions of the stream pixels ``idx``; the shared row when ``view`` has one."""
+        return self.view if self.view.shape[0] == 1 else self.view[idx]
 
 
 @dataclass
@@ -188,14 +187,12 @@ def prepare(mask, view, dirs, weights, region_ids=None) -> ShadingProblem:
     chunks = [(int(region_of[g[0]]), g) for g in groups]
 
     view = np.asarray(view, dtype=np.float64)
-    ortho = view.ndim == 1
     return ShadingProblem(
         pixel_xy=np.stack([xs, ys], axis=1).astype(np.int32),
         chunks=tuple(chunks),
         dirs=np.ascontiguousarray(dirs, dtype=np.float64),
         weights=np.ascontiguousarray(weights, dtype=np.float64),
-        view=view[None, :] if ortho else np.ascontiguousarray(view[ys, xs], dtype=np.float64),
-        ortho=ortho,
+        view=view[None, :] if view.ndim == 1 else np.ascontiguousarray(view[ys, xs], dtype=np.float64),
     )
 
 
@@ -226,18 +223,17 @@ def restrict(problem, pixels) -> ShadingProblem:
 
 
 class _Tile(NamedTuple):
-    """Pair geometry of one chunk against one block of its listed lights.
+    """Pair geometry of one chunk against one block of its listed lights; nothing of the material.
 
     ``lights`` holds B unique, ascending light-table indices. Pair arrays are
-    (C, B). View arrays are (V, B), with V = 1 for an orthographic camera and
-    V = C for a pinhole one.
+    (C, B). View arrays are (V, B), with V = 1 when the chunk's pixels share
+    one view row and V = C otherwise.
     """
 
     lights: np.ndarray
     cmaxv: np.ndarray  # max(0, n . omega), zero where the half vector is undefined
     ell: np.ndarray  # log(base), base = clamp(h . n, EPS_BASE, 1)
     basis: np.ndarray  # (V, B, 6) spline basis at theta_d
-    curves: np.ndarray  # (3, 3, 2, V, B) coefficient curves
     gate: np.ndarray | None  # cmax * 1(EPS_BASE < h . n < 1) / (|omega + v| * base): base moves with n there
 
 
@@ -251,12 +247,11 @@ def _listed(problem, nc, store):
     return np.concatenate(listed)
 
 
-def _tiles(problem, normals, ci, store, ctrl, *, geometry=False, listed=None):
+def _tiles(problem, normals, ci, store, *, geometry=False, listed=None):
     """Yield a _Tile per block of up to LIGHT_BLOCK lights that some pixel of chunk ``ci`` sees lit.
 
-    ``ctrl`` is the chunk material's (3, 3, 2, 6) control points; ``geometry``
-    adds the normal-gradient fields; ``listed`` is the chunk's ``_listed``
-    lights when the caller has them already.
+    ``geometry`` adds the normal-gradient gate; ``listed`` is the chunk's
+    ``_listed`` lights when the caller has them already.
     """
     nc = normals[ci]
     if listed is None:
@@ -303,44 +298,16 @@ def _tiles(problem, normals, ci, store, ctrl, *, geometry=False, listed=None):
             np.multiply((hdn > EPS_BASE) & (hdn < 1.0), rlen, out=gate)
             gate *= cmaxv
             gate /= base
-        curves = _buf(store, "curves", (18, basis.shape[0] * basis.shape[1]))
-        np.matmul(ctrl.reshape(18, 6), basis.reshape(-1, 6).T, out=curves)
-        yield _Tile(lights, cmaxv, ell, basis, curves.reshape((3, 3, 2) + vshape), gate)
-
-
-def _lobes(problem, ci, tile, k, f, t, x_next):
-    """Evaluate the three lobes of channel k on a tile into f = sum_s x.
-
-    Yields (a, b, t, x) per lobe, with t = base ** b = exp(b * ell) and
-    x = expm1(a * t), in the buffers ``t`` and ``x_next`` (``f`` for the first
-    lobe); ``x_next`` may be ``t`` when the caller needs no t. After the last
-    lobe it raises ShadingOverflowError if f left the finite range. The check
-    sees f before any cmax mask, because inf * 0 would hide it as NaN.
-
-    So a render or gradient raises iff a pair it evaluates overflows. Every
-    lit pair is evaluated; a pair whose light no pixel of its chunk sees lit
-    is not, and cannot raise.
-    """
-    for s in range(3):
-        a_row, b_row = tile.curves[k, s, 0], tile.curves[k, s, 1]
-        x = f if s == 0 else x_next
-        np.multiply(tile.ell, b_row, out=t)
-        np.exp(t, out=t)
-        np.multiply(t, a_row, out=x)
-        np.expm1(x, out=x)
-        if s > 0:
-            f += x
-        yield a_row, b_row, t, x
-    if not float(np.max(f)) <= OVERFLOW_LIMIT:  # catches NaN too
-        c_idx, l_idx = np.unravel_index(int(np.nanargmax(np.where(np.isfinite(f), np.abs(f), np.inf))), f.shape)
-        px, py = problem.pixel_xy[ci[c_idx]]
-        raise ShadingOverflowError(
-            f"lobe sum for channel {k} overflowed at pixel ({int(px)}, {int(py)}), light texel {int(tile.lights[l_idx])}"
-        )
+        yield _Tile(lights, cmaxv, ell, basis, gate)
 
 
 def _shaded(problem, normals, materials, j, store, listed=None, env_lw=None, rows_n=None, rows_m=None):
     """Yield (lights, k, f_k * cmax) per tile and channel of chunk j, freshly shaded: the one lobe loop.
+
+    Per tile it forms the region material's coefficient curves at theta_d, then
+    per channel k the three lobes into f = sum_s x, with t = base ** b =
+    exp(b * ell) and x = expm1(a * t), and raises ShadingOverflowError if f left
+    the finite range: before any cmax mask, since inf * 0 would hide it as NaN.
 
     The values are a contiguous (C, B) scratch array, valid until the next
     step, as the channels of a TransferCache block are, so reductions over
@@ -350,25 +317,36 @@ def _shaded(problem, normals, materials, j, store, listed=None, env_lw=None, row
     per channel before its values are yielded (see ``_backward_chunk``).
 
     Factors of a whole tile, channel or (V, B) row are applied once there, not
-    once per lobe: a * b is one row, ``tile.gate`` already holds cmax / base,
-    and L_k w goes into the light directions and an orthographic basis.
+    once per lobe: a * b is one row, ``gate`` already holds cmax / base,
+    and L_k w goes into the light directions and a shared basis row.
     """
     want_n, want_m = rows_n is not None, rows_m is not None
     rows = want_n or want_m
     region, ci = problem.chunks[j]
+    ctrl = materials[region].control_points.reshape(18, 6)
     view_c = problem.view_rows(ci)
-    for tile in _tiles(problem, normals, ci, store, materials[region].control_points, geometry=want_n, listed=listed):
-        lights, cmaxv, basis = tile.lights, tile.cmaxv, tile.basis
+    for lights, cmaxv, ell, basis, gate in _tiles(problem, normals, ci, store, geometry=want_n, listed=listed):
         shape = cmaxv.shape
+        curves = _buf(store, "curves", (18, basis.shape[0] * basis.shape[1]))
+        np.matmul(ctrl, basis.reshape(-1, 6).T, out=curves)
+        curves = curves.reshape((3, 3, 2) + basis.shape[:2])
         f = _buf(store, "f", shape)
         t = _buf(store, "lobe_t", shape)
-        x = _buf(store, "bw_x", shape) if rows else t  # each lobe's x, then its e * t = (x + 1) * t
+        x = _buf(store, "bw_x", shape) if rows else t  # each later lobe's x, then every lobe's e * t = (x + 1) * t
         dacc = _buf(store, "bw_d", shape) if want_n else None
         for k in range(3):
             lw_k = env_lw[lights, k] if rows else None
             if want_m and basis.shape[0] == 1:
                 basis_lw = lw_k[:, None] * basis[0]
-            for s, (a_row, b_row, _, x_s) in enumerate(_lobes(problem, ci, tile, k, f, t, x)):
+            for s in range(3):
+                a_row, b_row = curves[k, s, 0], curves[k, s, 1]
+                x_s = f if s == 0 else x
+                np.multiply(ell, b_row, out=t)
+                np.exp(t, out=t)
+                np.multiply(t, a_row, out=x_s)
+                np.expm1(x_s, out=x_s)
+                if s > 0:
+                    f += x_s
                 if not rows:
                     continue
                 et = np.add(x_s, 1.0, out=x)
@@ -382,21 +360,28 @@ def _shaded(problem, normals, materials, j, store, listed=None, env_lw=None, row
                     rows_ks = rows_m[k, :, s]
                     if basis.shape[0] == 1:  # one basis row per light, shared by every pixel
                         rows_ks[:, 0] += et @ basis_lw
-                        et *= tile.ell
+                        et *= ell
                         rows_ks[:, 1] += et @ (a_row[0][:, None] * basis_lw)
                     else:
                         et *= lw_k
                         rows_ks[:, 0] += np.einsum("cb,cbj->cj", et, basis)
                         et *= a_row
-                        et *= tile.ell
+                        et *= ell
                         rows_ks[:, 1] += np.einsum("cb,cbj->cj", et, basis)
+            if not float(np.max(f)) <= OVERFLOW_LIMIT:  # catches NaN too
+                c_idx, l_idx = np.unravel_index(int(np.nanargmax(np.where(np.isfinite(f), np.abs(f), np.inf))), f.shape)
+                px, py = problem.pixel_xy[ci[c_idx]]
+                raise ShadingOverflowError(
+                    f"lobe sum for channel {k} overflowed at pixel ({int(px)}, {int(py)}), "
+                    f"light texel {int(lights[l_idx])}"
+                )
             if want_n:
                 lw_dirs = lw_k[:, None] * problem.dirs[lights]
                 np.greater(cmaxv, 0.0, out=t)  # 1 on the lit pairs, the only ones where cmax > 0
                 t *= f
                 g = t @ lw_dirs
                 # sum_b m h = sum_b (m / |omega + v|) (omega + v); the gate holds the 1 / |omega + v|
-                dacc *= tile.gate
+                dacc *= gate
                 g += dacc @ lw_dirs
                 g += (dacc @ lw_k)[:, None] * view_c
                 rows_n[k] += g
@@ -414,12 +399,17 @@ def _image_rows(shaded, env_lw, count):
 
 @functools.cache
 def _pool(workers):
-    """The process's pool of at most ``workers`` threads, made on first use and kept."""
+    """The process's pool of at most ``workers`` threads, made on first use and kept; call it under _POOL_LOCK."""
     return ThreadPoolExecutor(max_workers=workers)
 
 
+_POOL_LOCK = threading.Lock()  # held to look up or make a pool, which functools.cache does not lock, and across a fork
 if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
+    os.register_at_fork(
+        before=_POOL_LOCK.acquire,
+        after_in_parent=_POOL_LOCK.release,
+        after_in_child=lambda: (_pool.cache_clear(), _POOL_LOCK.release()),
+    )
 
 
 def _run_tasks(fn, problem, threads):
@@ -434,12 +424,14 @@ def _run_tasks(fn, problem, threads):
     workers = min(threads, os.cpu_count() or 1)
 
     def guarded(j):
-        # An overflowing lobe raises ShadingOverflowError in ``_lobes``; until then its inf must not warn
+        # An overflowing lobe raises ShadingOverflowError in ``_shaded``; until then its inf must not warn
         # in expm1 or as inf * 0 in an adjoint. numpy keeps this per thread: set it in the chunk's thread.
         with np.errstate(over="ignore", invalid="ignore"):
             return fn(j)
 
-    yield from map(guarded, tasks) if workers <= 1 else _pool(workers).map(guarded, tasks)
+    with _POOL_LOCK:
+        pool = _pool(workers) if workers > 1 else None
+    yield from map(guarded, tasks) if pool is None else pool.map(guarded, tasks)
 
 
 def forward(problem, normals, materials, env_flat, *, threads=1) -> np.ndarray:

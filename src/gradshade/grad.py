@@ -157,6 +157,8 @@ def fd_check(scene: RenderScene, which_group: str, step: float | None = None, tr
         step = FD_STEPS[which_group]
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step!r}")
+    if not scene.normal_map.mask.any():
+        raise ValueError("fd_check needs a foreground pixel; the normal map has none")
 
     rng = np.random.default_rng(seed)
     mask = scene.normal_map.mask

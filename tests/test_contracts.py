@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -250,7 +251,7 @@ def test_residual_backward_lists_each_chunks_lights_once(monkeypatch, mode):
 
 
 ONE_TILE_ENV, SEVERAL_TILES_ENV = (16, 32), (48, 96)  # every chunk of the 16² problem lists one tile; several
-# id: (pass, groups, env, sweeps of a one-tile chunk, sweeps of a several-tile chunk); a sweep runs _lobes once per tile and channel
+# id: (pass, groups, env, sweeps of a one-tile chunk, sweeps of a several-tile chunk); a sweep is one _shaded block per tile and channel
 SWEEP_CASES = {
     "normal": ("residual", {"normal"}, SEVERAL_TILES_ENV, 1, 1),
     "material": ("residual", {"material"}, SEVERAL_TILES_ENV, 1, 1),
@@ -280,20 +281,21 @@ def test_residual_backward_shades_each_tile_once(monkeypatch, mode, case):
     assert {t > 1 for t in tiles} == {env_shape == SEVERAL_TILES_ENV}
     transfer = _shading.build_transfer(sh, normals, materials) if kind == "transfer" else None
     calls = []
-    real = _shading._lobes
+    real = _shading._shaded
 
-    def counting(*args):
-        calls.append(None)
-        return real(*args)
+    def counting(*args, **kw):
+        for block in real(*args, **kw):
+            calls.append(None)
+            yield block
 
-    monkeypatch.setattr(_shading, "_lobes", counting)
+    monkeypatch.setattr(_shading, "_shaded", counting)
     if kind == "forward":
         _shading.forward(sh, normals, materials, env)
     elif kind == "upstream":
         _shading.backward(sh, normals, materials, env, obj.target, groups)
     else:
         _shading.backward(sh, normals, materials, env, None, groups, transfer=transfer, target=obj.target)
-    assert len(calls) == 3 * sum(t * (several if t > 1 else one) for t in tiles)  # one call per channel
+    assert len(calls) == 3 * sum(t * (several if t > 1 else one) for t in tiles)  # one block per channel
 
 
 @pytest.fixture
@@ -394,14 +396,24 @@ def test_a_forked_child_renders_on_a_pool_of_its_own(monkeypatch):
         child.join()
 
 
-def test_concurrent_callers_share_one_pool(monkeypatch):
-    """Callers rendering at once through one 2-thread pool each get the serial bytes: a thread's store serves one chunk at a time."""
+def test_concurrent_callers_share_one_pool(monkeypatch, pool_sizes):
+    """Eight callers rendering at once through one 2-thread pool each get the serial bytes (a thread's store serves one
+    chunk at a time), and their first calls make one pool between them however slow a pool is to make."""
     monkeypatch.setattr(_shading.os, "cpu_count", lambda: 2)
-    scenes = [two_region_scene(side, mode) for side in (SIDE, SIDE + 5) for mode in MODES]  # chunk shapes differ
+    recording = _shading.ThreadPoolExecutor  # pool_sizes' recording class
+
+    def slow_pool(max_workers):
+        time.sleep(0.02)
+        return recording(max_workers)
+
+    monkeypatch.setattr(_shading, "ThreadPoolExecutor", slow_pool)
+    scenes = 2 * [two_region_scene(side, mode) for side in (SIDE, SIDE + 5) for mode in MODES]  # chunk shapes differ
     expected = [gs.render(scene, threads=1).pixels.tobytes() for scene in scenes]
     got = [None] * len(scenes)
+    start = threading.Barrier(len(scenes))
 
     def run(i):
+        start.wait(30)
         got[i] = gs.render(scenes[i], threads=2).pixels.tobytes()
 
     callers = [threading.Thread(target=run, args=(i,)) for i in range(len(scenes))]
@@ -416,6 +428,7 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert got == expected
+    assert pool_sizes == [2]
 
 
 def test_a_pool_that_saw_an_overflow_serves_the_next_call(monkeypatch):

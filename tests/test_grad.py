@@ -16,6 +16,7 @@ from test_brdf import constant_material
 from test_render import hot_scene
 from test_several_tiles import noised_scene
 import gradshade as gs
+import oracles
 from gradshade import _shading
 from gradshade.brdf import PARAM_COUNT, material_from_raw
 from gradshade.core import NormalMap
@@ -288,6 +289,41 @@ def test_fd_check_with_one_pixel_chunks(rng, mode):
         step = 1.0 if group == "light" else None
         rep = fd_check(scene, group, step=step, trials=12, seed=31)
         assert rep.max_rel_error < gate, (group, rep.worst_coordinate)
+
+
+def test_one_pixel_pinhole_problem_shares_its_view_row():
+    """A pinhole problem of one foreground pixel has one view row, which every chunk shares as an orthographic one."""
+    rng = np.random.default_rng(3)
+    n = np.zeros((5, 7, 3))
+    n[1, 5] = [0.3, -0.2, 0.93]
+    n[1, 5] /= np.linalg.norm(n[1, 5])
+    mask = np.zeros((5, 7), dtype=bool)
+    mask[1, 5] = True
+    env = gs.EnvironmentMap(rng.gamma(1.0, 1.0, (6, 12, 3)))  # no texel on a kink of the pixel
+    scene = gs.RenderScene(NormalMap(n, mask), gs.Camera("pinhole", 7, 5, 50.0), env, (random_material(rng),))
+    problem = prepare_problem(scene)
+    assert problem.view.shape == (1, 3) and problem.view_rows(problem.chunks[0][1]) is problem.view
+    image, want = render_linear(scene), oracles.render_scene(scene)
+    assert want[1, 5].any() and np.abs(image - want).max() <= 1e-10 * np.abs(want).max()
+    for group, gate in FD_GATES.items():
+        step = 1.0 if group == "light" else None
+        rep = fd_check(scene, group, step=step, trials=8, seed=3)
+        assert rep.max_rel_error < gate, (group, rep.worst_coordinate)
+
+
+@pytest.mark.parametrize("group", sorted(ALL_GROUPS))
+def test_fd_check_rejects_a_scene_without_foreground(sphere_scene, monkeypatch, group):
+    """With no foreground pixel every comparison would read 0 against 0: fd_check raises before any pass."""
+
+    def refuse(*args, **kw):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(_shading, "forward", refuse)
+    monkeypatch.setattr(_shading, "backward", refuse)
+    empty = NormalMap(np.zeros((16, 16, 3)), np.zeros((16, 16), dtype=bool))
+    scene = gs.RenderScene(empty, sphere_scene.camera, sphere_scene.env, sphere_scene.materials)
+    with pytest.raises(ValueError, match="foreground"):
+        fd_check(scene, group)
 
 
 def test_backward_chunk_memory_does_not_grow_with_the_env(monkeypatch):

@@ -287,8 +287,8 @@ def _listed_pairs(scene):
     problem = prepare_problem(scene)
     normals = scene.normal_map.normals[scene.normal_map.mask]
     pairs, most_blocks, store = 0, 0, {}
-    for region, ci in problem.chunks:
-        tiles = _shading._tiles(problem, normals, ci, store, scene.materials[region].control_points)
+    for _, ci in problem.chunks:
+        tiles = _shading._tiles(problem, normals, ci, store)
         sizes = [tile.ell.size for tile in tiles]
         pairs += sum(sizes)
         most_blocks = max(most_blocks, len(sizes))
