@@ -3,6 +3,7 @@
 import re
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def write_png16(path, height, width, idat, *, split=False):
         body = b"".join(table[b] for b in idat)
     else:
         body = png_chunk(b"IDAT", idat)
-    path.write_bytes(b"\x89PNG\r\n\x1a\n" + png_chunk(b"IHDR", ihdr) + body + png_chunk(b"IEND", b""))
+    Path(path).write_bytes(b"\x89PNG\r\n\x1a\n" + png_chunk(b"IHDR", ihdr) + body + png_chunk(b"IEND", b""))
 
 
 def criterion_4_problem():
@@ -137,7 +138,7 @@ def filtered_scanlines(rows, bpp, ftypes):
 
 def refilter_png16(src, dst, ftypes):
     """Write the 16-bit RGBA PNG ``src`` to ``dst`` again, its rows filtered with ``ftypes``, cycled."""
-    rgba = _read_png(src, expect_bit_depth=16, expect_color_type=6)
+    rgba = _read_png(src)
     h, w = rgba.shape[:2]
     rows = np.frombuffer(rgba.astype(">u2").tobytes(), dtype=np.uint8).reshape(h, w * 8)
     write_png16(dst, h, w, zlib.compress(filtered_scanlines(rows, 8, (list(ftypes) * h)[:h])))

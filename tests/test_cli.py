@@ -2,18 +2,21 @@
 
 import dataclasses
 import inspect
+import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 
-from conftest import ihdr_edit, json_value_edit, mutants, pfm_token_edit, refilter_png16, write_png_bomb
+from conftest import ihdr_edit, json_value_edit, mutants, pfm_token_edit, png_chunk, refilter_png16, write_png_bomb
 from gradshade import cli
 from gradshade.cli import main
 from gradshade.brdf import DsbrdfMaterial
 from gradshade.core import BACKGROUND_REGION, NormalMap, SegmentationMask
 from gradshade.grad import fd_check
 from gradshade.invert import InverseProblem, OptimizerConfig
+from gradshade.metrics import LdrImage
 from gradshade.io import (
     MalformedFileError,
     read_material,
@@ -23,6 +26,7 @@ from gradshade.io import (
     write_material,
     write_normal_png16,
     write_pfm,
+    write_preview_png,
     write_segmentation_png16,
 )
 
@@ -140,6 +144,25 @@ def test_render_paeth_filtered_normals(fixture_dir, tmp_path):
     argv[argv.index("--normals") + 1] = str(paeth)
     assert main(argv) == 0
     assert out.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("layout", ["8-bit RGB preview", "16-bit RGB"])
+def test_render_refuses_other_png_layouts(fixture_dir, tmp_path, capsys, layout):
+    """Normal maps are read as 16-bit RGBA only; another layout exits 2 and says why."""
+    bad = tmp_path / "bad.png"
+    if layout == "8-bit RGB preview":
+        write_preview_png(bad, LdrImage(np.zeros((4, 4, 3))))
+        reason = "expected 16-bit samples, file has 8"
+    else:
+        ihdr = struct.pack(">IIBBBBB", 4, 4, 16, 2, 0, 0, 0)
+        idat = zlib.compress(bytes(4 * (4 * 6 + 1)))
+        bad.write_bytes(b"\x89PNG\r\n\x1a\n" + png_chunk(b"IHDR", ihdr) + png_chunk(b"IDAT", idat) + png_chunk(b"IEND", b""))
+        reason = "expected PNG color type 6, file has 2"
+    argv = ["render", *scene_args(fixture_dir), "--out", str(tmp_path / "x.pfm")]
+    argv[argv.index("--normals") + 1] = str(bad)
+    assert main(argv) == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "x.pfm").exists()
 
 
 CORRUPTED = {  # input: (flag, fixture file, reader, format edits)

@@ -28,6 +28,7 @@ from conftest import (
     write_png_bomb,
 )
 import gradshade as gs
+from gradshade import io as png_io
 from gradshade.brdf import PARAM_COUNT, DsbrdfMaterial
 from gradshade.core import NormalMap, SegmentationMask
 from gradshade.io import (
@@ -206,10 +207,109 @@ def test_normal_png_unfilters_every_filter_type(tmp_path, ftypes):
     plain, filtered = tmp_path / "plain.png", tmp_path / "filtered.png"
     write_png16(plain, h, w, zlib.compress(filtered_scanlines(rows, 8, [0] * h)))
     write_png16(filtered, h, w, zlib.compress(filtered_scanlines(rows, 8, (ftypes * h)[:h])))
-    assert np.array_equal(_read_png(filtered, expect_bit_depth=16, expect_color_type=6), rgba)
+    assert np.array_equal(_read_png(filtered), rgba)
     expected, got = read_normal_png16(plain), read_normal_png16(filtered)
     assert np.array_equal(got.mask, rgba[:, :, 3] > 0)
     assert got.normals.tobytes() == expected.normals.tobytes()
+
+
+def _filtered_rows(rng, width, ftypes):
+    """Seeded (H, 8 width) uint8 scanlines and their PNG scanline bytes, row y filtered with ftypes[y]."""
+    rows = rng.integers(0, 256, (len(ftypes), width * 8), dtype=np.uint8)
+    return rows, filtered_scanlines(rows, 8, ftypes)
+
+
+UNFILTER_MIXES = {  # name: (width in pixels, filter type per row)
+    "Paeth from row 0 for more than two bands": (64, [4] * 300),
+    "Up rows right after a band": (64, [4] * 40 + [2] * 10 + [3] * 30 + [2] * 5),
+    "None, Sub and Up rows inside a band": (48, [4, 1, 3, 0, 4, 2, 3, 2] * 20),
+    "bands below None and Sub rows": (40, [0, 1, 1] + [3] * 50 + [0] + [4] * 30 + [1, 2]),
+    "one pixel wide": (1, [4] * 150 + [3, 2, 1, 0] * 10),
+    **{f"one {name} row": (300, [kind]) for kind, name in enumerate(("None", "Sub", "Up", "Average", "Paeth"))},
+}
+CROSSOVERS = {  # crossover in lanes, and the decoders the mixes then reach
+    "wavefront": (0, {"wavefront"}),
+    "measured": (png_io._WAVEFRONT_LANES, {"wavefront", "loop"}),
+    "loop": (2**62, {"loop"}),
+}
+
+
+@pytest.mark.parametrize("lanes, decoders", CROSSOVERS.values(), ids=CROSSOVERS)
+def test_unfilter_matches_the_encoder_on_filter_mixes(monkeypatch, lanes, decoders):
+    """Named mixes and seeded random runs of filters decode to the encoded rows, through both decoders."""
+    monkeypatch.setattr(png_io, "_WAVEFRONT_LANES", lanes)
+    wavefront, loop = png_io._wavefront, png_io._average_paeth_row
+    used = set()
+    monkeypatch.setattr(png_io, "_wavefront", lambda *args: used.add("wavefront") or wavefront(*args))
+    monkeypatch.setattr(png_io, "_average_paeth_row", lambda *args: used.add("loop") or loop(*args))
+    rng = np.random.default_rng(29)
+    cases = list(UNFILTER_MIXES.items())
+    for i in range(24):  # runs of 1-39 rows of one filter, 1-300 rows, 1-70 pixels wide
+        h = int(rng.integers(1, 301))
+        cases.append((f"random {i}", (int(rng.integers(1, 71)), np.repeat(rng.integers(0, 5, h), rng.integers(1, 40, h))[:h].tolist())))
+    for name, (w, ftypes) in cases:
+        rows, raw = _filtered_rows(rng, w, ftypes)
+        assert png_io._unfilter(raw, len(ftypes), w).tobytes() == rows.tobytes(), name
+    assert used == decoders
+
+
+def test_unfilter_reports_the_first_unknown_filter_type():
+    raw = bytearray(filtered_scanlines(np.zeros((4, 16), dtype=np.uint8), 8, [0, 4, 0, 0]))
+    raw[2 * 17], raw[3 * 17] = 7, 5
+    with pytest.raises(MalformedFileError, match="unknown PNG filter type 7"):
+        png_io._unfilter(bytes(raw), 4, 2)
+
+
+@pytest.mark.parametrize("w, ftypes", [(2**17, [4]), (2**14, [0, 4] * 64)], ids=["one wide Paeth row", "None and Paeth rows"])
+def test_wide_average_paeth_rows_decode_in_bounded_time(w, ftypes):
+    """Each side of the crossover decodes where it is faster.
+
+    On a shared 2-core x86-64 host the wide row took 0.2-0.5 s on the per-byte
+    loop and 1.5 s as a wavefront; the 128 rows took 0.45-0.55 s as a
+    wavefront and 2.5 s on the loop.
+    """
+    h = len(ftypes)
+    raw = np.hstack([np.array(ftypes, dtype=np.uint8)[:, None], np.random.default_rng(3).integers(0, 256, (h, w * 8), dtype=np.uint8)])
+    start = time.perf_counter()
+    png_io._unfilter(raw.tobytes(), h, w)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_wavefront_scratch_is_sized_to_the_band():
+    """The decoder's allocation peak per scanline byte of an all-Paeth image does not grow with its height."""
+    def peak_per_byte(h, w=64):
+        _, raw = _filtered_rows(np.random.default_rng(h), w, [4] * h)
+        tracemalloc.start()
+        try:
+            png_io._unfilter(raw, h, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (h * w * 8)
+
+    short, tall = peak_per_byte(256), peak_per_byte(1024)
+    assert tall <= short < 4.0
+
+
+def _inflated_idat(path):
+    data, pos, idat = path.read_bytes(), 8, []
+    while pos < len(data):
+        (length,) = struct.unpack(">I", data[pos : pos + 4])
+        if data[pos + 4 : pos + 8] == b"IDAT":
+            idat.append(data[pos + 8 : pos + 8 + length])
+        pos += 12 + length
+    return zlib.decompress(b"".join(idat))
+
+
+def test_png_writers_store_every_row_unfiltered(tmp_path, rng):
+    """The normal and preview writers put filter type 0 (None) in front of each row of big-endian samples."""
+    nm = random_normal_map(rng, 7, 5)
+    write_normal_png16(tmp_path / "n.png", nm)
+    rows = np.frombuffer(_read_png(tmp_path / "n.png").astype(">u2").tobytes(), dtype=np.uint8).reshape(7, 5 * 8)
+    assert _inflated_idat(tmp_path / "n.png") == filtered_scanlines(rows, 8, [0] * 7)
+    px = rng.integers(0, 256, (4, 6, 3)).astype(np.float64)
+    write_preview_png(tmp_path / "p.png", gs.LdrImage(px))
+    assert _inflated_idat(tmp_path / "p.png") == filtered_scanlines(px.astype(np.uint8).reshape(4, 18), 3, [0] * 4)
 
 
 def test_normal_alpha_zero_is_background(tmp_path, rng):
@@ -272,7 +372,7 @@ def test_png_of_a_million_one_byte_image_chunks_decodes_fast(tmp_path):
     """A valid normal map re-chunked into about 1M one-byte IDAT chunks decodes as its one-chunk file, in linear time."""
     one, split = tmp_path / "one.png", tmp_path / "split.png"
     write_normal_png16(one, random_normal_map(np.random.default_rng(8), 420, 420))
-    rgba = _read_png(one, expect_bit_depth=16, expect_color_type=6)
+    rgba = _read_png(one)
     h, w = rgba.shape[:2]
     rows = np.frombuffer(rgba.astype(">u2").tobytes(), dtype=np.uint8).reshape(h, w * 8)
     idat = zlib.compress(filtered_scanlines(rows, 8, [0] * h))
