@@ -625,6 +625,64 @@ def test_normal_runs_shade_only_the_moving_pixels_on_the_benchmark_solve():
     assert any(r.shaded_pixels < r.evaluations * pixels for r in res.runs if r.group == "normal")
 
 
+def test_each_blocks_damping_carries_over_to_the_next_cycle(monkeypatch):
+    """One lambda array per Gauss-Newton group, F or 3R long: a cycle's first step damps as the last cycle left it."""
+    arrays, calls = [], []  # each lambda array seen; per step, its array's index and a copy of every array seen
+
+    def recording(h, g, damping):
+        if not any(damping is a for a in arrays):
+            arrays.append(damping)
+        calls.append((next(i for i, a in enumerate(arrays) if a is damping), [a.copy() for a in arrays]))
+        return real(h, g, damping)
+
+    real = invert._damped_steps
+    monkeypatch.setattr(invert, "_damped_steps", recording)
+    prob = two_region_problem("orthographic")
+    res = solve(prob, OptimizerConfig(max_cycles=2, inner_iters_per_group=3))
+    assert res.cycles == 2
+    assert [a.size for a in arrays] == [int(prob.normal_map.mask.sum()), 3 * len(prob.materials)]
+    runs = [[]]  # the steps of each run: normal, material, normal, material
+    for step in calls:
+        if runs[-1] and runs[-1][-1][0] != step[0]:
+            runs.append([])
+        runs[-1].append(step)
+    assert [run[0][0] for run in runs] == [0, 1, 0, 1]
+    for i, (first, later) in enumerate(zip(runs, runs[2:])):  # array i as its cycle-1 run left it, seen by the next run
+        left = runs[i + 1][0][1][i]
+        assert (first[0][1][i] == invert.DAMPING_INIT).all() and (left != invert.DAMPING_INIT).any()
+        assert later[0][1][i].tobytes() == left.tobytes()
+
+
+def test_a_material_coordinate_held_on_its_bound_stays_there_while_its_block_moves():
+    """Coordinates that start on lo (hi) with descent pointing below (above) it end exactly there; their blocks move."""
+    nm, env, cam = gs.sphere_normal_map(12), gs.default_blob_env(6, 12), gs.Camera("orthographic", 12, 12)
+    matte = gs.preset_materials()["matte"]
+    target = gs.render(gs.RenderScene(nm, cam, env, (matte,)))
+    raw, lo, hi = matte.raw.copy(), matte.lo.copy(), matte.hi.copy()
+    on_lo, on_hi = flat_index(0, 0, 0, 2), flat_index(1, 0, 0, 2)  # lobe-0 amplitudes of channels 0 and 1
+    for j in range(6):
+        raw[flat_index(0, 0, 0, j)], raw[flat_index(1, 0, 0, j)] = 1.2, 0.5  # the target has 0.9 and 0.8
+    lo[on_lo], hi[on_hi] = raw[on_lo], raw[on_hi]
+    start = gs.DsbrdfMaterial(raw, lo, hi)
+    prob = InverseProblem(
+        target=target, normal_map=nm, env=env, materials=(start,), camera=cam, free_groups=frozenset({"material"})
+    )
+    obj = _Objective.of(prob, 1)
+    _, (grad, _) = obj(obj.n_prior, (start,), obj.env_prior, "material")
+    assert grad.ravel()[on_lo] > 0.0 > grad.ravel()[on_hi]  # descent would leave the box at both
+    # The first step models its blocks without the held coordinates; one that moved them and clipped left E at 3.7%.
+    first = solve(prob, OptimizerConfig(max_cycles=1, inner_iters_per_group=1))
+    assert first.final_objective < 0.02 * first.initial_objective
+    res = solve(prob, OptimizerConfig(max_cycles=3, inner_iters_per_group=5))
+    assert res.final_objective < 1e-3 * res.initial_objective
+    got = res.materials[0].raw
+    assert got[on_lo] == lo[on_lo] and got[on_hi] == hi[on_hi]
+    for held in (on_lo, on_hi):
+        block = np.arange(36 * (held // 36), 36 * (held // 36 + 1))
+        rest = block[block != held]
+        assert (got[rest] != raw[rest]).sum() >= 12
+
+
 def test_solve_starts_from_the_free_materials_clipped_into_their_box(monkeypatch):
     """A free material outside its box: every pass shades a feasible state, and E never rises from the initial objective."""
     nm = gs.sphere_normal_map(12)
