@@ -75,8 +75,8 @@ light lists and all reduction orders are fixed, so outputs are bit-identical
 for any worker count and with or without the transfer cache: threads only
 trade whole chunks and per-chunk partial sums are combined in chunk order.
 Parallel calls share one pool per worker cap for the life of the process (a
-forked child makes its own), and each thread keeps its scratch for its next
-chunk.
+forked child makes its own). Each thread keeps its scratch arrays, by name in
+the thread-local ``_SCRATCH``, for its next chunk.
 
 Pixel powers t = base ** b are exp(b * log(base)): one pass of numpy's
 vectorized exp, a few ulp from the exact power with nothing to cancel, and
@@ -118,19 +118,13 @@ DEGENERATE_HALF = 1e-7
 GROUPS = ("normal", "light", "material")
 
 
-class _Scratch(threading.local):
-    """Each thread's buffer store, one flat array per name, kept for the thread's next chunk."""
-
-    def __init__(self):
-        self.store = {}
+_SCRATCH = threading.local()  # each thread's scratch, one flat array per name, kept for the thread's next chunk
 
 
-_SCRATCH = _Scratch()
-
-
-def _buf(store: dict, name: str, shape: tuple) -> np.ndarray:
-    """A contiguous prefix view of the store's array ``name``, grown only when too small."""
+def _buf(name: str, shape: tuple) -> np.ndarray:
+    """A contiguous prefix view of this thread's scratch array ``name``, grown only when too small."""
     size = math.prod(shape)
+    store = vars(_SCRATCH)  # the calling thread's own namespace
     flat = store.get(name)
     if flat is None or flat.size < size:
         flat = store[name] = np.empty(size)
@@ -237,17 +231,17 @@ class _Tile(NamedTuple):
     gate: np.ndarray | None  # cmax * 1(EPS_BASE < h . n < 1) / (|omega + v| * base): base moves with n there
 
 
-def _listed(problem, nc, store):
+def _listed(problem, nc):
     """Ascending indices of the lights that some pixel of a chunk with normals ``nc`` sees lit."""
     listed = []
     for b0 in range(0, problem.light_count, LIGHT_BLOCK):
-        ndl = _buf(store, "ndl", (nc.shape[0], min(LIGHT_BLOCK, problem.light_count - b0)))
+        ndl = _buf("ndl", (nc.shape[0], min(LIGHT_BLOCK, problem.light_count - b0)))
         np.matmul(nc, problem.dirs[b0 : b0 + LIGHT_BLOCK].T, out=ndl)
         listed.append(b0 + np.flatnonzero(ndl.max(axis=0) > 0.0))
     return np.concatenate(listed)
 
 
-def _tiles(problem, normals, ci, store, *, geometry=False, listed=None):
+def _tiles(problem, normals, ci, *, geometry=False, listed=None):
     """Yield a _Tile per block of up to LIGHT_BLOCK lights that some pixel of chunk ``ci`` sees lit.
 
     ``geometry`` adds the normal-gradient gate; ``listed`` is the chunk's
@@ -255,24 +249,24 @@ def _tiles(problem, normals, ci, store, *, geometry=False, listed=None):
     """
     nc = normals[ci]
     if listed is None:
-        listed = _listed(problem, nc, store)
+        listed = _listed(problem, nc)
     view_c = problem.view_rows(ci)
     vdn = np.einsum("cd,cd->c", nc, np.broadcast_to(view_c, nc.shape))[:, None]  # v . n
     for start in range(0, listed.size, LIGHT_BLOCK):
         lights = listed[start : start + LIGHT_BLOCK]
         dirs_t = problem.dirs[lights].T
         shape = (ci.shape[0], lights.size)
-        ndl = _buf(store, "ndl", shape)
+        ndl = _buf("ndl", shape)
         np.matmul(nc, dirs_t, out=ndl)
         vshape = (view_c.shape[0], lights.size)
-        length = _buf(store, "length", vshape)
+        length = _buf("length", vshape)
         np.matmul(view_c, dirs_t, out=length)
         length *= 2.0
         length += 2.0
         np.maximum(length, 0.0, out=length)
         np.sqrt(length, out=length)  # |omega + v|
         valid = length >= DEGENERATE_HALF
-        rlen = _buf(store, "rlen", vshape)
+        rlen = _buf("rlen", vshape)
         np.maximum(length, DEGENERATE_HALF, out=rlen)
         np.reciprocal(rlen, out=rlen)
         all_valid = bool(valid.all())
@@ -281,27 +275,27 @@ def _tiles(problem, normals, ci, store, *, geometry=False, listed=None):
         length *= 0.5
         np.minimum(length, 1.0, out=length)
         basis = spline.basis_matrix(np.arccos(length, out=length))  # theta_d = acos(|omega + v| / 2)
-        hdn = _buf(store, "hdn", shape)
+        hdn = _buf("hdn", shape)
         np.add(ndl, vdn, out=hdn)
         hdn *= rlen
-        cmaxv = _buf(store, "cmaxv", shape)
+        cmaxv = _buf("cmaxv", shape)
         np.maximum(ndl, 0.0, out=cmaxv)
         if not all_valid:
             cmaxv *= valid
-        base = _buf(store, "base", shape)
+        base = _buf("base", shape)
         np.clip(hdn, EPS_BASE, 1.0, out=base)
-        ell = _buf(store, "ell", shape)
+        ell = _buf("ell", shape)
         np.log(base, out=ell)
         gate = None
         if geometry:
-            gate = _buf(store, "gate", shape)
+            gate = _buf("gate", shape)
             np.multiply((hdn > EPS_BASE) & (hdn < 1.0), rlen, out=gate)
             gate *= cmaxv
             gate /= base
         yield _Tile(lights, cmaxv, ell, basis, gate)
 
 
-def _shaded(problem, normals, materials, j, store, listed=None, env_lw=None, rows_n=None, rows_m=None):
+def _shaded(problem, normals, materials, j, listed=None, env_lw=None, rows_n=None, rows_m=None):
     """Yield (lights, k, f_k * cmax) per tile and channel of chunk j, freshly shaded: the one lobe loop.
 
     Per tile it forms the region material's coefficient curves at theta_d, then
@@ -325,15 +319,15 @@ def _shaded(problem, normals, materials, j, store, listed=None, env_lw=None, row
     region, ci = problem.chunks[j]
     ctrl = materials[region].control_points.reshape(18, 6)
     view_c = problem.view_rows(ci)
-    for lights, cmaxv, ell, basis, gate in _tiles(problem, normals, ci, store, geometry=want_n, listed=listed):
+    for lights, cmaxv, ell, basis, gate in _tiles(problem, normals, ci, geometry=want_n, listed=listed):
         shape = cmaxv.shape
-        curves = _buf(store, "curves", (18, basis.shape[0] * basis.shape[1]))
+        curves = _buf("curves", (18, basis.shape[0] * basis.shape[1]))
         np.matmul(ctrl, basis.reshape(-1, 6).T, out=curves)
         curves = curves.reshape((3, 3, 2) + basis.shape[:2])
-        f = _buf(store, "f", shape)
-        t = _buf(store, "lobe_t", shape)
-        x = _buf(store, "bw_x", shape) if rows else t  # each later lobe's x, then every lobe's e * t = (x + 1) * t
-        dacc = _buf(store, "bw_d", shape) if want_n else None
+        f = _buf("f", shape)
+        t = _buf("lobe_t", shape)
+        x = _buf("bw_x", shape) if rows else t  # each later lobe's x, then every lobe's e * t = (x + 1) * t
+        dacc = _buf("bw_d", shape) if want_n else None
         for k in range(3):
             lw_k = env_lw[lights, k] if rows else None
             if want_m and basis.shape[0] == 1:
@@ -418,7 +412,7 @@ def _run_tasks(fn, problem, threads):
     A cap min(threads, cpu count) of 1 or less runs serially in this thread. A larger cap maps the chunks
     onto the process's pool for that cap, whose threads start as chunks need them, so at most
     min(threads, chunks, cpu count) run one call. Each thread that shades keeps its own scratch: a
-    process that also shades serially holds one store more, and each further cap adds a pool.
+    process that also shades serially holds one more thread's scratch, and each further cap adds a pool.
     """
     tasks = range(len(problem.chunks))
     workers = min(threads, os.cpu_count() or 1)
@@ -444,7 +438,7 @@ def forward(problem, normals, materials, env_flat, *, threads=1) -> np.ndarray:
 
     def run(j):
         ci = problem.chunks[j][1]
-        return ci, _image_rows(_shaded(problem, normals, materials, j, _SCRATCH.store), env_lw, ci.shape[0])
+        return ci, _image_rows(_shaded(problem, normals, materials, j), env_lw, ci.shape[0])
 
     image = np.zeros((problem.pixel_count, 3))
     for ci, block in _run_tasks(run, problem, threads):
@@ -457,7 +451,7 @@ def build_transfer(problem, normals, materials, *, threads=1) -> TransferCache:
 
     def run(j):
         blocks = []
-        for lights, k, fc in _shaded(problem, normals, materials, j, _SCRATCH.store):
+        for lights, k, fc in _shaded(problem, normals, materials, j):
             if k == 0:
                 block = np.empty((3,) + fc.shape)
                 blocks.append((lights, block))
@@ -497,7 +491,7 @@ def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_
     dlight = [] if want_l else None
 
     if cached is None:
-        listed = _listed(problem, normals[ci], _SCRATCH.store)
+        listed = _listed(problem, normals[ci])
         several = listed.size > LIGHT_BLOCK
     else:
         several = len(cached) > 1
@@ -505,7 +499,7 @@ def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_
     def blocks(*rows):  # (lights, k, f * cmax) per tile and channel, with the rows added into ``rows``
         if cached is not None:
             return ((lights, k, block[k]) for lights, block in cached for k in range(3))
-        return _shaded(problem, normals, materials, j, _SCRATCH.store, listed, env_lw, *rows)
+        return _shaded(problem, normals, materials, j, listed, env_lw, *rows)
 
     image = None if target_c is None else np.zeros((count, 3))
     if target_c is not None and want_l and several:  # the light adjoint's u comes first

@@ -323,54 +323,6 @@ def _tangent_bases(n):
     return np.stack([t1, np.cross(n, t1)], axis=2)
 
 
-def _normal_blocks(obj):
-    """The normal group's Gauss-Newton helpers (see ``_gauss_newton``): a block per pixel, stepped on its tangent plane."""
-    a, prior = obj.a, obj.n_prior
-
-    def terms(n, r):
-        d = n - prior
-        return np.einsum("pk,pk->p", r, r) + a * np.einsum("pc,pc->p", d, d)
-
-    def model(n, r, grad, gram):
-        basis = _tangent_bases(n)
-        g = np.einsum("pci,pc->pi", basis, 0.5 * grad + a * (n - prior))
-        h = basis.transpose(0, 2, 1) @ gram @ basis + a * np.eye(2)
-        return terms(n, r), h, g, 2.0 * float(np.abs(basis @ g[:, :, None]).max(initial=0.0))
-
-    def move(n, steps):  # a tangent step only lengthens n, so the retraction never divides by 0
-        moved = n + (_tangent_bases(n) @ steps[:, :, None])[:, :, 0]
-        return moved / np.linalg.norm(moved, axis=1, keepdims=True)
-
-    return (lambda n: n), (lambda n: n), lambda on: np.repeat(on[:, None], 3, axis=1), terms, model, move
-
-
-def _material_blocks(obj, materials):
-    """The material group's Gauss-Newton helpers: a block per (region, channel), stepped in normalized coordinates."""
-    region_of = np.empty(obj.shading.pixel_count, dtype=np.int64)
-    for region, ci in obj.shading.chunks:
-        region_of[ci] = region
-    lo = np.concatenate([m.lo for m in materials]).reshape(-1, 36)
-    hi = np.concatenate([m.hi for m in materials]).reshape(-1, 36)
-    scale = (hi - lo) / (2.0 * NORM_LIMIT)  # d raw / d normalized
-
-    def terms(x, r):
-        return np.stack([np.bincount(region_of, r[:, k] * r[:, k], len(materials)) for k in range(3)], axis=1).ravel()
-
-    def model(x, r, grad, gram):
-        g = 0.5 * scale * grad
-        h = scale[:, :, None] * gram * scale[:, None, :]
-        held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))  # on the box, and descent would leave it
-        g[held] = 0.0
-        h *= ~held[:, :, None] & ~held[:, None, :]
-        return terms(x, r), h, g, 2.0 * float(np.abs(g).max(initial=0.0))
-
-    return (
-        lambda ms: np.concatenate([m.raw for m in ms]).reshape(-1, 36),
-        lambda x: [m.with_raw(row) for m, row in zip(materials, x.reshape(len(materials), -1))],
-        lambda on: on.reshape(-1, 3)[region_of], terms, model, lambda x, steps: np.clip(x + scale * steps, lo, hi),
-    )
-
-
 def _damped_steps(h, g, damping):
     """Per block, d solving (H + lambda (diag H + DAMPING_EPS max diag H)) d = -g; d = 0 where H = 0, where g = 0 too."""
     diag = np.diagonal(h, axis1=1, axis2=2)
@@ -382,28 +334,75 @@ def _damped_steps(h, g, damping):
     return np.linalg.solve(lhs, np.where(top[:, None] > 0.0, -g, 0.0)[:, :, None])[:, :, 0]
 
 
-def _gauss_newton(obj, state, group, damping, config):
+def _gauss_newton(obj, state, group, carry, config):
     """A Gauss-Newton run of the normal or material group: (LbfgsResult whose x is its state, shaded pixel rows, E at x0).
 
-    ``damping`` holds each block's lambda and is updated in place. x has a row per block; the group's helpers
-    are pack (state -> x), unpack (x -> state), cells (blocks -> the (F, 3) image cells they own), terms
-    ((x, r) -> each block's term of E), model ((x, r, 2 J^T r, J^T J per block) -> (terms, H, g, gradient
-    max-norm), a term along a step d being modelled as term + 2 g.d + d.H.d) and move ((x, steps) -> feasible
-    trial x). A trial pass shades every pixel of a moving block, so a kept block's (2 J^T r, J^T J) is whole.
+    x has a row per block, a pixel's normal or a (region, channel)'s control points, and ``owner`` (F, 3) the block of
+    each image cell: p for pixel p's, 3 r + k for channel k of a region-r pixel's. A block's term of E sums r^2 over its
+    cells, plus a |n - n'|^2 for a normal. ``model`` maps (x, 2 J^T r, J^T J) to (H, g, gradient max-norm), a term
+    along d modelled as term + 2 g.d + d.H.d, and ``move`` (x, steps) to a feasible trial x. The blocks' lambdas,
+    ``carry[group]``, are made by the group's first run and kept, updated in place, for its next. A trial pass
+    shades every pixel of a moving block, so a kept block's (2 J^T r, J^T J) is whole.
     """
-    group_blocks = _normal_blocks(obj) if group == "normal" else _material_blocks(obj, state["material"])
-    pack, unpack, cells_of, terms_of, model, move = group_blocks
+    pixel_count, a, prior = obj.shading.pixel_count, obj.a, obj.n_prior
+    if group == "normal":
+        x = state["normal"]
+        owner = np.repeat(np.arange(pixel_count)[:, None], 3, axis=1)
+
+        def unpack(n):
+            return n
+
+        def model(n, grad, gram):
+            basis = _tangent_bases(n)
+            g = np.einsum("pci,pc->pi", basis, 0.5 * grad + a * (n - prior))
+            h = basis.transpose(0, 2, 1) @ gram @ basis + a * np.eye(2)
+            return h, g, 2.0 * float(np.abs(basis @ g[:, :, None]).max(initial=0.0))
+
+        def move(n, steps):  # a tangent step only lengthens n, so the retraction never divides by 0
+            moved = n + (_tangent_bases(n) @ steps[:, :, None])[:, :, 0]
+            return moved / np.linalg.norm(moved, axis=1, keepdims=True)
+    else:
+        materials = state["material"]
+        x = np.concatenate([m.raw for m in materials]).reshape(-1, 36)
+        owner = np.empty((pixel_count, 3), dtype=np.int64)
+        for region, ci in obj.shading.chunks:
+            owner[ci] = 3 * region + np.arange(3)
+        lo = np.concatenate([m.lo for m in materials]).reshape(-1, 36)
+        hi = np.concatenate([m.hi for m in materials]).reshape(-1, 36)
+        scale = (hi - lo) / (2.0 * NORM_LIMIT)  # d raw / d normalized
+
+        def unpack(x):
+            return [m.with_raw(row) for m, row in zip(materials, x.reshape(len(materials), -1))]
+
+        def model(x, grad, gram):
+            g = 0.5 * scale * grad
+            h = scale[:, :, None] * gram * scale[:, None, :]
+            held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))  # on the box, and descent would leave it
+            g[held] = 0.0
+            h *= ~held[:, :, None] & ~held[:, None, :]
+            return h, g, 2.0 * float(np.abs(g).max(initial=0.0))
+
+        def move(x, steps):
+            return np.clip(x + scale * steps, lo, hi)
+
+    def terms_of(x, image):
+        r = image - obj.target
+        terms = np.bincount(owner.ravel(), (r * r).ravel(), len(x))
+        if group == "normal":
+            d = x - prior
+            return terms + a * np.einsum("pc,pc->p", d, d)
+        return terms
 
     def shade(x, pixels=None):
         at = {**state, group: unpack(x)}
         return (at, *obj(at["normal"], at["material"], at["light"], group, pixels=pixels))
 
-    x = pack(state[group])
+    damping = carry.setdefault(group, np.full(len(x), DAMPING_INIT))
     at, image, blocks = shade(x)
     f = obj.value(image, at["normal"], at["light"])
-    terms, h, g, gnorm = model(x, image - obj.target, *blocks)
+    terms, (h, g, gnorm) = terms_of(x, image), model(x, *blocks)
     result = LbfgsResult(x=at[group], value=f, iterations=0, stop_reason="iteration_cap", evaluations=1)
-    start, shaded = f, obj.shading.pixel_count
+    start, shaded = f, pixel_count
     for _ in range(config.inner_iters_per_group):
         if gnorm < GRAD_TOL:  # also a run with no blocks, such as the normals of an empty foreground
             result.stop_reason = "gradient"
@@ -414,20 +413,20 @@ def _gauss_newton(obj, state, group, damping, config):
         if not active.any():
             result.stop_reason = "rel_tol"
             break
-        pixels = cells_of(active).any(axis=1)
+        pixels = active[owner].any(axis=1)
         trial = np.where(active[:, None], move(x, steps), x)
         _, image_t, blocks_t = shade(trial, pixels)
         result.evaluations += 1
         shaded += int(pixels.sum())
-        kept = active & (terms_of(trial, image_t - obj.target) < terms)
-        cells = cells_of(kept)
-        x_new, image_new = np.where(kept[:, None], trial, x), np.where(cells, image_t, image)
+        terms_t = terms_of(trial, image_t)
+        kept = active & (terms_t < terms)
+        x_new, image_new = np.where(kept[:, None], trial, x), np.where(kept[owner], image_t, image)
         at_new = {**state, group: unpack(x_new)}
         f_new = obj.value(image_new, at_new["normal"], at_new["light"])
         if f_new < f:  # no kept block, or (by rounding) kept terms that fell by a few ulp, leave f as it was
             x, image, f, at = x_new, image_new, f_new, at_new
             blocks = [np.where(kept.reshape((-1,) + (1,) * (b.ndim - 1)), b_t, b) for b_t, b in zip(blocks_t, blocks)]
-            terms, h, g, gnorm = model(x, image - obj.target, *blocks)
+            terms, (h, g, gnorm) = np.where(kept, terms_t, terms), model(x, *blocks)
             result.x, result.value, result.iterations = at[group], f, result.iterations + 1
             result.trace.append((f, gnorm))
         else:
@@ -436,8 +435,9 @@ def _gauss_newton(obj, state, group, damping, config):
     return result, shaded, start
 
 
-def _light_run(obj, state, memory, config):
-    """A projected L-BFGS run of the light group, through a transfer cache that fits the budget: (result, pixel rows, E at x0)."""
+def _light_run(obj, state, carry, config):
+    """A projected L-BFGS run of the light group from its memory ``carry["light"]``, through a transfer cache that fits
+    the budget: (result, pixel rows, E at x0)."""
     sh = obj.shading
     fits = sh.pixel_count * sh.light_count * 24 <= TRANSFER_BUDGET_BYTES
     transfer = _shading.build_transfer(sh, state["normal"], state["material"], threads=obj.threads) if fits else None
@@ -449,6 +449,7 @@ def _light_run(obj, state, memory, config):
         values.append(obj.value(image, state["normal"], env))
         return values[-1], grad.ravel()
 
+    memory = carry.setdefault("light", [])
     res = lbfgs_minimize(fun, state["light"].ravel(), config, project=lambda x: np.maximum(x, 0.0), memory=memory)
     res.x = res.x.reshape(-1, 3)
     return res, res.evaluations * sh.pixel_count, values[0]
@@ -475,9 +476,7 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
     trace: list = []
     runs: list = []
     order = [grp for grp in _shading.GROUPS if grp in problem.free_groups]
-    memory: list = []
-    blocks = (("normal", obj.shading.pixel_count), ("material", 3 * len(problem.materials)))
-    dampings = {group: np.full(count, DAMPING_INIT) for group, count in blocks}
+    carry: dict = {}  # per group, what its run leaves for the next cycle: curvature pairs, or each block's lambda
     cycles_run = 0
 
     for cycle in range(config.max_cycles):
@@ -486,9 +485,9 @@ def solve(problem: InverseProblem, config: OptimizerConfig = OptimizerConfig()) 
 
         for group in order:
             if group == "light":
-                res, shaded, start = _light_run(obj, state, memory, config)
+                res, shaded, start = _light_run(obj, state, carry, config)
             else:
-                res, shaded, start = _gauss_newton(obj, state, group, dampings[group], config)
+                res, shaded, start = _gauss_newton(obj, state, group, carry, config)
             if current is None:
                 initial = cycle_start = current = start
             trace.extend(TraceEntry(cycle, group, it, val, gnorm) for it, (val, gnorm) in enumerate(res.trace, 1))

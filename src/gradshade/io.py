@@ -288,7 +288,7 @@ def _read_png(path, *, expect_bit_depth: int = 16, expect_color_type: int = 6) -
             raise MalformedFileError(f"expected 16-bit samples, file has {bit_depth}")
         if color_type != 6:
             raise MalformedFileError(f"expected PNG color type 6, file has {color_type}")
-        if w == 0 or h == 0 or w > 1 << 20 or h > 1 << 20:
+        if w == 0 or h == 0 or w * h > 1 << 24:  # 4096 x 4096, or 128 MiB of scanlines, at most
             raise MalformedFileError("unreasonable PNG dimensions")
         # Inflate no further than the scanlines IHDR declares, so that a small
         # compressed stream cannot allocate an unbounded output.

@@ -78,9 +78,9 @@ def l2_metric(a: LdrImage, b: LdrImage, mask: np.ndarray | None = None) -> float
     return float(per_pixel.mean())
 
 
-def _gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    r = np.arange(size) - (size - 1) / 2.0
-    k = np.exp(-(r**2) / (2.0 * sigma**2))
+def _gaussian_kernel() -> np.ndarray:
+    r = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0
+    k = np.exp(-(r**2) / (2.0 * SSIM_SIGMA**2))
     k2 = np.outer(k, k)
     return k2 / k2.sum()
 

@@ -99,10 +99,6 @@ class RenderScene:
         if (ids[mask] == BACKGROUND_REGION).any() or (ids[~mask] != BACKGROUND_REGION).any():
             raise ValueError("segmentation foreground/background must agree with the normal map mask")
 
-    @property
-    def region_count(self) -> int:
-        return len(self.materials)
-
 
 def prepare_problem(scene: RenderScene) -> _shading.ShadingProblem:
     """Flatten a scene's geometry for the shading kernel (shared with the gradient module)."""

@@ -202,7 +202,7 @@ def test_objective_pass_equals_forward_then_backward(mode, kind, groups, cached)
     # a state off the priors in normals and light, and off the target's materials
     normals = two_region_scene(side, mode, env_shape).normal_map.normals[problem.normal_map.mask]
     env, materials = 1.1 * obj.env_prior, problem.materials
-    listed = [_shading._listed(sh, normals[ci], {}).size for _, ci in sh.chunks]
+    listed = [_shading._listed(sh, normals[ci]).size for _, ci in sh.chunks]
     several = sum(n > _shading.LIGHT_BLOCK for n in listed)
     assert several == {"one_tile": 0, "several_tiles": len(listed), "mixed": len(listed) // 2}[kind]
     transfer = _shading.build_transfer(sh, normals, materials) if cached else None
@@ -237,7 +237,7 @@ def test_residual_backward_lists_each_chunks_lights_once(monkeypatch, mode):
     problem = two_region_problem(mode, 16, (48, 96))
     obj = _Objective.of(problem, 1)
     sh, normals = obj.shading, obj.n_prior
-    assert all(_shading._listed(sh, normals[ci], {}).size > _shading.LIGHT_BLOCK for _, ci in sh.chunks)
+    assert all(_shading._listed(sh, normals[ci]).size > _shading.LIGHT_BLOCK for _, ci in sh.chunks)
     calls = []
     real = _shading._listed
 
@@ -277,7 +277,7 @@ def test_residual_backward_shades_each_tile_once(monkeypatch, mode, case):
     problem = two_region_problem(mode, 16, env_shape)
     obj = _Objective.of(problem, 1)
     sh, normals, materials, env = obj.shading, obj.n_prior, problem.materials, obj.env_prior
-    tiles = [-(-_shading._listed(sh, normals[ci], {}).size // _shading.LIGHT_BLOCK) for _, ci in sh.chunks]
+    tiles = [-(-_shading._listed(sh, normals[ci]).size // _shading.LIGHT_BLOCK) for _, ci in sh.chunks]
     assert {t > 1 for t in tiles} == {env_shape == SEVERAL_TILES_ENV}
     transfer = _shading.build_transfer(sh, normals, materials) if kind == "transfer" else None
     calls = []

@@ -6,6 +6,7 @@ difference truncation error and get a looser gate.
 """
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -332,7 +333,7 @@ def test_backward_chunk_memory_does_not_grow_with_the_env(monkeypatch):
     Both env sizes make a tile list full LIGHT_BLOCK blocks, so the per-block
     arrays have the same size and only the light table differs, 4x.
     """
-    monkeypatch.setattr(_shading, "_SCRATCH", _shading._Scratch())  # this thread's store, sized by the warm-up call
+    monkeypatch.setattr(_shading, "_SCRATCH", threading.local())  # this thread's scratch, sized by the warm-up call
     working = []
     for env_shape in ((64, 128), (128, 256)):
         cam = gs.Camera("orthographic", 16, 16)
@@ -364,17 +365,17 @@ SCRATCH_BUFFERS = {"orthographic": 10.5, "pinhole": 30.5}
 @pytest.mark.parametrize("mode", ["orthographic", "pinhole"])
 def test_backward_scratch_holds_one_lobe_buffer_per_role(monkeypatch, mode):
     """Upstream and residual backward of every group over several-tile chunks share one bounded store."""
-    monkeypatch.setattr(_shading, "_SCRATCH", _shading._Scratch())  # a fresh store for each thread
+    monkeypatch.setattr(_shading, "_SCRATCH", threading.local())  # fresh scratch for each thread
     scene = gs.RenderScene(
         gs.sphere_normal_map(24), gs.Camera(mode, 24, 24, 50.0), gs.default_blob_env(48, 96), (gs.preset_materials()["glossy"],)
     )
     problem, normals, env, upstream = _engine_args(scene, np.random.default_rng(4))
     counts = [ci.size for _, ci in problem.chunks]
     assert max(counts) == _shading.PIXEL_TILE**2
-    assert all(_shading._listed(problem, normals[ci], {}).size > _shading.LIGHT_BLOCK for _, ci in problem.chunks)
+    assert all(_shading._listed(problem, normals[ci]).size > _shading.LIGHT_BLOCK for _, ci in problem.chunks)
     _shading.backward(problem, normals, scene.materials, env, upstream, _shading.GROUPS)
     _shading.backward(problem, normals, scene.materials, env, None, _shading.GROUPS, target=np.abs(upstream))
-    held = sum(a.nbytes for a in _shading._SCRATCH.store.values())  # both ran serially, in this thread
+    held = sum(a.nbytes for a in vars(_shading._SCRATCH).values())  # both ran serially, in this thread
     assert held <= SCRATCH_BUFFERS[mode] * max(counts) * _shading.LIGHT_BLOCK * 8
 
 

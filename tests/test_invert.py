@@ -562,25 +562,26 @@ def test_material_solve_memory_per_foreground_pixel(side):
 
 def test_normal_run_never_raises_a_pixel_term(monkeypatch):
     """Each pixel is its own block: a pass keeps a pixel's step only where that pixel's term fell."""
-    seen = []  # each pixel's term of E, at x0 and after each accepted pass
-    real = invert._normal_blocks
+    seen = []  # (E, each pixel's term of E) at x0 and at each trial pass's candidate state
+    real = _Objective.value
 
-    def recording(obj):
-        pack, unpack, cells, terms, model, move = real(obj)
+    def recording(self, image, normals, env):
+        r, d = image - self.target, normals - self.n_prior
+        seen.append((real(self, image, normals, env), np.sum(r * r, axis=1) + self.a * np.einsum("pc,pc->p", d, d)))
+        return seen[-1][0]
 
-        def recorded(n, r, *blocks):
-            out = model(n, r, *blocks)
-            seen.append(out[0])
-            return out
-
-        return pack, unpack, cells, terms, recorded, move
-
-    monkeypatch.setattr(invert, "_normal_blocks", recording)
+    monkeypatch.setattr(_Objective, "value", recording)
     res = solve(noisy_normals_problem(), OptimizerConfig(max_cycles=1, inner_iters_per_group=10))
     (run,) = res.runs
-    assert run.iterations == len(seen) - 1 >= 3
-    assert all((later <= earlier).all() and (later < earlier).any() for earlier, later in zip(seen, seen[1:]))
-    assert res.final_objective == pytest.approx(float(np.sum(seen[-1])), rel=1e-12)
+    assert len(seen) == run.evaluations
+    accepted = [seen[0]]  # x0, then each pass whose E fell: the passes the run accepted
+    for value, terms in seen[1:]:
+        if value < accepted[-1][0]:
+            accepted.append((value, terms))
+    accepted = [terms for _, terms in accepted]
+    assert run.iterations == len(accepted) - 1 >= 3
+    assert all((later <= earlier).all() and (later < earlier).any() for earlier, later in zip(accepted, accepted[1:]))
+    assert res.final_objective == pytest.approx(float(np.sum(accepted[-1])), rel=1e-12)
 
 
 def test_gauss_newton_leaves_a_pixel_that_sees_no_light_where_it_was():

@@ -368,6 +368,32 @@ def test_png_inflation_is_capped_at_the_declared_size(tmp_path):
     assert peak < 8 * 2**20
 
 
+def test_png_declaring_a_huge_image_is_refused_before_inflating(tmp_path):
+    """A 2^20 x 2^20 header over 64 MiB of zeros: more than 2^24 pixels, refused before any image data inflates."""
+    p = tmp_path / "huge.png"
+    write_png_bomb(p, side=2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedFileError, match="unreasonable PNG dimensions"):
+            read_normal_png16(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "height, width, message",
+    [(4096, 4096, "wrong length"), (1, 2**24, "wrong length"), (4097, 4096, "unreasonable"), (2, 2**23 + 1, "unreasonable")],
+)
+def test_png_pixel_limit_is_two_to_the_24(tmp_path, height, width, message):
+    """Up to 2^24 pixels a header passes its size check, and its empty image data is then too short."""
+    p = tmp_path / "header.png"
+    write_png16(p, height, width, zlib.compress(b""))
+    with pytest.raises(MalformedFileError, match=message):
+        read_normal_png16(p)
+
+
 def test_png_of_a_million_one_byte_image_chunks_decodes_fast(tmp_path):
     """A valid normal map re-chunked into about 1M one-byte IDAT chunks decodes as its one-chunk file, in linear time."""
     one, split = tmp_path / "one.png", tmp_path / "split.png"

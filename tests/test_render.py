@@ -5,6 +5,7 @@ checked against the plain triple-loop evaluator in tests/oracles.py.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -286,9 +287,9 @@ def _listed_pairs(scene):
     """Pairs the tile engine shades, and the most light blocks one chunk needs."""
     problem = prepare_problem(scene)
     normals = scene.normal_map.normals[scene.normal_map.mask]
-    pairs, most_blocks, store = 0, 0, {}
+    pairs, most_blocks = 0, 0
     for _, ci in problem.chunks:
-        tiles = _shading._tiles(problem, normals, ci, store)
+        tiles = _shading._tiles(problem, normals, ci)
         sizes = [tile.ell.size for tile in tiles]
         pairs += sum(sizes)
         most_blocks = max(most_blocks, len(sizes))
@@ -332,7 +333,7 @@ def test_render_is_deterministic_across_thread_counts(sphere_scene):
 
 def test_scratch_pool_stops_growing_after_the_largest_tiles(monkeypatch):
     """Scratch buffers are keyed by name: scenes with new edge tiles reuse them."""
-    monkeypatch.setattr(_shading, "_SCRATCH", _shading._Scratch())  # a fresh store for each thread
+    monkeypatch.setattr(_shading, "_SCRATCH", threading.local())  # fresh scratch for each thread
     env = gs.default_blob_env(32, 64)  # 2048 texels: two full light blocks
     mat = gs.preset_materials()["glossy"]
 
@@ -341,7 +342,7 @@ def test_scratch_pool_stops_growing_after_the_largest_tiles(monkeypatch):
         gs.render(gs.RenderScene(gs.sphere_normal_map(side), cam, env, (mat,)))
 
     def pool_bytes():  # the renders run serially, in this thread
-        return sum(a.nbytes for a in _shading._SCRATCH.store.values())
+        return sum(a.nbytes for a in vars(_shading._SCRATCH).values())
 
     for mode in ("orthographic", "pinhole"):
         render_sphere(40, mode)  # full 64-pixel tiles and full light blocks

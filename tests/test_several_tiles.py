@@ -84,7 +84,7 @@ def test_every_chunk_lists_several_light_blocks(mode):
     scene = noised_scene(mode)
     problem = prepare_problem(scene)
     normals = scene.normal_map.normals[scene.normal_map.mask]
-    assert all(_shading._listed(problem, normals[ci], {}).size > _shading.LIGHT_BLOCK for _, ci in problem.chunks)
+    assert all(_shading._listed(problem, normals[ci]).size > _shading.LIGHT_BLOCK for _, ci in problem.chunks)
 
 
 @pytest.mark.parametrize("axis", [1, 0], ids=["columns", "rows"])
