@@ -364,7 +364,7 @@ SCRATCH_BUFFERS = {"orthographic": 10.5, "pinhole": 30.5}
 
 @pytest.mark.parametrize("mode", ["orthographic", "pinhole"])
 def test_backward_scratch_holds_one_lobe_buffer_per_role(monkeypatch, mode):
-    """Upstream and residual backward of every group over several-tile chunks share one bounded store."""
+    """Upstream and residual backward of every group over several-tile chunks share one bounded scratch."""
     monkeypatch.setattr(_shading, "_SCRATCH", threading.local())  # fresh scratch for each thread
     scene = gs.RenderScene(
         gs.sphere_normal_map(24), gs.Camera(mode, 24, 24, 50.0), gs.default_blob_env(48, 96), (gs.preset_materials()["glossy"],)
