@@ -613,17 +613,52 @@ def test_gauss_newton_leaves_a_pixel_that_sees_no_light_where_it_was():
     assert np.isfinite(res.normal_map.normals).all()
     assert res.normal_map.normals[0, 0].tobytes() == prob.normal_map.normals[0, 0].tobytes()
     assert not np.array_equal(res.normal_map.normals, prob.normal_map.normals)
+    # its block is never active, so a direct run leaves its lambda at DAMPING_INIT while the other blocks' move
+    carry, state = {}, {"normal": obj.n_prior.copy(), "light": obj.env_prior.copy(), "material": list(prob.materials)}
+    run, _, _ = invert._gauss_newton(obj, state, "normal", carry, OptimizerConfig(inner_iters_per_group=6))
+    assert run.iterations > 0
+    assert carry["normal"][0] == invert.DAMPING_INIT and (carry["normal"][1:] != invert.DAMPING_INIT).all()
 
 
-def test_normal_runs_shade_only_the_moving_pixels_on_the_benchmark_solve():
-    """The criterion-4 problem as the benchmark's solve_full runs it: a normal run's trial passes skip settled pixels."""
+@pytest.fixture(scope="module")
+def benchmark_solve():
+    """The criterion-4 problem solved as the benchmark's solve_full solves it, once for the tests that read it."""
     prob = criterion_4_problem()
-    res = solve(prob, OptimizerConfig(**CRITERION_4_CONFIG))
+    return prob, solve(prob, OptimizerConfig(**CRITERION_4_CONFIG))
+
+
+def test_normal_runs_shade_only_the_moving_pixels_on_the_benchmark_solve(benchmark_solve):
+    """The criterion-4 problem as the benchmark's solve_full runs it: a normal run's trial passes skip settled pixels."""
+    prob, res = benchmark_solve
     nm = prob.normal_map
     pixels = int(nm.mask.sum())
     assert all(r.shaded_pixels == r.evaluations * pixels for r in res.runs if r.group == "light")
     assert all(pixels <= r.shaded_pixels <= r.evaluations * pixels for r in res.runs)
     assert any(r.shaded_pixels < r.evaluations * pixels for r in res.runs if r.group == "normal")
+
+
+# The benchmark solve's trajectory. Each one-line solver mutant found so far (a lambda raised for a block that sat
+# out a pass, an activity threshold not divided by the block count, a coordinate held only on its lower bound)
+# moved E by at least 4e-5 relative; rounding changes in the engine move it by about 1e-15.
+BENCHMARK_SOLVE_E = 13.019449337457655
+BENCHMARK_SOLVE_RUNS = [  # (group, iterations, evaluations, shaded_pixels, stop_reason) per run
+    ("normal", 12, 13, 5128, "iteration_cap"),
+    ("light", 9, 13, 10556, "rel_tol"),
+    ("material", 12, 13, 10556, "iteration_cap"),
+    ("normal", 12, 13, 3373, "iteration_cap"),
+    ("light", 7, 8, 6496, "rel_tol"),
+    ("material", 12, 13, 10556, "iteration_cap"),
+    ("normal", 12, 13, 3125, "iteration_cap"),
+    ("light", 8, 9, 7308, "rel_tol"),
+    ("material", 12, 13, 10556, "iteration_cap"),
+]
+
+
+def test_benchmark_solve_follows_its_recorded_trajectory(benchmark_solve):
+    """solve_full's final E within 1e-9 relative and every run's record exactly, so a changed solver decision shows."""
+    _, res = benchmark_solve
+    assert [(r.group, r.iterations, r.evaluations, r.shaded_pixels, r.stop_reason) for r in res.runs] == BENCHMARK_SOLVE_RUNS
+    assert res.final_objective == pytest.approx(BENCHMARK_SOLVE_E, rel=1e-9, abs=0.0)
 
 
 def test_each_blocks_damping_carries_over_to_the_next_cycle(monkeypatch):
@@ -654,7 +689,7 @@ def test_each_blocks_damping_carries_over_to_the_next_cycle(monkeypatch):
         assert later[0][1][i].tobytes() == left.tobytes()
 
 
-def test_a_material_coordinate_held_on_its_bound_stays_there_while_its_block_moves():
+def test_a_material_coordinate_held_on_its_bound_stays_there_while_its_block_moves(monkeypatch):
     """Coordinates that start on lo (hi) with descent pointing below (above) it end exactly there; their blocks move."""
     nm, env, cam = gs.sphere_normal_map(12), gs.default_blob_env(6, 12), gs.Camera("orthographic", 12, 12)
     matte = gs.preset_materials()["matte"]
@@ -672,8 +707,22 @@ def test_a_material_coordinate_held_on_its_bound_stays_there_while_its_block_mov
     _, (grad, _) = obj(obj.n_prior, (start,), obj.env_prior, "material")
     assert grad.ravel()[on_lo] > 0.0 > grad.ravel()[on_hi]  # descent would leave the box at both
     # The first step models its blocks without the held coordinates; one that moved them and clipped left E at 3.7%.
+    steps = []  # (H, g) of each damped step
+
+    def recording(h, g, damping):
+        steps.append((h.copy(), g.copy()))
+        return real(h, g, damping)
+
+    real = invert._damped_steps
+    monkeypatch.setattr(invert, "_damped_steps", recording)
     first = solve(prob, OptimizerConfig(max_cycles=1, inner_iters_per_group=1))
+    monkeypatch.setattr(invert, "_damped_steps", real)
     assert first.final_objective < 0.02 * first.initial_objective
+    h, g = steps[0]
+    for held in (on_lo, on_hi):
+        b, i = divmod(held, 36)
+        assert g[b, i] == 0.0 and not h[b, i].any() and not h[b, :, i].any()
+        assert g[b].any() and h[b].any()
     res = solve(prob, OptimizerConfig(max_cycles=3, inner_iters_per_group=5))
     assert res.final_objective < 1e-3 * res.initial_objective
     got = res.materials[0].raw
