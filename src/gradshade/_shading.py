@@ -42,12 +42,12 @@ indicator, so a pair whose light is dark for its pixel adds exactly 0. One
 producer, ``_tiles``, first lists the lights that some pixel of the chunk
 sees lit (max_c n_c . omega > 0), then yields the pair geometry of the chunk
 against blocks of up to LIGHT_BLOCK listed lights: cmax = max(0, n . omega),
-ell = log(base), the spline basis at theta_d and, for normal gradients, the
-clamp gate; it never reads the material. One lobe loop, ``_shaded``, forms
-the material's coefficient curves per tile, runs the lobes and yields f * cmax
-per tile and channel, adding the u-free rows of the normal and material
-adjoints when asked. Its consumers are ``forward`` (reduces f * cmax against
-the environment), ``build_transfer`` (stores it) and ``_backward_chunk``.
+ell = log(base), the spline features of theta_d and, for normal gradients,
+the clamp gate; it never reads the material. One lobe loop, ``_shaded``, forms
+the curves from them, runs the lobes and yields f * cmax per tile and channel,
+adding the u-free rows of the normal and material adjoints when asked. Its
+consumers are ``forward`` (reduces f * cmax against the environment),
+``build_transfer`` (stores it) and ``_backward_chunk``.
 Pair geometry is recomputed on every call: a per-pair cache of it saved no
 solve time. A TransferCache, the one cache, stores f * cmax of the shaded
 pairs only, per chunk as (lights, (3, C, B)) blocks, which
@@ -227,7 +227,7 @@ class _Tile(NamedTuple):
     lights: np.ndarray
     cmaxv: np.ndarray  # max(0, n . omega), zero where the half vector is undefined
     ell: np.ndarray  # log(base), base = clamp(h . n, EPS_BASE, 1)
-    basis: np.ndarray  # (V, B, 6) spline basis at theta_d
+    feats: np.ndarray  # (6, V, B) truncated-power features of theta_d, spline.features
     gate: np.ndarray | None  # cmax * 1(EPS_BASE < h . n < 1) / (|omega + v| * base): base moves with n there
 
 
@@ -274,7 +274,7 @@ def _tiles(problem, normals, ci, *, geometry=False, listed=None):
             rlen *= valid  # no half vector: h . n = 0 and nothing moves with n
         length *= 0.5
         np.minimum(length, 1.0, out=length)
-        basis = spline.basis_matrix(np.arccos(length, out=length))  # theta_d = acos(|omega + v| / 2)
+        feats = spline.features(np.arccos(length, out=length), _buf("feats", (6,) + vshape))  # at acos(|omega + v| / 2)
         hdn = _buf("hdn", shape)
         np.add(ndl, vdn, out=hdn)
         hdn *= rlen
@@ -292,48 +292,46 @@ def _tiles(problem, normals, ci, *, geometry=False, listed=None):
             np.multiply((hdn > EPS_BASE) & (hdn < 1.0), rlen, out=gate)
             gate *= cmaxv
             gate /= base
-        yield _Tile(lights, cmaxv, ell, basis, gate)
+        yield _Tile(lights, cmaxv, ell, feats, gate)
 
 
 def _shaded(problem, normals, materials, j, listed=None, env_lw=None, rows_n=None, rows_m=None):
     """Yield (lights, k, f_k * cmax) per tile and channel of chunk j, freshly shaded: the one lobe loop.
 
-    Per tile it forms the region material's coefficient curves at theta_d, then
-    per channel k the three lobes into f = sum_s x, with t = base ** b =
-    exp(b * ell) and x = expm1(a * t), and raises ShadingOverflowError if f left
-    the finite range: before any cmax mask, since inf * 0 would hide it as NaN.
+    Per tile and channel k it forms the region material's curves (ctrl_k @ FEATURES_TO_BASIS.T) @ features at theta_d,
+    then the three lobes into f = sum_s x, with t = base ** b = exp(b * ell) and x = expm1(a * t), and raises
+    ShadingOverflowError if f left the finite range: before any cmax mask, since inf * 0 would hide it as NaN.
 
     The values are a contiguous (C, B) scratch array, valid until the next
     step, as the channels of a TransferCache block are, so reductions over
     either agree bit for bit. ``listed`` is as in ``_tiles``. Given ``env_lw``
     (I, 3) = L w, the u-free rows of the normal and material adjoints are
     added into ``rows_n`` (3, C, 3) and ``rows_m`` (3, C, 3, 2, 6) where given,
-    per channel before its values are yielded (see ``_backward_chunk``).
+    per channel before its values are yielded (see ``_backward_chunk``), ``rows_m`` on the features.
 
     Factors of a whole tile, channel or (V, B) row are applied once there, not
     once per lobe: a * b is one row, ``gate`` already holds cmax / base,
-    and L_k w goes into the light directions and a shared basis row.
+    and L_k w goes into the light directions and a shared feature row.
     """
     want_n, want_m = rows_n is not None, rows_m is not None
     rows = want_n or want_m
     region, ci = problem.chunks[j]
-    ctrl = materials[region].control_points.reshape(18, 6)
+    coef = materials[region].control_points.reshape(3, 6, 6) @ spline.FEATURES_TO_BASIS.T  # curves on the features
     view_c = problem.view_rows(ci)
-    for lights, cmaxv, ell, basis, gate in _tiles(problem, normals, ci, geometry=want_n, listed=listed):
-        shape = cmaxv.shape
-        curves = _buf("curves", (18, basis.shape[0] * basis.shape[1]))
-        np.matmul(ctrl, basis.reshape(-1, 6).T, out=curves)
-        curves = curves.reshape((3, 3, 2) + basis.shape[:2])
+    for lights, cmaxv, ell, feats, gate in _tiles(problem, normals, ci, geometry=want_n, listed=listed):
+        shape, vshape = cmaxv.shape, feats.shape[1:]
         f = _buf("f", shape)
         t = _buf("lobe_t", shape)
         x = _buf("bw_x", shape) if rows else t  # each later lobe's x, then every lobe's e * t = (x + 1) * t
         dacc = _buf("bw_d", shape) if want_n else None
         for k in range(3):
+            curves = _buf("curves", (3, 2) + vshape)
+            np.matmul(coef[k], feats.reshape(6, -1), out=curves.reshape(6, -1))
             lw_k = env_lw[lights, k] if rows else None
-            if want_m and basis.shape[0] == 1:
-                basis_lw = lw_k[:, None] * basis[0]
+            if want_m and vshape[0] == 1:
+                feats_lw = feats[:, 0] * lw_k
             for s in range(3):
-                a_row, b_row = curves[k, s, 0], curves[k, s, 1]
+                a_row, b_row = curves[s, 0], curves[s, 1]
                 x_s = f if s == 0 else x
                 np.multiply(ell, b_row, out=t)
                 np.exp(t, out=t)
@@ -352,16 +350,16 @@ def _shaded(problem, normals, materials, j, listed=None, env_lw=None, rows_n=Non
                 if want_m:  # the second coefficient adds a * ln(base)
                     et *= cmaxv
                     rows_ks = rows_m[k, :, s]
-                    if basis.shape[0] == 1:  # one basis row per light, shared by every pixel
-                        rows_ks[:, 0] += et @ basis_lw
+                    if vshape[0] == 1:  # one feature row per light, shared by every pixel
+                        rows_ks[:, 0] += et @ feats_lw.T
                         et *= ell
-                        rows_ks[:, 1] += et @ (a_row[0][:, None] * basis_lw)
+                        rows_ks[:, 1] += et @ (a_row * feats_lw).T
                     else:
                         et *= lw_k
-                        rows_ks[:, 0] += np.einsum("cb,cbj->cj", et, basis)
+                        rows_ks[:, 0] += np.einsum("cb,jcb->cj", et, feats)
                         et *= a_row
                         et *= ell
-                        rows_ks[:, 1] += np.einsum("cb,cbj->cj", et, basis)
+                        rows_ks[:, 1] += np.einsum("cb,jcb->cj", et, feats)
             if not float(np.max(f)) <= OVERFLOW_LIMIT:  # catches NaN too
                 c_idx, l_idx = np.unravel_index(int(np.nanargmax(np.where(np.isfinite(f), np.abs(f), np.inf))), f.shape)
                 px, py = problem.pixel_xy[ci[c_idx]]
@@ -477,11 +475,11 @@ def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_
     reduces either. The normal and material adjoints sum u-free rows per pixel
     over the tiles, rows_n[k] (C, 3) and rows_m[k] (C, 3, 2, 6), channel k's
     Jacobian rows, and contract them with u once, at the end: dn = sum_k u_k
-    rows_n[k] and dm[k] = u_k @ rows_m[k]. The rows never leave the chunk; a
-    residual pass returns their Grams G_n[c] = sum_k rows_n[k, c]^T
-    rows_n[k, c] and G_m[k] = rows_m[k]^T rows_m[k]. Only the light adjoint
-    needs u per light: for it a residual chunk with several tiles reduces its
-    image from one sweep of its blocks first.
+    rows_n[k] and dm[k] = u_k @ rows_m[k], rows_m first mapped from the features
+    to the control points. The rows never leave the chunk; a residual pass
+    returns their Grams G_n[c] = sum_k rows_n[k, c]^T rows_n[k, c] and G_m[k] =
+    rows_m[k]^T rows_m[k]. Only the light adjoint needs u per light: for it a
+    residual chunk with several tiles reduces its image from one sweep first.
     """
     want_l = "light" in groups
     region, ci = problem.chunks[j]
@@ -517,7 +515,7 @@ def _backward_chunk(problem, normals, materials, env_lw, u_c, groups, j, target_
             values[:, k] = np.einsum("cb,c->b", fc, u_k) * problem.weights[lights]
     if reduce_image:
         u_c = 2.0 * (image - target_c)
-    flat_m = None if rows_m is None else rows_m.reshape(3, count, 36)
+    flat_m = None if rows_m is None else (rows_m @ spline.FEATURES_TO_BASIS).reshape(3, count, 36)
     dn = None if rows_n is None else sum(u_c[:, k, None] * rows_n[k] for k in range(3))
     dm = None if flat_m is None else np.stack([u_c[:, k] @ flat_m[k] for k in range(3)]).reshape(3, 3, 2, 6)
     gn = None if image is None or rows_n is None else np.einsum("kci,kcj->cij", rows_n, rows_n)

@@ -8,6 +8,9 @@ on span j = min(floor(4t), 3), with r = 4t - j and q = 1 - r, only N_j,
 N_{j+1} and N_{j+2} are non-zero, namely q^2/2, 1/2 + r q and r^2/2 on the
 interior spans, q^2, r (2 - 1.5 r) and r^2/2 on span 0, and q^2/2,
 q (2 - 1.5 q) and r^2 on span 3.
+
+The engine shades from the truncated-power basis (de Boor, "A Practical Guide to Splines", 1978), ``features``: no
+span index, within a few ulp of max |ctrl|, but zeros off support miss 0 by as much, so ``basis_matrix`` keeps spans.
 """
 
 from __future__ import annotations
@@ -27,6 +30,11 @@ KNOTS.flags.writeable = False
 
 # Gram-matrix condition number above which a fit is rejected as rank deficient.
 MAX_FIT_CONDITION = 1e12
+
+# basis_matrix(theta) = features(theta).T @ FEATURES_TO_BASIS exactly: row i maps feature i to the six basis functions.
+FEATURES_TO_BASIS = np.array([[0, 0, 2, 2, 0, 0], [0, 0, -4, 4, 0, 0], [0, 1, -1, -1, 1, 0],
+                              [4, -8, 6, -2, 0, 0], [0, 0, -2, 6, -8, 4], [0, -1, 3, -3, 1, 0]]) / 4.0
+FEATURES_TO_BASIS.flags.writeable = False
 
 
 class RankDeficientError(ValueError):
@@ -56,6 +64,19 @@ def basis_matrix(theta) -> np.ndarray:
     flat[at] = q2 - left
     flat[at + 1] = 2.0 * r * q + left + right
     flat[at + 2] = r2 - right
+    return out
+
+
+def features(theta, out) -> np.ndarray:
+    """Fill (6,) + np.shape(theta) ``out`` with 1, u, u^2, (1 - s)_+^2, (s - 3)_+^2, u |u| of u = s - 2, s = 4t clamped."""
+    one, u, u2, left, right, uu = out
+    np.clip(np.divide(theta, THETA_MAX / 4.0, out=u), 0.0, 4.0, out=u)  # s, rounded as basis_matrix rounds it
+    u -= 2.0
+    one.fill(1.0)
+    np.multiply(u, u, out=u2)
+    np.multiply(np.abs(u, out=uu), u, out=uu)
+    np.square(np.maximum(np.subtract(-1.0, u, out=left), 0.0, out=left), out=left)
+    np.square(np.maximum(np.subtract(u, 1.0, out=right), 0.0, out=right), out=right)
     return out
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from conftest import random_material
-from gradshade import _shading
+from gradshade import _shading, spline
 from gradshade.brdf import (
     AMPLITUDE_BOUNDS,
     EPS_BASE,
@@ -117,7 +117,7 @@ def test_half_vector_is_unit_and_symmetric(seed):
 
 
 # ---------------------------------------------------------------------------
-# coefficient curves, control_points @ basis_matrix(theta) as the engine forms them
+# coefficient curves, control_points @ basis_matrix(theta), and the truncated-power form the engine shades from
 
 def test_zero_material_coefficients():
     m = material_from_raw(np.zeros(PARAM_COUNT)).control_points @ basis_matrix(0.3)
@@ -142,6 +142,23 @@ def test_theta_zero_reads_first_control_points(rng):
         for s in range(3):
             for t in range(2):
                 assert m[k, s, t] == mat.raw[flat_index(k, s, t, 0)]
+
+
+def test_engine_curves_match_the_basis_curves():
+    """Per channel (ctrl_k @ FEATURES_TO_BASIS.T) @ features(theta), as the engine forms its curves, is ctrl @ basis_matrix.
+
+    Within 1e-14 max |ctrl|, on a grid through the knots and ends, for control points drawn inside the DSBRDF bounds.
+    """
+    theta = np.union1d(np.linspace(0.0, math.pi / 2.0, 1001), math.pi / 8.0 * np.arange(5))
+    feats = spline.features(theta, np.empty((6, theta.size)))
+    basis = basis_matrix(theta)
+    lo, hi = default_bounds()
+    r = np.random.default_rng(31)
+    for _ in range(50):
+        ctrl = r.uniform(lo, hi).reshape(3, 6, 6)
+        coef = ctrl @ spline.FEATURES_TO_BASIS.T
+        for k in range(3):
+            assert np.abs(coef[k] @ feats - ctrl[k] @ basis.T).max() <= 1e-14 * np.abs(ctrl).max()
 
 
 def test_coeffs_match_spline_oracle(rng):

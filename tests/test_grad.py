@@ -356,10 +356,11 @@ def test_backward_chunk_memory_does_not_grow_with_the_env(monkeypatch):
 
 
 # Scratch of one worker after a several-tile backward of every group, in (C, LIGHT_BLOCK)
-# float64 buffers for the largest chunk C: measured 10.31 orthographic (ten pair
-# buffers, the (1, B) view rows and the (18, B) coefficient curves) and 30.0 pinhole,
-# where the view rows and the curves are (C, B) per row.
-SCRATCH_BUFFERS = {"orthographic": 10.5, "pinhole": 30.5}
+# float64 buffers for the largest chunk C: measured 10.22 orthographic (ten pair
+# buffers, the (1, B) view rows, the (6, B) spline features and one channel's (6, B)
+# coefficient curves) and 24.0 pinhole, where the view rows, features and curves are
+# (C, B) per row.
+SCRATCH_BUFFERS = {"orthographic": 10.5, "pinhole": 24.5}
 
 
 @pytest.mark.parametrize("mode", ["orthographic", "pinhole"])
