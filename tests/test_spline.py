@@ -48,7 +48,7 @@ def test_basis_matches_recursion_oracle_on_grid():
 
 
 def test_partition_of_unity_and_local_support():
-    # a (V, B) block as the shading engine passes it, one row per pixel
+    # a 2-d block of angles gives a (rows, columns, 6) array, row by row the same
     ts = np.linspace(0.0, HALF_PI, 1000).reshape(40, 25)
     b = basis_matrix(ts)
     assert b.shape == (40, 25, 6)
